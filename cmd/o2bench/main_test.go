@@ -282,6 +282,39 @@ func TestScaleJSONWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestCSVGolden pins the -csv output of every golden sweep byte for byte.
+// Regenerate with `go test ./cmd/o2bench -run TestCSVGolden -update` and
+// review the diff.
+func TestCSVGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		emit   func(*bytes.Buffer) error
+	}{
+		{"fig4", func(b *bytes.Buffer) error { return emitFig4(b, goldenFig4Config(), true, formatCSV) }},
+		{"kv", func(b *bytes.Buffer) error { return emitKV(b, goldenKVConfig(), formatCSV) }},
+		{"web", func(b *bytes.Buffer) error { return emitWeb(b, goldenWebConfig(), formatCSV) }},
+		{"scale", func(b *bytes.Buffer) error { return emitScale(b, goldenScaleConfig(), formatCSV) }},
+	} {
+		var buf bytes.Buffer
+		if err := tc.emit(&buf); err != nil {
+			t.Fatal(err)
+		}
+		golden := filepath.Join("testdata", tc.golden+"_tiny.csv")
+		if *update {
+			if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("reading golden file (regenerate with -update): %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s -csv output drifted from %s.\nGot:\n%s\nWant:\n%s", tc.golden, golden, buf.Bytes(), want)
+		}
+	}
+}
+
 // TestScaleTableSmoke checks the scale table and CSV renderers on the
 // same sweep path.
 func TestScaleTableSmoke(t *testing.T) {
