@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -13,209 +14,67 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files from current output")
 
-// goldenFig4Config is a reduced, fully deterministic Figure-4 sweep: small
-// machine, two grid points, two repeats. It exists to pin the -json output
-// schema, not to reproduce the paper's numbers.
+// goldenCase is a reduced, fully deterministic configuration of one sweep
+// command. It exists to pin the command's -json and -csv output and the
+// determinism contract, not to reproduce full-scale numbers. Every case
+// runs with seed 7 and two repeats; its goldens are taken at 4 workers.
+type goldenCase struct {
+	cmd    string                    // sweep command whose emit path renders the case
+	golden string                    // testdata/<golden>_tiny.{json,csv}
+	build  func() (string, o2.Sweep) // title and sweep of the reduced configuration
+	table  []string                  // substrings the aligned table must contain
+}
+
+var goldenCases = map[string]goldenCase{
+	"fig4": {"fig4a", "fig4", func() (string, o2.Sweep) { return "Figure 4(a)", o2.Fig4aSweep(goldenFig4Config()) },
+		[]string{"without-CT", "±"}},
+	"kv": {"kv", "kv", func() (string, o2.Sweep) { return kvSweep(goldenKVConfig()) },
+		[]string{"policy", "kops/sec", "coretime+repl", "±"}},
+	"web": {"web", "web", func() (string, o2.Sweep) { return webSweep(goldenWebConfig()) },
+		[]string{"rps", "compaction", "policy", "p99 (cycles)", "coretime+repl", "±"}},
+	"scale": {"scale", "scale", func() (string, o2.Sweep) { return scaleSweep(goldenScaleConfig()) },
+		[]string{"machine", "service", "policy", "kops/sec/core", "numa256", "dirlookup", "±"}},
+}
+
+// goldenFig4Config is a reduced Figure-4 sweep: small machine, two grid
+// points.
 func goldenFig4Config() o2.Fig4Config {
 	p := o2.DefaultRunParams()
 	p.Threads = 4
 	p.Warmup = 200_000
 	p.Measure = 400_000
-	p.Seed = 7
-	return o2.Fig4Config{
-		Machine:       o2.Tiny8,
-		DirCounts:     []int{2, 6},
-		EntriesPerDir: 128,
-		Params:        p,
-		Repeats:       2,
-		Workers:       4,
-	}
+	return o2.Fig4Config{Machine: o2.Tiny8, DirCounts: []int{2, 6}, EntriesPerDir: 128, Params: p}
 }
 
-// TestFig4JSONGolden pins the o2bench -json sweep schema: field names,
-// nesting, metric keys, and the simulation's deterministic values. If the
-// schema changes intentionally, regenerate with `go test ./cmd/o2bench
-// -run TestFig4JSONGolden -update` and review the diff.
-func TestFig4JSONGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := emitFig4(&buf, goldenFig4Config(), true, formatJSON); err != nil {
-		t.Fatal(err)
-	}
-
-	golden := filepath.Join("testdata", "fig4_tiny.json")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("o2bench -json output drifted from %s.\nGot:\n%s\nWant:\n%s\nIf intentional, rerun with -update and review.",
-			golden, buf.Bytes(), want)
-	}
-}
-
-// TestFig4JSONWorkerInvariance reruns the golden sweep at -workers=1 and
-// checks the bytes match the golden file exactly: the JSON schema AND the
-// values must be independent of the worker count.
-func TestFig4JSONWorkerInvariance(t *testing.T) {
-	cfg := goldenFig4Config()
-	cfg.Workers = 1
-	var buf bytes.Buffer
-	if err := emitFig4(&buf, cfg, true, formatJSON); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "fig4_tiny.json"))
-	if err != nil {
-		t.Skip("golden file missing; TestFig4JSONGolden generates it")
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Error("-workers=1 JSON differs from the golden (-workers=4) output")
-	}
-}
-
-// goldenKVConfig is a reduced, fully deterministic KVService sweep:
-// Tiny8 machine, a kilobyte-scale store, two mixes × two skews × all
-// four placement policies, two repeats. It exists to pin the
-// `o2bench kv -json` output schema and the load generator's determinism
-// contract, not to reproduce full-scale numbers.
+// goldenKVConfig is a reduced KVService sweep: Tiny8 machine, a
+// kilobyte-scale store, two mixes × two skews × every placement policy.
 func goldenKVConfig() o2.KVConfig {
 	cfg := o2.QuickKVConfig()
 	cfg.Spec = o2.KVSpec{Shards: 8, SlotsPerShard: 64, SlotBytes: 64, Keys: 1 << 12}
 	cfg.Load = o2.KVLoad{Clients: 8, OpsPerClient: 150}
 	cfg.Skews = []float64{0, 0.99}
-	cfg.Repeats = 2
-	cfg.Workers = 4
-	cfg.Seed = 7
 	return cfg
 }
 
-// TestKVJSONGolden pins the o2bench kv -json sweep schema and values. If
-// the schema or the simulation changes intentionally, regenerate with
-// `go test ./cmd/o2bench -run TestKVJSONGolden -update` and review the
-// diff.
-func TestKVJSONGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := emitKV(&buf, goldenKVConfig(), formatJSON); err != nil {
-		t.Fatal(err)
-	}
-
-	golden := filepath.Join("testdata", "kv_tiny.json")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("o2bench kv -json output drifted from %s.\nGot:\n%s\nWant:\n%s\nIf intentional, rerun with -update and review.",
-			golden, buf.Bytes(), want)
-	}
-}
-
-// TestKVJSONWorkerInvariance reruns the golden KV sweep at -workers 1
-// and at -workers NumCPU and checks both byte streams match the golden
-// file exactly: the KVService load generator's determinism contract —
-// results are a pure function of the grid, never of the host.
-func TestKVJSONWorkerInvariance(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "kv_tiny.json"))
-	if err != nil {
-		t.Skip("golden file missing; TestKVJSONGolden generates it")
-	}
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		cfg := goldenKVConfig()
-		cfg.Workers = workers
-		var buf bytes.Buffer
-		if err := emitKV(&buf, cfg, formatJSON); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("-workers=%d JSON differs from the golden (-workers=4) output", workers)
-		}
-	}
-}
-
-// goldenWebConfig is a reduced, fully deterministic WebService sweep:
-// Tiny8 machine, a small document tree, two arrival rates (one under and
-// one past saturation) × two compaction shares × all four placement
-// policies, two repeats. It exists to pin the `o2bench web -json` output
-// schema and the open-loop driver's determinism contract — arrival
-// schedules, queue/drop accounting, and merged latency histograms must be
-// a pure function of the grid — not to reproduce full-scale numbers.
+// goldenWebConfig is a reduced WebService sweep: Tiny8 machine, a small
+// document tree, two arrival rates (one under and one past saturation) ×
+// two compaction shares × every placement policy. Arrival schedules,
+// queue/drop accounting, and merged latency histograms must all be a
+// pure function of the grid.
 func goldenWebConfig() o2.WebConfig {
 	cfg := o2.QuickWebConfig()
 	cfg.Spec = o2.WebSpec{DocRoots: 8, FilesPerRoot: 64}
 	cfg.Load.Requests = 200
 	cfg.Rates = []float64{500_000, 4_000_000}
 	cfg.CompactionShares = []float64{0, 0.5}
-	cfg.Repeats = 2
-	cfg.Workers = 4
-	cfg.Seed = 7
 	return cfg
 }
 
-// TestWebJSONGolden pins the o2bench web -json sweep schema and values.
-// If the schema or the simulation changes intentionally, regenerate with
-// `go test ./cmd/o2bench -run TestWebJSONGolden -update` and review the
-// diff.
-func TestWebJSONGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := emitWeb(&buf, goldenWebConfig(), formatJSON); err != nil {
-		t.Fatal(err)
-	}
-
-	golden := filepath.Join("testdata", "web_tiny.json")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("o2bench web -json output drifted from %s.\nGot:\n%s\nWant:\n%s\nIf intentional, rerun with -update and review.",
-			golden, buf.Bytes(), want)
-	}
-}
-
-// TestWebJSONWorkerInvariance reruns the golden web sweep at -workers 1
-// and at -workers NumCPU and checks both byte streams match the golden
-// file exactly: the open-loop driver's determinism contract — results are
-// a pure function of the grid, never of the host.
-func TestWebJSONWorkerInvariance(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "web_tiny.json"))
-	if err != nil {
-		t.Skip("golden file missing; TestWebJSONGolden generates it")
-	}
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		cfg := goldenWebConfig()
-		cfg.Workers = workers
-		var buf bytes.Buffer
-		if err := emitWeb(&buf, cfg, formatJSON); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("-workers=%d JSON differs from the golden (-workers=4) output", workers)
-		}
-	}
-}
-
-// goldenScaleConfig is a reduced, fully deterministic scale sweep that
-// still spans the interesting extremes: the 8-core Tiny8 machine and the
-// 256-core NUMA256 machine — the latter exercising the multi-word sharer
-// bitset and the saturating bandwidth meters under the sweep engine —
-// across both services and both policies, two repeats. It exists to pin
-// the `o2bench scale -json` schema and the big-machine determinism
-// contract (a NUMA256 cell must be a pure function of the grid), not to
-// reproduce full-scale numbers.
+// goldenScaleConfig is a reduced scale sweep that still spans the
+// extremes: the 8-core Tiny8 machine and the 256-core NUMA256 machine —
+// the latter exercising the multi-word sharer bitset and the saturating
+// bandwidth meters under the sweep engine — across both services and
+// every scale policy.
 func goldenScaleConfig() o2.ScaleConfig {
 	cfg := o2.QuickScaleConfig()
 	cfg.Machines = []o2.Topology{o2.Tiny8, o2.NUMA256}
@@ -226,82 +85,36 @@ func goldenScaleConfig() o2.ScaleConfig {
 	cfg.ShardsPerCore = 1
 	cfg.SlotsPerShard = 32
 	cfg.Load.OpsPerClient = 30
-	cfg.Repeats = 2
-	cfg.Workers = 4
-	cfg.Seed = 7
 	return cfg
 }
 
-// TestScaleJSONGolden pins the o2bench scale -json sweep schema and
-// values. If the schema or the simulation changes intentionally,
-// regenerate with `go test ./cmd/o2bench -run TestScaleJSONGolden
-// -update` and review the diff.
-func TestScaleJSONGolden(t *testing.T) {
+// output runs a golden case at the given worker count and renders it
+// through the sweep commands' one emit path.
+func output(t *testing.T, gc goldenCase, workers int, format outFormat) []byte {
+	t.Helper()
+	title, sw := gc.build()
+	sw.Seed, sw.Repeats, sw.Workers = 7, 2, workers
 	var buf bytes.Buffer
-	if err := emitScale(&buf, goldenScaleConfig(), formatJSON); err != nil {
+	if err := emit(&buf, findSweep(gc.cmd), title, sw, format); err != nil {
 		t.Fatal(err)
 	}
-
-	golden := filepath.Join("testdata", "scale_tiny.json")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("o2bench scale -json output drifted from %s.\nGot:\n%s\nWant:\n%s\nIf intentional, rerun with -update and review.",
-			golden, buf.Bytes(), want)
-	}
+	return buf.Bytes()
 }
 
-// TestScaleJSONWorkerInvariance reruns the golden scale sweep at
-// -workers 1 and at -workers NumCPU and checks both byte streams match
-// the golden file exactly. This is the 256-core determinism gate: the
-// wide-directory fan-out, the bandwidth queueing, and the per-core
-// workload sizing must all be pure functions of the grid, never of the
-// host.
-func TestScaleJSONWorkerInvariance(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "scale_tiny.json"))
-	if err != nil {
-		t.Skip("golden file missing; TestScaleJSONGolden generates it")
-	}
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		cfg := goldenScaleConfig()
-		cfg.Workers = workers
-		var buf bytes.Buffer
-		if err := emitScale(&buf, cfg, formatJSON); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("-workers=%d JSON differs from the golden (-workers=4) output", workers)
-		}
-	}
-}
-
-// TestCSVGolden pins the -csv output of every golden sweep byte for byte.
-// Regenerate with `go test ./cmd/o2bench -run TestCSVGolden -update` and
-// review the diff.
-func TestCSVGolden(t *testing.T) {
-	for _, tc := range []struct {
-		golden string
-		emit   func(*bytes.Buffer) error
-	}{
-		{"fig4", func(b *bytes.Buffer) error { return emitFig4(b, goldenFig4Config(), true, formatCSV) }},
-		{"kv", func(b *bytes.Buffer) error { return emitKV(b, goldenKVConfig(), formatCSV) }},
-		{"web", func(b *bytes.Buffer) error { return emitWeb(b, goldenWebConfig(), formatCSV) }},
-		{"scale", func(b *bytes.Buffer) error { return emitScale(b, goldenScaleConfig(), formatCSV) }},
-	} {
-		var buf bytes.Buffer
-		if err := tc.emit(&buf); err != nil {
-			t.Fatal(err)
-		}
-		golden := filepath.Join("testdata", tc.golden+"_tiny.csv")
+// checkGolden pins a case's -json and -csv bytes: field names, nesting,
+// metric keys, and the simulation's values. If the schema or the
+// simulation changes intentionally, regenerate with `go test
+// ./cmd/o2bench -update` and review the diff.
+func checkGolden(t *testing.T, name string) {
+	gc := goldenCases[name]
+	for _, f := range []struct {
+		ext    string
+		format outFormat
+	}{{".json", formatJSON}, {".csv", formatCSV}} {
+		got := output(t, gc, 4, f.format)
+		golden := filepath.Join("testdata", gc.golden+"_tiny"+f.ext)
 		if *update {
-			if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			if err := os.WriteFile(golden, got, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -309,90 +122,89 @@ func TestCSVGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reading golden file (regenerate with -update): %v", err)
 		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("%s -csv output drifted from %s.\nGot:\n%s\nWant:\n%s", tc.golden, golden, buf.Bytes(), want)
+		if !bytes.Equal(got, want) {
+			t.Errorf("o2bench %s output drifted from %s.\nGot:\n%s\nWant:\n%s\nIf intentional, rerun with -update and review.",
+				gc.cmd, golden, got, want)
 		}
 	}
 }
 
-// TestScaleTableSmoke checks the scale table and CSV renderers on the
-// same sweep path.
-func TestScaleTableSmoke(t *testing.T) {
-	cfg := goldenScaleConfig()
-	var table, csv bytes.Buffer
-	if err := emitScale(&table, cfg, formatTable); err != nil {
-		t.Fatal(err)
+// checkWorkerInvariance reruns a case at -workers 1 and -workers NumCPU:
+// both JSON byte streams must match the golden exactly, because results
+// are a pure function of the grid, never of the host.
+func checkWorkerInvariance(t *testing.T, name string) {
+	gc := goldenCases[name]
+	want, err := os.ReadFile(filepath.Join("testdata", gc.golden+"_tiny.json"))
+	if err != nil {
+		t.Fatalf("reading golden file (regenerate with -update): %v", err)
 	}
-	for _, want := range []string{"machine", "service", "policy", "kops/sec/core", "numa256", "dirlookup", "±"} {
-		if !bytes.Contains(table.Bytes(), []byte(want)) {
-			t.Errorf("scale table output missing %q:\n%s", want, table.String())
+	for _, workers := range []int{1, runtime.NumCPU()} {
+		if !bytes.Equal(output(t, gc, workers, formatJSON), want) {
+			t.Errorf("-workers=%d JSON differs from the golden (-workers=4) output", workers)
 		}
-	}
-	if err := emitScale(&csv, cfg, formatCSV); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(csv.Bytes(), []byte("kops_per_sec,kops_stddev,per_core_kops,migrations")) {
-		t.Errorf("scale csv header drifted:\n%s", csv.String())
 	}
 }
 
-// TestWebTableSmoke checks the web table and CSV renderers on the same
-// sweep path.
-func TestWebTableSmoke(t *testing.T) {
-	cfg := goldenWebConfig()
-	var table, csv bytes.Buffer
-	if err := emitWeb(&table, cfg, formatTable); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"rps", "compaction", "policy", "p99 (cycles)", "coretime+repl", "±"} {
-		if !bytes.Contains(table.Bytes(), []byte(want)) {
-			t.Errorf("web table output missing %q:\n%s", want, table.String())
+// checkTable checks the aligned table renders a case's headers, labels,
+// and repeat stddevs.
+func checkTable(t *testing.T, name string) {
+	gc := goldenCases[name]
+	table := output(t, gc, 4, formatTable)
+	for _, want := range gc.table {
+		if !bytes.Contains(table, []byte(want)) {
+			t.Errorf("o2bench %s table missing %q:\n%s", gc.cmd, want, table)
 		}
-	}
-	if err := emitWeb(&csv, cfg, formatCSV); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(csv.Bytes(), []byte("offered_krps,achieved_krps,drop_rate,p50_cycles")) {
-		t.Errorf("web csv header drifted:\n%s", csv.String())
 	}
 }
 
-// TestKVTableSmoke checks the kv table and CSV renderers on the same
-// sweep path.
-func TestKVTableSmoke(t *testing.T) {
-	cfg := goldenKVConfig()
-	var table, csv bytes.Buffer
-	if err := emitKV(&table, cfg, formatTable); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"policy", "kops/sec", "coretime+repl", "±"} {
-		if !bytes.Contains(table.Bytes(), []byte(want)) {
-			t.Errorf("kv table output missing %q:\n%s", want, table.String())
+func TestFig4JSONGolden(t *testing.T)            { checkGolden(t, "fig4") }
+func TestFig4JSONWorkerInvariance(t *testing.T)  { checkWorkerInvariance(t, "fig4") }
+func TestFig4TableSmoke(t *testing.T)            { checkTable(t, "fig4") }
+func TestKVJSONGolden(t *testing.T)              { checkGolden(t, "kv") }
+func TestKVJSONWorkerInvariance(t *testing.T)    { checkWorkerInvariance(t, "kv") }
+func TestKVTableSmoke(t *testing.T)              { checkTable(t, "kv") }
+func TestWebJSONGolden(t *testing.T)             { checkGolden(t, "web") }
+func TestWebJSONWorkerInvariance(t *testing.T)   { checkWorkerInvariance(t, "web") }
+func TestWebTableSmoke(t *testing.T)             { checkTable(t, "web") }
+func TestScaleJSONGolden(t *testing.T)           { checkGolden(t, "scale") }
+func TestScaleJSONWorkerInvariance(t *testing.T) { checkWorkerInvariance(t, "scale") }
+func TestScaleTableSmoke(t *testing.T)           { checkTable(t, "scale") }
+
+// TestSweepFlagsConfigureSweep checks that the shared flags land on the
+// sweep of every sweep command, and that each sweep carries its
+// command's name into the results.
+func TestSweepFlagsConfigureSweep(t *testing.T) {
+	for i := range sweeps {
+		sc := &sweeps[i]
+		_, sw, format, err := sweepFlags(sc, []string{"-quick", "-seed", "9", "-workers", "3", "-repeats", "2", "-csv"})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := emitKV(&csv, cfg, formatCSV); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(csv.Bytes(), []byte("kops_per_sec,kops_stddev")) {
-		t.Errorf("kv csv header drifted:\n%s", csv.String())
+		if sw.Name != sc.name || sw.Seed != 9 || sw.Workers != 3 || sw.Repeats != 2 || format != formatCSV {
+			t.Errorf("%s: sweep %q seed %d workers %d repeats %d format %d", sc.name, sw.Name, sw.Seed, sw.Workers, sw.Repeats, format)
+		}
 	}
 }
 
-// TestFig4TableSmoke checks the human-readable formats still render from
-// the same sweep path.
-func TestFig4TableSmoke(t *testing.T) {
-	cfg := goldenFig4Config()
-	var table, csv bytes.Buffer
-	if err := emitFig4(&table, cfg, true, formatTable); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(table.Bytes(), []byte("without-CT")) || !bytes.Contains(table.Bytes(), []byte("±")) {
-		t.Errorf("table output missing headers or repeat stddev:\n%s", table.String())
-	}
-	if err := emitFig4(&csv, cfg, true, formatCSV); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(csv.Bytes(), []byte("stddev_with_ct")) {
-		t.Errorf("csv header drifted:\n%s", csv.String())
+// TestRunUsageErrors pins how command-line mistakes exit: -h on any
+// command exits 0; a bad flag, -json with -csv, or an unknown command
+// exits 2.
+func TestRunUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want error
+		code int
+	}{
+		{[]string{"kv", "-h"}, flag.ErrHelp, 0},
+		{[]string{"fig2", "-h"}, flag.ErrHelp, 0},
+		{[]string{"kv", "-bogus"}, errUsage, 2},
+		{[]string{"trace", "-bogus"}, errUsage, 2},
+		{[]string{"kv", "-json", "-csv"}, errUsage, 2},
+		{[]string{"nosuch"}, errUsage, 2},
+	} {
+		err := run(tc.args[0], tc.args[1:])
+		if !errors.Is(err, tc.want) || exitCode(err) != tc.code {
+			t.Errorf("run %v = %v (exit %d), want %v (exit %d)", tc.args, err, exitCode(err), tc.want, tc.code)
+		}
 	}
 }

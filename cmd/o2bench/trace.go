@@ -27,7 +27,7 @@ func traceFlags(args []string) (o2.TraceConfig, string, error) {
 	// pool to bound; the flag exists so every subcommand accepts the same
 	// invariance-checking invocation (output must not depend on it).
 	fs.Int("workers", 0, "accepted for symmetry with the sweep subcommands; ignored")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return o2.TraceConfig{}, "", err
 	}
 	cfg := o2.DefaultTraceConfig()

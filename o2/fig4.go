@@ -21,7 +21,9 @@ import (
 	"io"
 )
 
-// Fig4Config drives the Fig. 4 sweeps.
+// Fig4Config drives the Fig. 4 sweeps. Params.Seed is the sweep's base
+// seed; repeats and workers are set on the Sweep that Fig4aSweep or
+// Fig4bSweep returns.
 type Fig4Config struct {
 	Machine Topology
 	// DirCounts are the x-axis points (number of directories, each
@@ -29,21 +31,6 @@ type Fig4Config struct {
 	DirCounts     []int
 	EntriesPerDir int
 	Params        RunParams
-	// Rebalance and Decay override the CoreTime monitor cadence; zero
-	// keeps the scheduler default (Fig4b ties them to the oscillation
-	// period instead).
-	Rebalance Cycles
-	Decay     Cycles
-	// CoreTime holds extra options applied to the CoreTime runtime at
-	// each point.
-	CoreTime []Option
-	// Repeats measures every point that many times with distinct derived
-	// seeds and reports mean/stddev (default 1).
-	Repeats int
-	// Workers bounds the sweep's worker pool; 0 means runtime.NumCPU().
-	Workers int
-	// Progress, when non-nil, receives one line per completed point.
-	Progress io.Writer
 }
 
 // DefaultFig4Config returns the full-scale configuration: the AMD16
@@ -86,33 +73,27 @@ type Fig4Row struct {
 }
 
 // Fig4a regenerates Figure 4(a): uniform directory popularity.
-func Fig4a(cfg Fig4Config) ([]Fig4Row, error) {
-	cfg, sweep := Fig4aSweep(cfg)
-	return fig4(cfg, sweep)
-}
+func Fig4a(cfg Fig4Config) ([]Fig4Row, error) { return fig4(Fig4aSweep(cfg)) }
 
 // Fig4b regenerates Figure 4(b): the number of directories accessed
 // oscillates between the x-axis value and a sixteenth of it. The CoreTime
 // monitor cadence is tied to the oscillation period so the rebalancer can
 // follow the phase changes (the experiment exists to "demonstrate the
 // ability of CoreTime to rebalance objects", §5).
-func Fig4b(cfg Fig4Config) ([]Fig4Row, error) {
-	cfg, sweep := Fig4bSweep(cfg)
-	return fig4(cfg, sweep)
-}
+func Fig4b(cfg Fig4Config) ([]Fig4Row, error) { return fig4(Fig4bSweep(cfg)) }
 
-// Fig4aSweep resolves cfg for Figure 4(a) and returns it with the Sweep
-// that measures it. Callers that want per-cell repeat statistics (cmd/
-// o2bench -json) run the sweep themselves; Fig4a folds it into rows.
-func Fig4aSweep(cfg Fig4Config) (Fig4Config, Sweep) {
+// Fig4aSweep returns the Sweep that measures Figure 4(a) on cfg. Callers
+// that want per-cell repeat statistics (cmd/o2bench -json) run the sweep
+// themselves; Fig4a folds it into rows.
+func Fig4aSweep(cfg Fig4Config) Sweep {
 	cfg.Params.Popularity = Uniform
-	return cfg, fig4Sweep(cfg)
+	return fig4Sweep("fig4a", cfg)
 }
 
-// Fig4bSweep resolves cfg for Figure 4(b) — oscillating popularity with
-// the monitor cadence tied to the oscillation period — and returns it with
-// the Sweep that measures it.
-func Fig4bSweep(cfg Fig4Config) (Fig4Config, Sweep) {
+// Fig4bSweep returns the Sweep that measures Figure 4(b) on cfg:
+// oscillating popularity, with CoreTime's rebalance interval and decay
+// window tied to the oscillation period.
+func Fig4bSweep(cfg Fig4Config) Sweep {
 	cfg.Params.Popularity = Oscillating
 	if cfg.Params.OscillatePeriod == 0 {
 		cfg.Params.OscillatePeriod = 2_000_000
@@ -120,33 +101,17 @@ func Fig4bSweep(cfg Fig4Config) (Fig4Config, Sweep) {
 	if cfg.Params.OscillateDivisor == 0 {
 		cfg.Params.OscillateDivisor = 16
 	}
-	if cfg.Rebalance == 0 {
-		cfg.Rebalance = cfg.Params.OscillatePeriod / 4
-	}
-	if cfg.Decay == 0 {
-		cfg.Decay = 2 * cfg.Params.OscillatePeriod
-	}
-	return cfg, fig4Sweep(cfg)
+	return fig4Sweep("fig4b", cfg,
+		WithRebalanceInterval(cfg.Params.OscillatePeriod/4),
+		WithDecayWindow(2*cfg.Params.OscillatePeriod))
 }
 
 // fig4Sweep builds the Sweep behind a Fig. 4 run: a dirs × scheduler grid
-// over the standard directory-lookup runner.
-func fig4Sweep(cfg Fig4Config) Sweep {
+// over the standard directory-lookup runner, with ctOpts applied to the
+// CoreTime cells.
+func fig4Sweep(name string, cfg Fig4Config, ctOpts ...Option) Sweep {
 	if cfg.EntriesPerDir == 0 {
 		cfg.EntriesPerDir = 1000
-	}
-	var ctOpts []Option
-	if cfg.Rebalance != 0 {
-		ctOpts = append(ctOpts, WithRebalanceInterval(cfg.Rebalance))
-	}
-	if cfg.Decay != 0 {
-		ctOpts = append(ctOpts, WithDecayWindow(cfg.Decay))
-	}
-	ctOpts = append(ctOpts, cfg.CoreTime...)
-
-	name := "fig4a"
-	if cfg.Params.Popularity == Oscillating {
-		name = "fig4b"
 	}
 	return Sweep{
 		Name: name,
@@ -161,32 +126,28 @@ func fig4Sweep(cfg Fig4Config) Sweep {
 				}},
 			}},
 		},
-		Repeats:  cfg.Repeats,
-		Workers:  cfg.Workers,
-		Seed:     cfg.Params.Seed,
-		Runner:   DirLookupCell,
-		Progress: cfg.Progress,
+		Seed:   cfg.Params.Seed,
+		Runner: DirLookupCell,
 	}
 }
 
-// Fig4Rows folds a completed Fig4Sweep result into the figure's rows, one
-// per directory count, pairing the baseline and CoreTime cells.
-func Fig4Rows(cfg Fig4Config, res *SweepResult) ([]Fig4Row, error) {
-	if cfg.EntriesPerDir == 0 {
-		cfg.EntriesPerDir = 1000
-	}
-	rows := make([]Fig4Row, 0, len(cfg.DirCounts))
-	for _, dirs := range cfg.DirCounts {
-		label := fmt.Sprintf("%d", dirs)
-		base := res.Cell(label, Baseline.String())
-		ct := res.Cell(label, CoreTime.String())
-		if base == nil || ct == nil {
-			return nil, fmt.Errorf("o2: sweep result missing cells at %d dirs", dirs)
+// Fig4Rows folds the result of a Fig4aSweep or Fig4bSweep sweep into the
+// figure's rows, one per directory count, pairing the baseline and
+// CoreTime cells.
+func Fig4Rows(sweep Sweep, res *SweepResult) ([]Fig4Row, error) {
+	var rows []Fig4Row
+	for _, c := range sweep.cells() {
+		if len(c.Labels) != 2 || c.Labels[1] != Baseline.String() {
+			continue
 		}
-		spec := DirSpec{Dirs: dirs, EntriesPerDir: cfg.EntriesPerDir}
+		base := res.Cell(c.Labels...)
+		ct := res.Cell(c.Labels[0], CoreTime.String())
+		if base == nil || ct == nil {
+			return nil, fmt.Errorf("o2: sweep result missing cells at %d dirs", c.Tree.Dirs)
+		}
 		row := Fig4Row{
-			Dirs:       dirs,
-			DataKB:     float64(spec.TotalBytes()) / 1024,
+			Dirs:       c.Tree.Dirs,
+			DataKB:     float64(c.Tree.TotalBytes()) / 1024,
 			BaseKRes:   base.Mean("kres_per_sec"),
 			CTKRes:     ct.Mean("kres_per_sec"),
 			BaseStddev: base.Stddev("kres_per_sec"),
@@ -201,12 +162,12 @@ func Fig4Rows(cfg Fig4Config, res *SweepResult) ([]Fig4Row, error) {
 	return rows, nil
 }
 
-func fig4(cfg Fig4Config, sweep Sweep) ([]Fig4Row, error) {
+func fig4(sweep Sweep) ([]Fig4Row, error) {
 	res, err := sweep.Run()
 	if err != nil {
 		return nil, err
 	}
-	return Fig4Rows(cfg, res)
+	return Fig4Rows(sweep, res)
 }
 
 // WriteFig4Table prints rows in the paper's axes (total data size in KB vs

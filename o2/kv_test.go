@@ -206,10 +206,10 @@ func TestKVSweepWorkerInvariance(t *testing.T) {
 	cfg.Mixes = []KVMix{DefaultKVMix()}
 	cfg.Skews = []float64{0, 0.99}
 	cfg.Policies = []KVPolicy{KVThreadScheduler, KVCoreTime}
-	cfg.Seed = 5
 
 	run := func(workers int) *SweepResult {
 		_, sweep := KVSweep(cfg)
+		sweep.Seed = 5
 		res, err := sweep.WithWorkers(workers).Run()
 		if err != nil {
 			t.Fatal(err)

@@ -1,12 +1,11 @@
 package o2
 
 // Sweep integration for the KVService scenario: shard-placement policies
-// as option bundles, the Mix/Skew/Shard/Policy axes, the KVCell runner,
-// and the configured sweep behind `o2bench kv`.
+// as option bundles, the Mix/Skew/Policy axes, the KVCell runner, and the
+// configured sweep behind `o2bench kv`.
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 )
 
@@ -154,19 +153,6 @@ func SkewAxis(skews ...float64) Axis {
 	return Axis{Name: "skew", Values: vals}
 }
 
-// ShardAxis sweeps the store's shard count.
-func ShardAxis(counts ...int) Axis {
-	vals := make([]AxisValue, len(counts))
-	for i, n := range counts {
-		n := n
-		vals[i] = AxisValue{
-			Label: strconv.Itoa(n),
-			Apply: func(c *Cell) { c.KV.Shards = n },
-		}
-	}
-	return Axis{Name: "shards", Values: vals}
-}
-
 // KVCell is the KV scenario's sweep runner: build the store on a runtime
 // from the cell's options (reusing the cell's arena across repeats),
 // drive the cell's load once. The engine's derived cell seed reaches both
@@ -195,13 +181,12 @@ func KVCell(c Cell) (Metrics, error) {
 }
 
 // KVConfig drives the `o2bench kv` sweep: the cross product of Mixes ×
-// Skews × (optionally Shards ×) Policies on one machine and store shape.
+// Skews × Policies on one machine and store shape. Seed, repeats, and
+// workers are set on the Sweep that KVSweep returns.
 type KVConfig struct {
 	Machine Topology
-	// Spec shapes the store; ShardCounts (when non-empty) sweeps its
-	// shard count as an extra axis.
-	Spec        KVSpec
-	ShardCounts []int
+	// Spec shapes the store.
+	Spec KVSpec
 	// Load is the per-cell load template; Mixes and Skews sweep its mix
 	// and skew.
 	Load  KVLoad
@@ -209,13 +194,6 @@ type KVConfig struct {
 	Skews []float64
 	// Policies are the placement policies to compare (default: all).
 	Policies []KVPolicy
-	// Repeats measures every cell that many times with distinct derived
-	// seeds (default 1); Workers bounds the sweep's worker pool.
-	Repeats int
-	Workers int
-	Seed    uint64
-	// Progress, when non-nil, receives one line per completed cell.
-	Progress io.Writer
 }
 
 // DefaultKVConfig returns the full-scale configuration: the AMD16 machine
@@ -264,68 +242,19 @@ func KVSweep(cfg KVConfig) (KVConfig, Sweep) {
 	if len(cfg.Policies) == 0 {
 		cfg.Policies = KVPolicies()
 	}
-	axes := []Axis{MixAxis(cfg.Mixes...), SkewAxis(cfg.Skews...)}
-	if len(cfg.ShardCounts) > 0 {
-		axes = append(axes, ShardAxis(cfg.ShardCounts...))
-	}
-	axes = append(axes, PolicyAxis(cfg.Policies...))
 	return cfg, Sweep{
-		Name:     "kv",
-		Base:     Cell{Machine: cfg.Machine, KV: cfg.Spec, Load: cfg.Load},
-		Axes:     axes,
-		Repeats:  cfg.Repeats,
-		Workers:  cfg.Workers,
-		Seed:     cfg.Seed,
-		Runner:   KVCell,
-		Progress: cfg.Progress,
+		Name:   "kv",
+		Base:   Cell{Machine: cfg.Machine, KV: cfg.Spec, Load: cfg.Load},
+		Axes:   []Axis{MixAxis(cfg.Mixes...), SkewAxis(cfg.Skews...), PolicyAxis(cfg.Policies...)},
+		Runner: KVCell,
 	}
 }
 
-// WriteKVTable renders a completed KV sweep as an aligned text table, one
-// row per cell: the axis labels, throughput (±stddev when the sweep
-// carried repeats), per-op latency, on-chip cache-hit rate, and
-// migrations.
-func WriteKVTable(w io.Writer, title string, res *SweepResult) {
-	fmt.Fprintf(w, "# %s\n", title)
-	withStats := res.Repeats > 1
-	for _, ax := range res.Axes {
-		fmt.Fprintf(w, "%-16s ", ax)
-	}
-	if withStats {
-		fmt.Fprintf(w, "%20s %12s %8s %11s\n", "kops/sec", "cycles/op", "hit%", "migrations")
-	} else {
-		fmt.Fprintf(w, "%12s %12s %8s %11s\n", "kops/sec", "cycles/op", "hit%", "migrations")
-	}
-	for i := range res.Cells {
-		c := &res.Cells[i]
-		for _, l := range c.Labels {
-			fmt.Fprintf(w, "%-16s ", l)
-		}
-		if withStats {
-			fmt.Fprintf(w, "%13.0f ±%5.0f %12.0f %8.1f %11.0f\n",
-				c.Mean("kops_per_sec"), c.Stddev("kops_per_sec"),
-				c.Mean("cycles_per_op"), 100*c.Mean("cache_hit_rate"), c.Mean("migrations"))
-		} else {
-			fmt.Fprintf(w, "%12.0f %12.0f %8.1f %11.0f\n",
-				c.Mean("kops_per_sec"),
-				c.Mean("cycles_per_op"), 100*c.Mean("cache_hit_rate"), c.Mean("migrations"))
-		}
-	}
-}
-
-// WriteKVCSV emits the same cells as CSV for plotting.
-func WriteKVCSV(w io.Writer, res *SweepResult) {
-	for _, ax := range res.Axes {
-		fmt.Fprintf(w, "%s,", ax)
-	}
-	fmt.Fprintln(w, "kops_per_sec,kops_stddev,cycles_per_op,cache_hit_rate,migrations")
-	for i := range res.Cells {
-		c := &res.Cells[i]
-		for _, l := range c.Labels {
-			fmt.Fprintf(w, "%s,", l)
-		}
-		fmt.Fprintf(w, "%.1f,%.1f,%.1f,%.4f,%.0f\n",
-			c.Mean("kops_per_sec"), c.Stddev("kops_per_sec"),
-			c.Mean("cycles_per_op"), c.Mean("cache_hit_rate"), c.Mean("migrations"))
-	}
+// KVColumns report a KV sweep: throughput (±stddev when the sweep carried
+// repeats), per-op latency, on-chip cache-hit rate, and migrations.
+var KVColumns = []Column{
+	{name: "kops_per_sec", head: "kops/sec", width: 12, csv: 1, spread: "kops_stddev"},
+	{name: "cycles_per_op", head: "cycles/op", width: 12, csv: 1},
+	{name: "cache_hit_rate", head: "hit%", width: 8, prec: 1, csv: 4, pct: true},
+	{name: "migrations", head: "migrations", width: 11},
 }

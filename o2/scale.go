@@ -16,10 +16,7 @@ package o2
 // divergence legible at a glance: flat for CoreTime, collapsing for the
 // thread scheduler.
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // ScaleService selects which workload a scale-sweep cell drives. Each
 // service sizes its working set per core, so moving along the machine
@@ -51,7 +48,8 @@ func (s ScaleService) String() string {
 
 // ScaleConfig drives the `o2bench scale` sweep: the cross product of
 // Machines × Services × Policies, with each service's working set sized
-// per core of the cell's machine.
+// per core of the cell's machine. Seed, repeats, and workers are set on
+// the Sweep that ScaleSweep returns.
 type ScaleConfig struct {
 	// Machines is the core-count axis, smallest first (default AMD16,
 	// NUMA64, NUMA128, NUMA256).
@@ -83,14 +81,6 @@ type ScaleConfig struct {
 	// Load is the per-cell KV load template; zero Clients resolves to
 	// two per core of the cell's machine.
 	Load KVLoad
-
-	// Repeats measures every cell that many times with distinct derived
-	// seeds (default 1); Workers bounds the sweep's worker pool.
-	Repeats int
-	Workers int
-	Seed    uint64
-	// Progress, when non-nil, receives one line per completed cell.
-	Progress io.Writer
 }
 
 // DefaultScaleConfig returns the full-scale configuration: 16 to 256
@@ -221,22 +211,26 @@ func ScaleSweep(cfg ScaleConfig) (ScaleConfig, Sweep) {
 			scaleServiceAxis(cfg),
 			PolicyAxis(cfg.Policies...),
 		},
-		Repeats:  cfg.Repeats,
-		Workers:  cfg.Workers,
-		Seed:     cfg.Seed,
-		Runner:   ScaleCell,
-		Progress: cfg.Progress,
+		Runner: ScaleCell,
 	}
 }
 
-// scalePrimary returns the name of a cell's throughput metric: KV cells
-// report kops_per_sec, dirlookup cells kres_per_sec. Both are thousands
-// of operations per second of simulated time, so rows compare directly.
-func scalePrimary(c *CellResult) string {
-	if _, ok := c.Stats["kops_per_sec"]; ok {
-		return "kops_per_sec"
+// scaleThroughput returns a cell's throughput: KV cells report
+// kops_per_sec, dirlookup cells kres_per_sec. Both are thousands of
+// operations per second of simulated time, so rows compare directly.
+func scaleThroughput(c *CellResult) Aggregate {
+	if a, ok := c.Stats["kops_per_sec"]; ok {
+		return a
 	}
-	return "kres_per_sec"
+	return c.Stats["kres_per_sec"]
+}
+
+// ScaleColumns report a scale sweep: total throughput (±stddev when the
+// sweep carried repeats), per-core throughput, and migrations.
+var ScaleColumns = []Column{
+	{name: "kops_per_sec", head: "kops/sec", width: 12, csv: 1, spread: "kops_stddev", value: scaleThroughput},
+	{name: "per_core_kops", head: "kops/sec/core", width: 14, prec: 1, csv: 2},
+	{name: "migrations", head: "migrations", width: 11},
 }
 
 // ScaleSpeedup returns the CoreTime-over-thread-scheduler throughput
@@ -250,57 +244,9 @@ func ScaleSpeedup(res *SweepResult, machine, service string) (float64, error) {
 	if base == nil || ct == nil {
 		return 0, fmt.Errorf("o2: scale sweep has no %s/%s policy pair", machine, service)
 	}
-	p := scalePrimary(base)
-	b := base.Mean(p)
+	b := scaleThroughput(base).Mean
 	if b == 0 {
 		return 0, fmt.Errorf("o2: scale sweep %s/%s thread-scheduler cell measured zero throughput", machine, service)
 	}
-	return ct.Mean(p) / b, nil
-}
-
-// WriteScaleTable renders a completed scale sweep as an aligned text
-// table, one row per cell: the axis labels, total throughput (±stddev
-// when the sweep carried repeats), per-core throughput, and migrations.
-func WriteScaleTable(w io.Writer, title string, res *SweepResult) {
-	fmt.Fprintf(w, "# %s\n", title)
-	withStats := res.Repeats > 1
-	for _, ax := range res.Axes {
-		fmt.Fprintf(w, "%-12s ", ax)
-	}
-	if withStats {
-		fmt.Fprintf(w, "%20s %14s %11s\n", "kops/sec", "kops/sec/core", "migrations")
-	} else {
-		fmt.Fprintf(w, "%12s %14s %11s\n", "kops/sec", "kops/sec/core", "migrations")
-	}
-	for i := range res.Cells {
-		c := &res.Cells[i]
-		for _, l := range c.Labels {
-			fmt.Fprintf(w, "%-12s ", l)
-		}
-		p := scalePrimary(c)
-		if withStats {
-			fmt.Fprintf(w, "%13.0f ±%5.0f %14.1f %11.0f\n",
-				c.Mean(p), c.Stddev(p), c.Mean("per_core_kops"), c.Mean("migrations"))
-		} else {
-			fmt.Fprintf(w, "%12.0f %14.1f %11.0f\n",
-				c.Mean(p), c.Mean("per_core_kops"), c.Mean("migrations"))
-		}
-	}
-}
-
-// WriteScaleCSV emits the same cells as CSV for plotting.
-func WriteScaleCSV(w io.Writer, res *SweepResult) {
-	for _, ax := range res.Axes {
-		fmt.Fprintf(w, "%s,", ax)
-	}
-	fmt.Fprintln(w, "kops_per_sec,kops_stddev,per_core_kops,migrations")
-	for i := range res.Cells {
-		c := &res.Cells[i]
-		for _, l := range c.Labels {
-			fmt.Fprintf(w, "%s,", l)
-		}
-		p := scalePrimary(c)
-		fmt.Fprintf(w, "%.1f,%.1f,%.2f,%.0f\n",
-			c.Mean(p), c.Stddev(p), c.Mean("per_core_kops"), c.Mean("migrations"))
-	}
+	return scaleThroughput(ct).Mean / b, nil
 }

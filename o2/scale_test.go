@@ -120,12 +120,12 @@ func TestScaleArenaRepeatsMatchFreshRuns(t *testing.T) {
 	cfg.Params.Warmup = 300_000
 	cfg.Params.Measure = 300_000
 	cfg.Load.OpsPerClient = 60
-	cfg.Seed = 23
 
 	const repeats = 3
 	_, sweep := ScaleSweep(cfg)
 	sweep.Repeats = repeats
 	sweep.Workers = 1
+	sweep.Seed = 23
 	res, err := sweep.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -389,10 +389,10 @@ func TestWebSweepWorkerInvariance(t *testing.T) {
 	cfg.Rates = []float64{400_000, 1_600_000}
 	cfg.CompactionShares = []float64{0.5}
 	cfg.Policies = []KVPolicy{KVThreadScheduler, KVCoreTime}
-	cfg.Seed = 5
 
 	run := func(workers int) *SweepResult {
 		_, sweep := WebSweep(cfg)
+		sweep.Seed = 5
 		res, err := sweep.WithWorkers(workers).Run()
 		if err != nil {
 			t.Fatal(err)

@@ -7,7 +7,6 @@ package o2
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 )
 
@@ -72,8 +71,10 @@ func ServiceCell(c Cell) (Metrics, error) {
 	}, nil
 }
 
-// WebConfig drives the `o2bench web` sweep: the cross product of Rates ×
-// CompactionShares × Policies on one machine and document tree.
+// WebConfig drives the `o2bench web` and `o2bench soak` sweeps: the cross
+// product of Rates × CompactionShares × Policies on one machine and
+// document tree. Seed, repeats, and workers are set on the Sweep that
+// WebSweep returns.
 type WebConfig struct {
 	Machine Topology
 	// Spec shapes the document tree.
@@ -85,13 +86,6 @@ type WebConfig struct {
 	CompactionShares []float64
 	// Policies are the placement policies to compare (default: all).
 	Policies []KVPolicy
-	// Repeats measures every cell that many times with distinct derived
-	// seeds (default 1); Workers bounds the sweep's worker pool.
-	Repeats int
-	Workers int
-	Seed    uint64
-	// Progress, when non-nil, receives one line per completed cell.
-	Progress io.Writer
 }
 
 // DefaultWebConfig returns the full-scale configuration: the AMD16 machine
@@ -175,68 +169,24 @@ func WebSweep(cfg WebConfig) (WebConfig, Sweep) {
 		PolicyAxis(cfg.Policies...),
 	}
 	return cfg, Sweep{
-		Name:     "web",
-		Base:     Cell{Machine: cfg.Machine, Web: cfg.Spec, Service: cfg.Load},
-		Axes:     axes,
-		Repeats:  cfg.Repeats,
-		Workers:  cfg.Workers,
-		Seed:     cfg.Seed,
-		Runner:   ServiceCell,
-		Progress: cfg.Progress,
+		Name:   "web",
+		Base:   Cell{Machine: cfg.Machine, Web: cfg.Spec, Service: cfg.Load},
+		Axes:   axes,
+		Runner: ServiceCell,
 	}
 }
 
-// WriteWebTable renders a completed web sweep as an aligned text table,
-// one row per cell: the axis labels, offered vs achieved throughput, the
-// drop rate, and the latency quantiles (p99 ±stddev when the sweep
-// carried repeats).
-func WriteWebTable(w io.Writer, title string, res *SweepResult) {
-	fmt.Fprintf(w, "# %s\n", title)
-	withStats := res.Repeats > 1
-	for _, ax := range res.Axes {
-		fmt.Fprintf(w, "%-16s ", ax)
-	}
-	if withStats {
-		fmt.Fprintf(w, "%10s %10s %6s %10s %10s %18s %12s\n",
-			"off krps", "ach krps", "drop%", "p50", "p95", "p99 (cycles)", "p999")
-	} else {
-		fmt.Fprintf(w, "%10s %10s %6s %10s %10s %12s %12s\n",
-			"off krps", "ach krps", "drop%", "p50", "p95", "p99 (cycles)", "p999")
-	}
-	for i := range res.Cells {
-		c := &res.Cells[i]
-		for _, l := range c.Labels {
-			fmt.Fprintf(w, "%-16s ", l)
-		}
-		if withStats {
-			fmt.Fprintf(w, "%10.0f %10.0f %6.1f %10.0f %10.0f %11.0f ±%5.0f %12.0f\n",
-				c.Mean("offered_krps"), c.Mean("achieved_krps"), 100*c.Mean("drop_rate"),
-				c.Mean("p50_cycles"), c.Mean("p95_cycles"),
-				c.Mean("p99_cycles"), c.Stddev("p99_cycles"), c.Mean("p999_cycles"))
-		} else {
-			fmt.Fprintf(w, "%10.0f %10.0f %6.1f %10.0f %10.0f %12.0f %12.0f\n",
-				c.Mean("offered_krps"), c.Mean("achieved_krps"), 100*c.Mean("drop_rate"),
-				c.Mean("p50_cycles"), c.Mean("p95_cycles"),
-				c.Mean("p99_cycles"), c.Mean("p999_cycles"))
-		}
-	}
-}
-
-// WriteWebCSV emits the same cells as CSV for plotting.
-func WriteWebCSV(w io.Writer, res *SweepResult) {
-	for _, ax := range res.Axes {
-		fmt.Fprintf(w, "%s,", ax)
-	}
-	fmt.Fprintln(w, "offered_krps,achieved_krps,drop_rate,p50_cycles,p95_cycles,p99_cycles,p99_stddev,p999_cycles,mean_cycles,migrations")
-	for i := range res.Cells {
-		c := &res.Cells[i]
-		for _, l := range c.Labels {
-			fmt.Fprintf(w, "%s,", l)
-		}
-		fmt.Fprintf(w, "%.1f,%.1f,%.4f,%.0f,%.0f,%.0f,%.1f,%.0f,%.0f,%.0f\n",
-			c.Mean("offered_krps"), c.Mean("achieved_krps"), c.Mean("drop_rate"),
-			c.Mean("p50_cycles"), c.Mean("p95_cycles"),
-			c.Mean("p99_cycles"), c.Stddev("p99_cycles"), c.Mean("p999_cycles"),
-			c.Mean("mean_cycles"), c.Mean("migrations"))
-	}
+// WebColumns report a web or soak sweep: offered vs achieved throughput,
+// the drop rate, and the latency quantiles (p99 ±stddev when the sweep
+// carried repeats). Mean latency and migrations appear in the CSV only.
+var WebColumns = []Column{
+	{name: "offered_krps", head: "off krps", width: 10, csv: 1},
+	{name: "achieved_krps", head: "ach krps", width: 10, csv: 1},
+	{name: "drop_rate", head: "drop%", width: 6, prec: 1, csv: 4, pct: true},
+	{name: "p50_cycles", head: "p50", width: 10},
+	{name: "p95_cycles", head: "p95", width: 10},
+	{name: "p99_cycles", head: "p99 (cycles)", width: 12, spread: "p99_stddev"},
+	{name: "p999_cycles", head: "p999", width: 12},
+	{name: "mean_cycles"},
+	{name: "migrations"},
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/stats"
@@ -61,16 +62,10 @@ type Sweep struct {
 // WithWorkers returns a copy of the sweep with the worker bound set.
 func (s Sweep) WithWorkers(n int) Sweep { s.Workers = n; return s }
 
-// WithRepeats returns a copy of the sweep with the repeat count set.
-func (s Sweep) WithRepeats(n int) Sweep { s.Repeats = n; return s }
-
-// WithSeed returns a copy of the sweep with the base seed set.
-func (s Sweep) WithSeed(seed uint64) Sweep { s.Seed = seed; return s }
-
 // Axis is one dimension of a sweep grid: an ordered set of values, each of
 // which edits the cell under construction. Helpers build the common axes
-// (TopologyAxis, SchedulerAxis, DirCountAxis, TreeAxis, OptionsAxis);
-// custom axes are Axis literals with arbitrary Apply functions.
+// (TopologyAxis, SchedulerAxis, DirCountAxis); custom axes are Axis
+// literals with arbitrary Apply functions.
 type Axis struct {
 	Name   string
 	Values []AxisValue
@@ -116,39 +111,6 @@ func DirCountAxis(entriesPerDir int, counts ...int) Axis {
 		}
 	}
 	return Axis{Name: "dirs", Values: vals}
-}
-
-// TreeAxis sweeps over explicit directory-tree shapes.
-func TreeAxis(specs ...DirSpec) Axis {
-	vals := make([]AxisValue, len(specs))
-	for i, spec := range specs {
-		spec := spec
-		vals[i] = AxisValue{
-			Label: fmt.Sprintf("%dx%d", spec.Dirs, spec.EntriesPerDir),
-			Apply: func(c *Cell) { c.Tree = spec },
-		}
-	}
-	return Axis{Name: "tree", Values: vals}
-}
-
-// OptionSet is one labelled value of an OptionsAxis.
-type OptionSet struct {
-	Label   string
-	Options []Option
-}
-
-// OptionsAxis sweeps over arbitrary runtime option sets; each value
-// appends its options to the cell (later options win over Base's).
-func OptionsAxis(name string, sets ...OptionSet) Axis {
-	vals := make([]AxisValue, len(sets))
-	for i, set := range sets {
-		set := set
-		vals[i] = AxisValue{
-			Label: set.Label,
-			Apply: func(c *Cell) { c.Options = append(c.Options, set.Options...) },
-		}
-	}
-	return Axis{Name: name, Values: vals}
 }
 
 // Cell is one fully resolved configuration of a sweep grid: what a Runner
@@ -294,6 +256,98 @@ func (r *SweepResult) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
+}
+
+// Column is how WriteTable and WriteCSV render one metric of every cell.
+// Each scenario declares its report as a column list: KVColumns,
+// WebColumns, ScaleColumns.
+type Column struct {
+	name  string // CSV header, and the metric read unless value is set
+	head  string // table header; "" keeps the column out of the table
+	width int    // table width
+	prec  int    // table decimals
+	csv   int    // CSV decimals
+	pct   bool   // the table shows the value ×100
+	// spread, when set, is the CSV header of the metric's stddev; the
+	// table shows it as ±stddev when the sweep carried repeats.
+	spread string
+	value  func(*CellResult) Aggregate
+}
+
+func (col *Column) of(c *CellResult) Aggregate {
+	if col.value != nil {
+		return col.value(c)
+	}
+	return c.Stats[col.name]
+}
+
+// WriteTable renders the result as an aligned text table under a "# title"
+// line: one row per cell, its axis labels followed by cols.
+func (r *SweepResult) WriteTable(w io.Writer, title string, cols []Column) {
+	withStats := r.Repeats > 1
+	var shown []Column
+	for _, col := range cols {
+		if col.head != "" {
+			shown = append(shown, col)
+		}
+	}
+	fmt.Fprintf(w, "# %s\n", title)
+	var line []string
+	for _, ax := range r.Axes {
+		line = append(line, fmt.Sprintf("%-16s", ax))
+	}
+	for _, col := range shown {
+		width := col.width
+		if withStats && col.spread != "" {
+			width += 8 // the mean one wider, then " ±" and a 5-wide stddev
+		}
+		line = append(line, fmt.Sprintf("%*s", width, col.head))
+	}
+	fmt.Fprintln(w, strings.Join(line, " "))
+	for i := range r.Cells {
+		c := &r.Cells[i]
+		line = line[:0]
+		for _, l := range c.Labels {
+			line = append(line, fmt.Sprintf("%-16s", l))
+		}
+		for _, col := range shown {
+			a := col.of(c)
+			if col.pct {
+				a.Mean, a.Stddev = 100*a.Mean, 100*a.Stddev
+			}
+			if withStats && col.spread != "" {
+				line = append(line, fmt.Sprintf("%*.*f ±%5.*f", col.width+1, col.prec, a.Mean, col.prec, a.Stddev))
+			} else {
+				line = append(line, fmt.Sprintf("%*.*f", col.width, col.prec, a.Mean))
+			}
+		}
+		fmt.Fprintln(w, strings.Join(line, " "))
+	}
+}
+
+// WriteCSV emits the same cells as CSV for plotting: the axis labels, then
+// every column, each spread column followed by its stddev.
+func (r *SweepResult) WriteCSV(w io.Writer, cols []Column) {
+	head := append([]string(nil), r.Axes...)
+	for _, col := range cols {
+		head = append(head, col.name)
+		if col.spread != "" {
+			head = append(head, col.spread)
+		}
+	}
+	fmt.Fprintln(w, strings.Join(head, ","))
+	for i := range r.Cells {
+		c := &r.Cells[i]
+		row := append([]string(nil), c.Labels...)
+		for _, col := range cols {
+			a := col.of(c)
+			row = append(row, fmt.Sprintf("%.*f", col.csv, a.Mean))
+			if col.spread != "" {
+				row = append(row, fmt.Sprintf("%.1f", a.Stddev))
+			}
+		}
+		fmt.Fprintln(w, strings.Join(row, ","))
+	}
 }
 
 // MetricNames returns every metric name reported anywhere in the sweep,

@@ -207,10 +207,10 @@ func TestSweepOptionsDoNotAliasAcrossCells(t *testing.T) {
 	_, err := Sweep{
 		Name: "alias",
 		Base: Cell{Options: base},
-		Axes: []Axis{OptionsAxis("variant",
-			OptionSet{Label: "x", Options: []Option{WithClustering(true)}},
-			OptionSet{Label: "y", Options: []Option{WithReplication(true)}},
-		)},
+		Axes: []Axis{{Name: "variant", Values: []AxisValue{
+			{Label: "x", Apply: func(c *Cell) { c.Options = append(c.Options, WithClustering(true)) }},
+			{Label: "y", Apply: func(c *Cell) { c.Options = append(c.Options, WithReplication(true)) }},
+		}}},
 		Workers: 1,
 		Runner: func(c Cell) (Metrics, error) {
 			if len(c.Options) != 2 {
@@ -250,7 +250,9 @@ func TestCellSeedDeterministicAndDistinct(t *testing.T) {
 }
 
 func TestSweepResultCellLookup(t *testing.T) {
-	res, err := tinySweep().WithRepeats(1).WithWorkers(2).Run()
+	s := tinySweep()
+	s.Repeats = 1
+	res, err := s.WithWorkers(2).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
