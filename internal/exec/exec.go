@@ -56,7 +56,8 @@ type System struct {
 	mach  *machine.Machine
 	opts  Options
 	cores []*Core
-	next  int // thread id allocator
+	locks []*SpinLock // every lock allocated on this system, for Reset
+	next  int         // thread id allocator
 
 	// speed caches Config().SpeedOf per core: the config methods copy the
 	// whole topology struct, which is too expensive for Compute's hot path.
@@ -105,19 +106,25 @@ func (s *System) FlushIdleAccounting() {
 }
 
 // Reset returns the substrate to its initial state for arena reuse across
-// sweep repeats: thread ids restart at zero and every core forgets its
-// idle-accounting history, so threads spawned after Reset see exactly the
-// state a fresh System would give them. It panics if any core is still
-// held or has queued threads — resetting under live threads would corrupt
-// the engine's active-context count.
+// sweep repeats: thread ids restart at zero, every core forgets its
+// idle-accounting history, and core and lock holders left behind by
+// threads that sim.Engine.Close stopped mid-run are dropped, so threads
+// spawned after Reset see exactly the state a fresh System would give
+// them. It panics while the engine still has live threads: resetting under
+// them would corrupt the engine's active-context count.
 func (s *System) Reset() {
+	if n := s.eng.Live(); n != 0 {
+		panic(fmt.Sprintf("exec: Reset with %d live threads", n))
+	}
 	for _, c := range s.cores {
-		if c.holder != nil || len(c.waiters) != 0 {
-			panic(fmt.Sprintf("exec: Reset with core %d busy (holder %v, %d queued)",
-				c.id, c.holder != nil, len(c.waiters)))
-		}
+		c.holder = nil
+		clear(c.waiters)
+		c.waiters = c.waiters[:0]
 		c.idleSince = 0
 		c.everUsed = false
+	}
+	for _, l := range s.locks {
+		l.holder = nil
 	}
 	s.next = 0
 }

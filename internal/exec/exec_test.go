@@ -393,3 +393,50 @@ func TestIdleUntilPastTargetReturnsImmediately(t *testing.T) {
 		t.Errorf("IdleUntil(past) advanced time to %d, want 100", end)
 	}
 }
+
+func TestResetAfterCloseDropsStrandedHolders(t *testing.T) {
+	// A truncated run stopped by Engine.Close leaves a core held, a thread
+	// queued behind it, and a lock held. Reset must refuse while the
+	// threads are live and drop all three once they are stopped, so the
+	// next run starts from a fresh System's state.
+	eng, s := newSys(t)
+	l := s.NewSpinLock("l")
+	for i := 0; i < 2; i++ {
+		s.Go("stranded", 0, func(th *Thread) {
+			th.Lock(l)
+			th.Compute(1_000_000)
+			th.Unlock(l)
+		})
+	}
+	eng.Run(1000)
+	if s.Core(0).Holder() == nil || s.Core(0).QueueLen() != 1 || !l.Held() {
+		t.Fatalf("truncated run: holder=%v queued=%d lock held=%v",
+			s.Core(0).Holder(), s.Core(0).QueueLen(), l.Held())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Reset under live threads did not panic")
+			}
+		}()
+		s.Reset()
+	}()
+	eng.Close()
+	eng.Reset(0)
+	s.Reset()
+	if s.Core(0).Holder() != nil || s.Core(0).QueueLen() != 0 || l.Held() {
+		t.Fatalf("after Reset: holder=%v queued=%d lock held=%v",
+			s.Core(0).Holder(), s.Core(0).QueueLen(), l.Held())
+	}
+	var end sim.Time
+	s.Go("fresh", 0, func(th *Thread) {
+		th.Lock(l)
+		th.Compute(10)
+		th.Unlock(l)
+		end = th.Now()
+	})
+	eng.Run(0)
+	if end == 0 || eng.Live() != 0 || eng.ActiveCount() != 0 {
+		t.Errorf("fresh thread after Reset: end=%d live=%d active=%d", end, eng.Live(), eng.ActiveCount())
+	}
+}

@@ -41,7 +41,9 @@ func (s *System) NewSpinLock(name string) *SpinLock {
 	if err != nil {
 		panic(fmt.Sprintf("exec: allocating lock %q: %v", name, err))
 	}
-	return &SpinLock{addr: a}
+	l := &SpinLock{addr: a}
+	s.locks = append(s.locks, l)
+	return l
 }
 
 // Lock acquires l, charging test-and-set attempts (coherent writes) and

@@ -2,12 +2,18 @@
 // that underlies the simulated multicore machine.
 //
 // The engine is process-oriented: each simulated thread of control is a
-// *Proc backed by a goroutine, but exactly one goroutine runs at a time and
-// control transfers between the engine and procs are explicit. Events with
-// equal timestamps fire in the order they were scheduled. Together these
-// rules make runs bit-reproducible for a given seed, which the benchmark
-// harness relies on, and they mean simulated state (caches, directories,
-// run queues) needs no locking.
+// *Proc backed by a coroutine (iter.Pull), so exactly one proc or the
+// engine runs at a time and control transfers between them are explicit
+// switches on the engine's goroutine. Events with equal timestamps fire in
+// the order they were scheduled. Together these rules make runs
+// bit-reproducible for a given seed, which the benchmark harness relies
+// on, and they mean simulated state (caches, directories, run queues)
+// needs no locking.
+//
+// A run cut short by a time limit or Stop leaves procs blocked mid-body.
+// Engine.Close stops them: each blocked Sleep, Park or Join unwinds its
+// body through a sentinel panic recovered at the proc's root, and a panic
+// a body raises itself surfaces from Run on the engine's goroutine.
 //
 // Time is measured in CPU cycles of the simulated machine (2 GHz for the
 // paper's AMD configuration).
@@ -110,7 +116,7 @@ type Engine struct {
 	seq     uint64
 	seed    uint64
 	events  eventHeap
-	procs   int // live (not yet finished) procs
+	live    []*Proc // spawned procs that have not finished, for Close
 	running *Proc
 	stopped bool
 
@@ -161,7 +167,7 @@ func (e *Engine) RNG(stream uint64) *stats.RNG {
 func (e *Engine) Now() Time { return e.now }
 
 // Live returns the number of spawned procs that have not finished.
-func (e *Engine) Live() int { return e.procs }
+func (e *Engine) Live() int { return len(e.live) }
 
 // Pending returns the number of queued events. A drained engine (Live and
 // Pending both zero) is eligible for Reset.
@@ -257,17 +263,47 @@ func (e *Engine) dispatch(p *Proc) {
 	prev := e.running
 	e.running = p
 	p.state = procRunning
-	p.resume <- struct{}{}
-	<-p.yield
+	p.next()
 	e.running = prev
-	if p.state == procDead && !p.reaped {
-		p.reaped = true
-		e.procs--
+	if p.state == procDead {
+		e.unlink(p)
 		for _, w := range p.waiters {
 			w.Unpark()
 		}
 		p.waiters = nil
 	}
+}
+
+// unlink removes a finished proc from the live set.
+func (e *Engine) unlink(p *Proc) {
+	last := e.live[len(e.live)-1]
+	last.slot = p.slot
+	e.live[p.slot] = last
+	e.live[len(e.live)-1] = nil
+	e.live = e.live[:len(e.live)-1]
+}
+
+// Close stops every live proc and drops every pending event, leaving the
+// engine drained (Live and Pending both zero) and so eligible for Reset.
+// It is how a run truncated by a Run limit or Stop releases the procs it
+// stranded. Each stopped proc unwinds from the Sleep, Park or Join it is
+// blocked in without running another statement of its body; deferred calls
+// still run, and a deferred call that blocks again unwinds the same way.
+// Joiners are not woken: they are stopped too. Close must not be called
+// from inside Run.
+func (e *Engine) Close() {
+	e.stopped = true // no fast-forward while deferred calls unwind
+	for len(e.live) > 0 {
+		p := e.live[len(e.live)-1]
+		e.running = p
+		p.stop()
+		p.state = procDead
+		p.waiters = nil
+		e.unlink(p)
+	}
+	e.running = nil
+	clear(e.events)
+	e.events = e.events[:0]
 }
 
 // Running returns the proc currently executing, or nil when the engine is
@@ -296,7 +332,7 @@ func (e *Engine) ActiveCount() int { return e.active }
 func (e *Engine) DeadTime() Cycles { return e.deadTime }
 
 // FastSleeps returns how many Proc.Sleep calls took the fast-forward path
-// (advanced time without scheduling an event or switching goroutines).
+// (advanced time without scheduling an event or switching to the engine).
 func (e *Engine) FastSleeps() uint64 { return e.fastSleeps }
 
 // EventsDispatched returns how many events Run has popped. Tests use it to
@@ -310,8 +346,8 @@ func (e *Engine) EventsDispatched() uint64 { return e.dispatched }
 // the previous run left live procs or pending events: an arena reset is
 // only sound on a fully drained engine.
 func (e *Engine) Reset(seed uint64) {
-	if e.running != nil || e.procs != 0 || len(e.events) != 0 {
-		panic(fmt.Sprintf("sim: Reset with %d live procs and %d pending events", e.procs, len(e.events)))
+	if e.running != nil || len(e.live) != 0 || len(e.events) != 0 {
+		panic(fmt.Sprintf("sim: Reset with %d live procs and %d pending events", len(e.live), len(e.events)))
 	}
 	e.now = 0
 	e.seq = 0

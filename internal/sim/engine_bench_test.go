@@ -28,9 +28,10 @@ func BenchmarkEngineEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineProcSleep measures the proc context-switch path: one
-// simulated thread repeatedly advancing time, each advance a full
-// engine→proc→engine handoff.
+// BenchmarkEngineProcSleep measures Sleep's fast-forward path: one proc
+// against an empty heap never switches, so each op is a clock advance
+// with no event and no context switch. BenchmarkEngineProcSwitch is the
+// switch rung.
 func BenchmarkEngineProcSleep(b *testing.B) {
 	eng := NewEngine()
 	b.ReportAllocs()
@@ -41,4 +42,26 @@ func BenchmarkEngineProcSleep(b *testing.B) {
 		}
 	})
 	eng.Run(0)
+}
+
+// BenchmarkEngineProcSwitch measures the proc context-switch path: two
+// procs alternate Sleep(1), so every Sleep finds the other proc's wake
+// event pending at the same instant, pushes its own, and switches — one
+// op is an event push and pop plus a proc→engine→proc round trip.
+func BenchmarkEngineProcSwitch(b *testing.B) {
+	eng := NewEngine()
+	body := func(p *Proc) {
+		for i := 0; i < b.N/2; i++ {
+			p.Sleep(1)
+		}
+	}
+	eng.Spawn("ping", body)
+	eng.Spawn("pong", body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run(0)
+	b.StopTimer()
+	if fast := eng.FastSleeps(); fast > 1 {
+		b.Fatalf("%d of %d sleeps fast-forwarded; the rung must switch on every op", fast, b.N)
+	}
 }

@@ -7,6 +7,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -184,7 +185,7 @@ func TestSleepOverflowPanics(t *testing.T) {
 	var msg string
 	e.Spawn("p", func(p *Proc) {
 		p.Sleep(5)
-		// Recover on the proc goroutine itself and let the body return
+		// Recover inside the proc body itself and let the body return
 		// normally, so the engine reaps the proc and Run completes.
 		defer func() {
 			msg, _ = recover().(string)
@@ -370,5 +371,110 @@ func TestEngineRNGStreams(t *testing.T) {
 	// Deriving an RNG mutates no engine state: repeat derivation matches.
 	if a.RNG(3).Uint64() != a.RNG(3).Uint64() {
 		t.Error("RNG derivation is stateful")
+	}
+}
+
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	// A panic inside a proc body must propagate out of Run on the caller's
+	// goroutine, where it can be recovered, instead of killing the process
+	// from a goroutine nobody can reach.
+	e := NewEngine()
+	e.Spawn("p", func(p *Proc) {
+		p.Sleep(10)
+		panic("body failed")
+	})
+	e.At(5, func() {}) // forces the Sleep above onto the switching path
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		e.Run(0)
+		return nil
+	}()
+	if got != "body failed" {
+		t.Fatalf("recovered %v from Run, want the body's panic value", got)
+	}
+	// The engine is abandoned mid-dispatch; Close still drains it.
+	e.Close()
+	if e.Live() != 0 || e.Pending() != 0 {
+		t.Errorf("after Close: live=%d pending=%d", e.Live(), e.Pending())
+	}
+}
+
+func TestCloseStopsStrandedProcs(t *testing.T) {
+	// A run cut short by Stop strands procs in Sleep, Park and Join,
+	// plus one that never started. Close must unwind every one of them
+	// without running another statement of their bodies, run their
+	// deferred calls, and leave the engine drained and reusable.
+	e := NewEngine()
+	var after []string
+	var deferred []string
+	sleeper := e.Spawn("sleeper", func(p *Proc) {
+		defer func() { deferred = append(deferred, "sleeper") }()
+		p.Sleep(1000)
+		after = append(after, "sleeper")
+	})
+	e.Spawn("parker", func(p *Proc) {
+		defer func() {
+			// A deferred call that blocks again unwinds the same way.
+			deferred = append(deferred, "parker")
+			p.Sleep(1)
+			deferred = append(deferred, "parker after deferred sleep")
+		}()
+		p.Park()
+		after = append(after, "parker")
+	})
+	e.Spawn("joiner", func(p *Proc) {
+		p.Join(sleeper)
+		after = append(after, "joiner")
+	})
+	e.At(50, func() {
+		e.Spawn("late", func(p *Proc) { after = append(after, "late") })
+		e.Stop() // "late" never starts
+	})
+	e.Run(0)
+	if e.Live() != 4 {
+		t.Fatalf("Live = %d before Close, want 4", e.Live())
+	}
+	e.Close()
+	if len(after) != 0 {
+		t.Errorf("stopped bodies kept running: %v", after)
+	}
+	if len(deferred) != 2 || !contains(deferred[0]+deferred[1], "sleeper") ||
+		!contains(deferred[0]+deferred[1], "parker") {
+		t.Errorf("deferred calls = %v, want one each from sleeper and parker", deferred)
+	}
+	if e.Live() != 0 || e.Pending() != 0 || e.Running() != nil {
+		t.Fatalf("after Close: live=%d pending=%d running=%v", e.Live(), e.Pending(), e.Running())
+	}
+	if !sleeper.Done() {
+		t.Error("stopped proc does not report Done")
+	}
+	e.Reset(3)
+	ran := false
+	e.Spawn("fresh", func(p *Proc) {
+		p.Sleep(5)
+		ran = true
+	})
+	if end := e.Run(0); end != 5 || !ran {
+		t.Errorf("engine after Close+Reset: end=%d ran=%v", end, ran)
+	}
+}
+
+func TestCloseReleasesCoroutines(t *testing.T) {
+	// Every stranded proc pins a coroutine goroutine until Close stops it.
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		e := NewEngine()
+		for j := 0; j < 8; j++ {
+			e.Spawn("p", func(p *Proc) {
+				for {
+					p.Sleep(7)
+				}
+			})
+		}
+		e.Run(100)
+		e.Close()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines %d → %d across closed truncated runs", before, after)
 	}
 }

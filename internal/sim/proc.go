@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 type procState uint8
 
@@ -28,42 +31,50 @@ func (s procState) String() string {
 	return "invalid"
 }
 
-// Proc is a simulated thread of control. Its body runs on a dedicated
-// goroutine, but the engine guarantees only one proc (or the engine itself)
-// executes at a time, so proc bodies may touch shared simulation state
-// freely.
+// Proc is a simulated thread of control. Its body runs as a coroutine
+// (iter.Pull): the engine resumes it with next and the body hands control
+// back through yield, so only one proc (or the engine itself) executes at a
+// time and proc bodies may touch shared simulation state freely.
 //
 // Procs advance simulated time only through Sleep; pure computation inside
 // a proc body is instantaneous in simulated time.
+//
+// Engine.Close stops a blocked proc: the Sleep, Park or Join it is blocked
+// in panics with an unexported sentinel that the proc's root recovers, so
+// the body unwinds without running another statement. Deferred calls in
+// the body do run; one that blocks again unwinds the same way.
 type Proc struct {
-	eng    *Engine
-	name   string
-	state  procState
-	resume chan struct{}
-	yield  chan struct{}
-	reaped bool
+	eng   *Engine
+	name  string
+	state procState
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	slot  int // index in Engine.live while the proc is live
 
 	// waiters are procs parked in Join, woken when this proc finishes.
 	waiters []*Proc
 }
 
+// procClosed is the panic value that unwinds a proc stopped by
+// Engine.Close.
+type procClosed struct{}
+
 // Spawn creates a proc named name executing body and schedules it to start
 // at the current time. It must be called in engine context or before Run.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		state:  procNew,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
-	e.procs++
-	go func() {
-		<-p.resume
+	p := &Proc{eng: e, name: name, state: procNew, slot: len(e.live)}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			if r := recover(); r != nil && r != (procClosed{}) {
+				panic(r)
+			}
+		}()
 		body(p)
 		p.state = procDead
-		p.yield <- struct{}{}
-	}()
+	})
+	e.live = append(e.live, p)
 	p.state = procSleeping
 	e.push(event{at: e.now, p: p})
 	return p
@@ -85,7 +96,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Fast-forward: when the wake time strictly precedes every pending event
 // (and no Stop or Run limit intervenes), the proc's wake event would be
 // popped next with nothing in between, so Sleep jumps Engine.now straight
-// to the wake time and returns without a heap push or goroutine switch.
+// to the wake time and returns without a heap push or coroutine switch.
 // Strictness preserves the (at, seq) contract: an equal-time pending event
 // carries a smaller seq and must fire first, so it forces the slow path.
 //
@@ -149,9 +160,12 @@ func sleepOverflow(d Cycles, now Time) {
 	panic(fmt.Sprintf("sim: Sleep(%d) overflows simulated time (now=%d)", d, now))
 }
 
+// switchToEngine suspends the proc's coroutine until the engine resumes it.
+// yield reports false only when Engine.Close stopped the coroutine instead.
 func (p *Proc) switchToEngine() {
-	p.yield <- struct{}{}
-	<-p.resume
+	if !p.yield(struct{}{}) {
+		panic(procClosed{})
+	}
 }
 
 func (p *Proc) mustBeRunning(op string) {

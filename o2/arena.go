@@ -22,12 +22,13 @@ type cellArena struct {
 }
 
 // reusable reports whether the arena holds a fully drained runtime that
-// can be rolled back. A runtime whose previous repeat was truncated by a
-// time limit still has live threads and pending events; resetting it
-// would corrupt the simulation, so such repeats rebuild from scratch.
-// Traced and telemetry-enabled runtimes reuse like any other:
-// resetForRepeat clears the tracer ring, registry counters, and sampler
-// series along with the rest of the run state.
+// can be rolled back. A runner that left live threads or pending events
+// behind would corrupt the next repeat, so such repeats rebuild from
+// scratch. A run truncated by ServiceLoad.TimeLimit is drained: WebService
+// closes its engine, which stops the stranded threads. Traced and
+// telemetry-enabled runtimes reuse like any other: resetForRepeat clears
+// the tracer ring, registry counters, and sampler series along with the
+// rest of the run state.
 func (ar *cellArena) reusable() bool {
 	return ar != nil && ar.rt != nil &&
 		ar.rt.eng.Live() == 0 && ar.rt.eng.Pending() == 0

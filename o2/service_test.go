@@ -2,6 +2,7 @@ package o2
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -201,6 +202,23 @@ func TestWebTimeLimitInFlightAccounting(t *testing.T) {
 	if fres.Completed+fres.Dropped != fres.Requests {
 		t.Errorf("untruncated accounting leak: %d + %d != %d",
 			fres.Completed, fres.Dropped, fres.Requests)
+	}
+}
+
+// TestWebTruncatedRunsLeakNoGoroutines pins that a TimeLimit-truncated
+// run stops the threads it stranded. Left running, each stranded thread
+// pins a goroutine, and through it the whole runtime, for the life of the
+// process: five of these runs would add 40 goroutines.
+func TestWebTruncatedRunsLeakNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	load := ServiceLoad{Requests: 2000, RPS: 1_000_000, Skew: 0.99, Seed: 42, TimeLimit: 200_000}
+	for i := 0; i < 5; i++ {
+		if res := runWebPolicy(t, KVThreadScheduler, webTestSpec(), load); res.Requests == uint64(load.Requests) {
+			t.Fatal("every request arrived; the limit did not bite")
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines %d → %d across five truncated runs: stranded threads leak", before, after)
 	}
 }
 

@@ -116,8 +116,11 @@ type ServiceLoad struct {
 	CompactionWorkers int
 	// TimeLimit, when non-zero, truncates the run after that many cycles
 	// of simulated time: requests still queued or being served at the
-	// limit are reported as InFlight, not Completed. The runtime cannot
-	// be reused after a truncated run (its threads never finish).
+	// limit are reported as InFlight, not Completed. Once the result is
+	// collected, Run stops the threads the limit stranded and drops the
+	// pending events, so a truncated run leaks nothing and a sweep's
+	// repeats reuse its runtime like any other; the in-flight requests
+	// never complete.
 	TimeLimit Cycles
 	// DirectHandoff selects the parked-worker drive: idle workers block
 	// on a FIFO wait list and each arrival wakes one, instead of workers
@@ -475,6 +478,8 @@ func (s *WebService) Run(load ServiceLoad) (ServiceResult, error) {
 	}
 	if load.TimeLimit > 0 {
 		rt.RunUntil(start + load.TimeLimit)
+		// Stop the threads the limit stranded once the result is built.
+		defer rt.eng.Close()
 	} else {
 		rt.Run()
 	}
