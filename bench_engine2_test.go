@@ -27,12 +27,10 @@ func fig4BenchCell() o2.Sweep {
 		Base: o2.Cell{
 			Machine:   o2.Tiny8,
 			Scheduler: o2.CoreTime,
-			Tree:      o2.DirSpec{Dirs: 8, EntriesPerDir: 512},
-			Params:    p,
+			Scenario:  o2.DirLookupScenario{Tree: o2.DirSpec{Dirs: 8, EntriesPerDir: 512}, Params: p},
 		},
 		Seed:    7,
 		Workers: 1,
-		Runner:  o2.DirLookupCell,
 	}
 }
 
@@ -61,12 +59,13 @@ func BenchmarkWebCellArena(b *testing.B) {
 		Base: o2.Cell{
 			Machine:   o2.Tiny8,
 			Scheduler: o2.CoreTime,
-			Web:       o2.WebSpec{DocRoots: 24, FilesPerRoot: 128},
-			Service:   o2.ServiceLoad{Requests: 800, RPS: 1_000_000, Skew: 0.99},
+			Scenario: o2.WebScenario{
+				Spec: o2.WebSpec{DocRoots: 24, FilesPerRoot: 128},
+				Load: o2.ServiceLoad{Requests: 800, RPS: 1_000_000, Skew: 0.99},
+			},
 		},
 		Seed:    7,
 		Workers: 1,
-		Runner:  o2.ServiceCell,
 	}
 	s.Repeats = b.N
 	b.ReportAllocs()

@@ -327,14 +327,11 @@ func AblationPathClustering() ([]AblationRow, error) {
 		{WithMissThreshold(4), WithClustering(false)},
 		{WithMissThreshold(4), WithClustering(true)},
 	}
+	paths := PathSpec{TopDirs: 4, SubsPerTop: 6, FilesPerSub: 128}
 	results := make([]PathResult, len(configs))
 	if _, err := (Sweep{
 		Name: "paths",
-		Base: Cell{
-			Machine: Tiny8,
-			Paths:   PathSpec{TopDirs: 4, SubsPerTop: 6, FilesPerSub: 128},
-			Params:  p,
-		},
+		Base: Cell{Machine: Tiny8},
 		Axes: []Axis{{Name: "config", Values: []AxisValue{
 			{Label: "baseline"}, {Label: "flat"}, {Label: "clustered"},
 		}}},
@@ -343,12 +340,14 @@ func AblationPathClustering() ([]AblationRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			pt, err := rt.NewPathTree(c.Paths)
+			pt, err := rt.NewPathTree(paths)
 			if err != nil {
 				return nil, err
 			}
 			pt.ClusterByTop()
-			res := pt.Run(c.Params)
+			params := p
+			params.Seed = c.Seed
+			res := pt.Run(params)
 			results[c.Coords[0]] = res // distinct index per cell, no race
 			return Metrics{"kres_per_sec": res.KResPerSec, "migrations": float64(res.Migrations)}, nil
 		},

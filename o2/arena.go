@@ -40,15 +40,23 @@ func (ar *cellArena) reset(seed uint64) {
 	ar.rt.resetForRepeat(seed, ar.mark)
 }
 
-// scenarioForCell returns the cell's scenario of type S, reusing the
-// cell's arena when possible. A reusable arena already holding an S is
-// reset under the cell's seed and its scenario returned; otherwise a
-// fresh runtime is built from the cell's options (Cell.Scheduler
-// authoritative, applied after Options — the precedence rule every
-// standard runner shares) and build constructs the scenario, which is
+// close stops the threads a failed repeat stranded on the arena's
+// runtime, so their coroutines do not leak once the arena is dropped.
+func (ar *cellArena) close() {
+	if ar.rt != nil && ar.rt.eng != nil {
+		ar.rt.eng.Close()
+	}
+}
+
+// scenarioForCell returns the cell's built scenario state of type S,
+// reusing the cell's arena when possible. A reusable arena already
+// holding an S is reset under the cell's seed and its state returned;
+// otherwise a fresh runtime is built from the cell's machine and options
+// (Cell.Scheduler authoritative, applied after Options — the precedence
+// rule every scenario shares) and build constructs the state, which is
 // parked in the arena, when present, along with an image mark taken
 // after the build so per-run allocations above it roll back on reset.
-func scenarioForCell[S any](c *Cell, build func(*Runtime) (S, error)) (S, error) {
+func scenarioForCell[S any](c Cell, build func(*Runtime) (S, error)) (S, error) {
 	var zero S
 	if ar := c.arena; ar != nil && ar.reusable() {
 		if sc, ok := ar.scenario.(S); ok {
@@ -56,11 +64,7 @@ func scenarioForCell[S any](c *Cell, build func(*Runtime) (S, error)) (S, error)
 			return sc, nil
 		}
 	}
-	machine := c.Machine
-	if machine.cfg.Chips == 0 { // zero value: default to the paper's machine
-		machine = AMD16
-	}
-	all := append([]Option{WithTopology(machine), WithSeed(c.Seed)}, c.Options...)
+	all := append([]Option{WithTopology(c.Machine.orDefault()), WithSeed(c.Seed)}, c.Options...)
 	all = append(all, WithScheduler(c.Scheduler))
 	rt, err := New(all...)
 	if err != nil {

@@ -22,8 +22,7 @@ func checkRepeatsMatchFresh(t *testing.T, s Sweep) {
 			fresh := s.cells()[ci]
 			fresh.Repeat = r
 			fresh.Seed = CellSeed(s.Seed, fresh.Index, r)
-			fresh.Params.Seed = fresh.Seed
-			m, err := s.Runner(fresh)
+			m, err := s.runner()(fresh)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,11 +41,10 @@ func TestArenaRepeatsMatchFreshRuns(t *testing.T) {
 	p.Measure = 400_000
 	checkRepeatsMatchFresh(t, Sweep{
 		Name:    "arena",
-		Base:    Cell{Machine: Tiny8, Params: p},
+		Base:    Cell{Machine: Tiny8, Scenario: DirLookupScenario{Params: p}},
 		Axes:    []Axis{DirCountAxis(128, 4), SchedulerAxis(Baseline, CoreTime)},
 		Repeats: 3,
 		Seed:    23,
-		Runner:  DirLookupCell,
 		Workers: 1,
 	})
 }
@@ -60,11 +58,10 @@ func TestArenaServiceRepeatsMatchFreshRuns(t *testing.T) {
 	load.RPS = 1_000_000
 	checkRepeatsMatchFresh(t, Sweep{
 		Name:    "arena-web",
-		Base:    Cell{Machine: Tiny8, Web: WebSpec{DocRoots: 8, FilesPerRoot: 64}, Service: load},
+		Base:    Cell{Machine: Tiny8, Scenario: WebScenario{Spec: WebSpec{DocRoots: 8, FilesPerRoot: 64}, Load: load}},
 		Axes:    []Axis{CompactionAxis(0, 0.5)},
 		Repeats: 3,
 		Seed:    31,
-		Runner:  ServiceCell,
 		Workers: 1,
 	})
 }
@@ -82,11 +79,10 @@ func TestArenaTruncatedServiceRepeatsMatchFreshRuns(t *testing.T) {
 	load.TimeLimit = 150_000 // well before the schedule drains
 	s := Sweep{
 		Name:    "arena-web-truncated",
-		Base:    Cell{Machine: Tiny8, Web: WebSpec{DocRoots: 8, FilesPerRoot: 64}, Service: load},
+		Base:    Cell{Machine: Tiny8, Scenario: WebScenario{Spec: WebSpec{DocRoots: 8, FilesPerRoot: 64}, Load: load}},
 		Axes:    []Axis{CompactionAxis(0, 0.5), SchedulerAxis(Baseline, CoreTime)},
 		Repeats: 2,
 		Seed:    37,
-		Runner:  ServiceCell,
 		Workers: 1,
 	}
 	// The first repeat must really be truncated and really leave a
@@ -94,7 +90,7 @@ func TestArenaTruncatedServiceRepeatsMatchFreshRuns(t *testing.T) {
 	for _, c := range s.cells() {
 		c.Seed = CellSeed(s.Seed, c.Index, 0)
 		c.arena = &cellArena{}
-		if _, err := ServiceCell(c); err != nil {
+		if _, err := c.measure(); err != nil {
 			t.Fatal(err)
 		}
 		if st := c.arena.scenario.(*WebService).state; st.arrived == st.served+st.dropped {

@@ -26,31 +26,26 @@ type Experiment struct {
 	Options []Option
 }
 
-// resolve returns the experiment's effective machine and parameters: the
-// zero Topology becomes AMD16 and zero RunParams fields are filled from
-// DefaultRunParams field by field (RunParams.WithDefaults). The sweep
-// engine runs its cells through Run, so Experiment.Compare and a Sweep
-// measuring the same cell resolve identically by construction.
-func (e Experiment) resolve() (Topology, RunParams, error) {
-	machine := e.Machine
-	if machine.cfg.Chips == 0 { // zero value: default to the paper's machine
-		machine = AMD16
+// runParams fills p's zero fields from DefaultRunParams field by field
+// (RunParams.WithDefaults) and rejects a negative thread count. Run and
+// DirLookupScenario share it, so Experiment.Compare and a sweep cell
+// measuring the same configuration resolve identically by construction.
+func runParams(p RunParams) (RunParams, error) {
+	p = p.WithDefaults()
+	if p.Threads <= 0 {
+		return RunParams{}, fmt.Errorf("o2: RunParams.Threads must be positive, got %d", p.Threads)
 	}
-	params := e.Params.WithDefaults()
-	if params.Threads <= 0 {
-		return Topology{}, RunParams{}, fmt.Errorf("o2: Experiment.Params.Threads must be positive, got %d", params.Threads)
-	}
-	return machine, params, nil
+	return p, nil
 }
 
 // Run builds a fresh runtime from the experiment's options plus opts
 // (later options win), builds the tree, and measures one run.
 func (e Experiment) Run(opts ...Option) (Result, error) {
-	machine, params, err := e.resolve()
+	params, err := runParams(e.Params)
 	if err != nil {
 		return Result{}, err
 	}
-	all := append([]Option{WithTopology(machine)}, e.Options...)
+	all := append([]Option{WithTopology(e.Machine.orDefault())}, e.Options...)
 	all = append(all, opts...)
 	rt, err := New(all...)
 	if err != nil {
@@ -60,45 +55,6 @@ func (e Experiment) Run(opts ...Option) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return tree.Run(params), nil
-}
-
-// runCell is Run for sweep cells: identical construction and measurement,
-// plus arena reuse. The first repeat of a cell builds the runtime and
-// tree exactly as Run does, then parks them in the cell's arena with an
-// image mark taken after the build; later repeats roll the runtime back
-// to that mark and rerun the same tree under the repeat's seed. With a
-// nil arena it is exactly Run.
-func (e Experiment) runCell(c *Cell) (Result, error) {
-	ar := c.arena
-	if ar == nil {
-		return e.Run(WithScheduler(c.Scheduler), WithSeed(c.Seed))
-	}
-	machine, params, err := e.resolve()
-	if err != nil {
-		return Result{}, err
-	}
-	if ar.reusable() {
-		if tree, ok := ar.scenario.(*DirTree); ok {
-			ar.reset(c.Seed)
-			return tree.Run(params), nil
-		}
-	}
-	all := append([]Option{WithTopology(machine)}, e.Options...)
-	all = append(all, WithScheduler(c.Scheduler), WithSeed(c.Seed))
-	rt, err := New(all...)
-	if err != nil {
-		return Result{}, err
-	}
-	tree, err := rt.NewDirTree(e.Tree)
-	if err != nil {
-		return Result{}, err
-	}
-	// Mark after the tree is built and before the first run: everything
-	// the workload allocated is below the mark and survives resets, while
-	// per-run image allocations (thread context buffers) land above it
-	// and are rolled back.
-	ar.rt, ar.scenario, ar.mark = rt, tree, rt.mach.Image().Mark()
 	return tree.Run(params), nil
 }
 

@@ -107,15 +107,15 @@ func Fig4bSweep(cfg Fig4Config) Sweep {
 }
 
 // fig4Sweep builds the Sweep behind a Fig. 4 run: a dirs × scheduler grid
-// over the standard directory-lookup runner, with ctOpts applied to the
-// CoreTime cells.
+// over the directory-lookup scenario, with ctOpts applied to the CoreTime
+// cells.
 func fig4Sweep(name string, cfg Fig4Config, ctOpts ...Option) Sweep {
 	if cfg.EntriesPerDir == 0 {
 		cfg.EntriesPerDir = 1000
 	}
 	return Sweep{
 		Name: name,
-		Base: Cell{Machine: cfg.Machine, Params: cfg.Params},
+		Base: Cell{Machine: cfg.Machine, Scenario: DirLookupScenario{Params: cfg.Params}},
 		Axes: []Axis{
 			DirCountAxis(cfg.EntriesPerDir, cfg.DirCounts...),
 			{Name: "scheduler", Values: []AxisValue{
@@ -126,8 +126,7 @@ func fig4Sweep(name string, cfg Fig4Config, ctOpts ...Option) Sweep {
 				}},
 			}},
 		},
-		Seed:   cfg.Params.Seed,
-		Runner: DirLookupCell,
+		Seed: cfg.Params.Seed,
 	}
 }
 
@@ -140,14 +139,18 @@ func Fig4Rows(sweep Sweep, res *SweepResult) ([]Fig4Row, error) {
 		if len(c.Labels) != 2 || c.Labels[1] != Baseline.String() {
 			continue
 		}
+		sc, ok := c.Scenario.(DirLookupScenario)
+		if !ok {
+			return nil, fmt.Errorf("o2: Fig4Rows needs a directory-lookup sweep, got %T", c.Scenario)
+		}
 		base := res.Cell(c.Labels...)
 		ct := res.Cell(c.Labels[0], CoreTime.String())
 		if base == nil || ct == nil {
-			return nil, fmt.Errorf("o2: sweep result missing cells at %d dirs", c.Tree.Dirs)
+			return nil, fmt.Errorf("o2: sweep result missing cells at %d dirs", sc.Tree.Dirs)
 		}
 		row := Fig4Row{
-			Dirs:       c.Tree.Dirs,
-			DataKB:     float64(c.Tree.TotalBytes()) / 1024,
+			Dirs:       sc.Tree.Dirs,
+			DataKB:     float64(sc.Tree.TotalBytes()) / 1024,
 			BaseKRes:   base.Mean("kres_per_sec"),
 			CTKRes:     ct.Mean("kres_per_sec"),
 			BaseStddev: base.Stddev("kres_per_sec"),

@@ -209,8 +209,8 @@ func TestKVSweepWorkerInvariance(t *testing.T) {
 
 	run := func(workers int) *SweepResult {
 		_, sweep := KVSweep(cfg)
-		sweep.Seed = 5
-		res, err := sweep.WithWorkers(workers).Run()
+		sweep.Seed, sweep.Workers = 5, workers
+		res, err := sweep.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,43 +228,6 @@ func TestKVSweepWorkerInvariance(t *testing.T) {
 					i, a.Labels, m, a.Stats[m], b.Stats[m])
 			}
 		}
-	}
-}
-
-// TestKVCellHonorsCellScheduler: Cell.Scheduler is authoritative for
-// KVCell exactly as it is for DirLookupCell — a bare cell runs under it,
-// and a PolicyAxis value keeps it in sync with the policy it applies.
-func TestKVCellHonorsCellScheduler(t *testing.T) {
-	base := Cell{
-		Machine: Tiny8,
-		KV:      KVSpec{Shards: 4, SlotsPerShard: 16, SlotBytes: 64, Keys: 64},
-		Load:    KVLoad{Clients: 2, OpsPerClient: 20},
-	}
-
-	bare := base
-	bare.Scheduler = Baseline
-	m, err := KVCell(bare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m["migrations"] != 0 {
-		t.Errorf("Scheduler=Baseline cell migrated %v times; KVCell is ignoring Cell.Scheduler", m["migrations"])
-	}
-
-	// A PolicyAxis value applied over a conflicting base scheduler must
-	// select the policy's scheduler, not the base's.
-	viaAxis := base
-	viaAxis.Scheduler = Baseline
-	PolicyAxis(KVCoreTime).Values[0].Apply(&viaAxis)
-	if viaAxis.Scheduler != CoreTime {
-		t.Fatalf("PolicyAxis left Cell.Scheduler = %v, want CoreTime", viaAxis.Scheduler)
-	}
-	m, err = KVCell(viaAxis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m["migrations"] == 0 {
-		t.Error("PolicyAxis(KVCoreTime) cell never migrated; the policy is not in effect")
 	}
 }
 

@@ -1,8 +1,8 @@
 package o2
 
 // Sweep integration for the KVService scenario: shard-placement policies
-// as option bundles, the Mix/Skew/Policy axes, the KVCell runner, and the
-// configured sweep behind `o2bench kv`.
+// as option bundles, the Mix/Skew/Policy axes, the KVScenario cell
+// workload, and the configured sweep behind `o2bench kv`.
 
 import (
 	"fmt"
@@ -113,12 +113,11 @@ func (p KVPolicy) Options() []Option {
 
 // PolicyAxis sweeps over shard-placement policies. Each value installs
 // the policy's options and sets Cell.Scheduler, so the one precedence
-// rule every standard runner shares — Cell.Scheduler is authoritative,
-// applied after Options — holds for policy sweeps too.
+// rule every scenario shares — Cell.Scheduler is authoritative, applied
+// after Options — holds for policy sweeps too.
 func PolicyAxis(policies ...KVPolicy) Axis {
 	vals := make([]AxisValue, len(policies))
 	for i, p := range policies {
-		p := p
 		vals[i] = AxisValue{
 			Label: p.String(),
 			Apply: func(c *Cell) {
@@ -134,8 +133,7 @@ func PolicyAxis(policies ...KVPolicy) Axis {
 func MixAxis(mixes ...KVMix) Axis {
 	vals := make([]AxisValue, len(mixes))
 	for i, m := range mixes {
-		m := m
-		vals[i] = AxisValue{Label: m.Label(), Apply: func(c *Cell) { c.Load.Mix = m }}
+		vals[i] = AxisValue{Label: m.Label(), Apply: editScenario("mix", func(s *KVScenario) { s.Load.Mix = m })}
 	}
 	return Axis{Name: "mix", Values: vals}
 }
@@ -144,31 +142,33 @@ func MixAxis(mixes ...KVMix) Axis {
 func SkewAxis(skews ...float64) Axis {
 	vals := make([]AxisValue, len(skews))
 	for i, s := range skews {
-		s := s
 		vals[i] = AxisValue{
 			Label: strconv.FormatFloat(s, 'g', -1, 64),
-			Apply: func(c *Cell) { c.Load.Skew = s },
+			Apply: editScenario("skew", func(sc *KVScenario) { sc.Load.Skew = s }),
 		}
 	}
 	return Axis{Name: "skew", Values: vals}
 }
 
-// KVCell is the KV scenario's sweep runner: build the store on a runtime
-// from the cell's options (reusing the cell's arena across repeats),
-// drive the cell's load once. The engine's derived cell seed reaches both
-// the runtime (every internal stream) and the load generator, so results
-// are a pure function of the grid position — the worker-count invariance
-// the o2bench kv golden test pins.
-func KVCell(c Cell) (Metrics, error) {
-	svc, err := scenarioForCell(&c, func(rt *Runtime) (*KVService, error) {
-		return rt.NewKVService(c.KV)
+// KVScenario is the KV scenario as a sweep cell's workload: the store
+// Spec is built once per cell and driven by Load. The cell seed reaches
+// both the runtime (every internal stream) and the load generator, so
+// results are a pure function of the grid position — the worker-count
+// invariance the o2bench kv golden test pins.
+type KVScenario struct {
+	Spec KVSpec
+	Load KVLoad
+}
+
+func (s KVScenario) measure(c Cell) (Metrics, error) {
+	svc, err := scenarioForCell(c, func(rt *Runtime) (*KVService, error) {
+		return rt.NewKVService(s.Spec)
 	})
 	if err != nil {
 		return nil, err
 	}
-	load := c.Load
-	load.Seed = c.Seed
-	res, err := svc.Run(load)
+	s.Load.Seed = c.Seed
+	res, err := svc.Run(s.Load)
 	if err != nil {
 		return nil, err
 	}
@@ -229,9 +229,7 @@ func QuickKVConfig() KVConfig {
 // what the cells run. KVLoad's zero fields resolve per cell against the
 // machine's core count.
 func KVSweep(cfg KVConfig) (KVConfig, Sweep) {
-	if cfg.Machine.cfg.Chips == 0 {
-		cfg.Machine = AMD16
-	}
+	cfg.Machine = cfg.Machine.orDefault()
 	cfg.Spec = cfg.Spec.WithDefaults()
 	if len(cfg.Mixes) == 0 {
 		cfg.Mixes = []KVMix{DefaultKVMix()}
@@ -243,10 +241,9 @@ func KVSweep(cfg KVConfig) (KVConfig, Sweep) {
 		cfg.Policies = KVPolicies()
 	}
 	return cfg, Sweep{
-		Name:   "kv",
-		Base:   Cell{Machine: cfg.Machine, KV: cfg.Spec, Load: cfg.Load},
-		Axes:   []Axis{MixAxis(cfg.Mixes...), SkewAxis(cfg.Skews...), PolicyAxis(cfg.Policies...)},
-		Runner: KVCell,
+		Name: "kv",
+		Base: Cell{Machine: cfg.Machine, Scenario: KVScenario{Spec: cfg.Spec, Load: cfg.Load}},
+		Axes: []Axis{MixAxis(cfg.Mixes...), SkewAxis(cfg.Skews...), PolicyAxis(cfg.Policies...)},
 	}
 }
 

@@ -96,6 +96,14 @@ var (
 // Name returns the topology's name ("amd16", "tiny8", ...).
 func (t Topology) Name() string { return t.cfg.Name }
 
+// orDefault resolves the zero Topology to the paper's machine, AMD16.
+func (t Topology) orDefault() Topology {
+	if t.cfg.Chips == 0 {
+		return AMD16
+	}
+	return t
+}
+
 // NumCores returns the total core count.
 func (t Topology) NumCores() int { return t.cfg.NumCores() }
 
@@ -212,9 +220,6 @@ type RNG = stats.RNG
 
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG { return stats.NewRNG(seed) }
-
-// Percentile returns the p-th percentile (0–100) of xs.
-func Percentile(xs []float64, p float64) float64 { return stats.Percentile(xs, p) }
 
 // RoundRobin returns the home core for each of n threads spread across
 // cores round-robin, the placement a conventional scheduler picks for a

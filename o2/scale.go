@@ -120,59 +120,47 @@ func QuickScaleConfig() ScaleConfig {
 	return cfg
 }
 
-// scaleServiceAxis builds the service axis. Its Apply closures read
-// Cell.Machine to size each service's working set per core, which is
-// sound because ScaleSweep lists the machine axis first and a sweep
-// applies axes in listed order.
+// scaleServiceAxis builds the service axis. Each value sets the cell's
+// whole scenario, sized from Cell.Machine, which is sound because
+// ScaleSweep lists the machine axis first and a sweep applies axes in
+// listed order.
 func scaleServiceAxis(cfg ScaleConfig) Axis {
 	vals := make([]AxisValue, len(cfg.Services))
 	for i, s := range cfg.Services {
-		s := s
 		vals[i] = AxisValue{Label: s.String(), Apply: func(c *Cell) {
 			cores := c.Machine.NumCores()
 			switch s {
 			case ScaleKV:
-				c.KV = KVSpec{
-					Shards:        cfg.ShardsPerCore * cores,
-					SlotsPerShard: cfg.SlotsPerShard,
-					SlotBytes:     64,
+				c.Scenario = KVScenario{
+					Spec: KVSpec{Shards: cfg.ShardsPerCore * cores, SlotsPerShard: cfg.SlotsPerShard, SlotBytes: 64},
+					Load: cfg.Load,
 				}
 			default:
-				c.Tree = DirSpec{
-					Dirs:          cfg.DirsPerCore * cores,
-					EntriesPerDir: cfg.EntriesPerDir,
+				params := cfg.Params
+				params.Threads = cores
+				c.Scenario = DirLookupScenario{
+					Tree:   DirSpec{Dirs: cfg.DirsPerCore * cores, EntriesPerDir: cfg.EntriesPerDir},
+					Params: params,
 				}
-				c.Params.Threads = cores
 			}
 		}}
 	}
 	return Axis{Name: "service", Values: vals}
 }
 
-// ScaleCell is the scale sweep's runner. It dispatches on which service
-// the cell's axes configured — a sized KV store selects the KVService
-// scenario, otherwise the directory-lookup workload — and reports the
-// cell's metrics plus per_core_kops, throughput normalized by the
-// machine's core count, the column the scaling comparison reads.
-func ScaleCell(c Cell) (Metrics, error) {
-	machine := c.Machine
-	if machine.cfg.Chips == 0 { // zero value: default to the paper's machine
-		machine = AMD16
-	}
-	cores := float64(machine.NumCores())
-	if c.KV.Shards != 0 {
-		m, err := KVCell(c)
-		if err != nil {
-			return nil, err
-		}
-		m["per_core_kops"] = m["kops_per_sec"] / cores
-		return m, nil
-	}
-	m, err := DirLookupCell(c)
+// scaleCell is the scale sweep's runner: the cell's scenario's metrics
+// plus per_core_kops, its throughput normalized by the machine's core
+// count — the column the scaling comparison reads.
+func scaleCell(c Cell) (Metrics, error) {
+	m, err := c.measure()
 	if err != nil {
 		return nil, err
 	}
-	m["per_core_kops"] = m["kres_per_sec"] / cores
+	kops, ok := m["kops_per_sec"]
+	if !ok {
+		kops = m["kres_per_sec"]
+	}
+	m["per_core_kops"] = kops / float64(c.Machine.orDefault().NumCores())
 	return m, nil
 }
 
@@ -204,14 +192,13 @@ func ScaleSweep(cfg ScaleConfig) (ScaleConfig, Sweep) {
 	cfg.Params = cfg.Params.WithDefaults()
 	return cfg, Sweep{
 		Name: "scale",
-		Base: Cell{Params: cfg.Params, Load: cfg.Load},
 		Axes: []Axis{
 			// Machine first: the service axis sizes working sets from it.
 			TopologyAxis(cfg.Machines...),
 			scaleServiceAxis(cfg),
 			PolicyAxis(cfg.Policies...),
 		},
-		Runner: ScaleCell,
+		Runner: scaleCell,
 	}
 }
 

@@ -2,7 +2,6 @@ package o2
 
 import (
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -58,24 +57,21 @@ func TestScaleSweepDivergence(t *testing.T) {
 	}
 }
 
-// TestScaleCellNormalizes checks the runner's dispatch and the per-core
-// metric: a cell with a sized KV store runs the KV scenario, a cell
-// without one runs dirlookup, and both report per_core_kops equal to
-// their primary throughput divided by the machine's core count.
+// TestScaleCellNormalizes checks the scale runner's per-core metric: a
+// dirlookup cell and a KV cell both report per_core_kops equal to their
+// primary throughput divided by the machine's core count.
 func TestScaleCellNormalizes(t *testing.T) {
 	p := DefaultRunParams()
 	p.Threads = 8
 	p.Warmup = 100_000
 	p.Measure = 200_000
-	p.Seed = 5
 
 	dir := Cell{
-		Machine: Tiny8,
-		Tree:    DirSpec{Dirs: 16, EntriesPerDir: 64},
-		Params:  p,
-		Seed:    5,
+		Machine:  Tiny8,
+		Scenario: DirLookupScenario{Tree: DirSpec{Dirs: 16, EntriesPerDir: 64}, Params: p},
+		Seed:     5,
 	}
-	m, err := ScaleCell(dir)
+	m, err := scaleCell(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +84,13 @@ func TestScaleCellNormalizes(t *testing.T) {
 
 	kv := Cell{
 		Machine: Tiny8,
-		KV:      KVSpec{Shards: 8, SlotsPerShard: 32, SlotBytes: 64},
-		Load:    KVLoad{Clients: 8, OpsPerClient: 50},
-		Seed:    5,
+		Scenario: KVScenario{
+			Spec: KVSpec{Shards: 8, SlotsPerShard: 32, SlotBytes: 64},
+			Load: KVLoad{Clients: 8, OpsPerClient: 50},
+		},
+		Seed: 5,
 	}
-	m, err = ScaleCell(kv)
+	m, err = scaleCell(kv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,31 +119,9 @@ func TestScaleArenaRepeatsMatchFreshRuns(t *testing.T) {
 	cfg.Params.Measure = 300_000
 	cfg.Load.OpsPerClient = 60
 
-	const repeats = 3
 	_, sweep := ScaleSweep(cfg)
-	sweep.Repeats = repeats
+	sweep.Repeats = 3
 	sweep.Workers = 1
 	sweep.Seed = 23
-	res, err := sweep.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ci, cell := range res.Cells {
-		for r := 0; r < repeats; r++ {
-			// A standalone cell has no arena, so this run builds a fresh
-			// runtime — the old per-repeat code path.
-			fresh := sweep.cells()[ci]
-			fresh.Repeat = r
-			fresh.Seed = CellSeed(sweep.Seed, fresh.Index, r)
-			fresh.Params.Seed = fresh.Seed
-			m, err := ScaleCell(fresh)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(cell.Runs[r], m) {
-				t.Errorf("cell %v repeat %d: arena run %v != fresh run %v",
-					cell.Labels, r, cell.Runs[r], m)
-			}
-		}
-	}
+	checkRepeatsMatchFresh(t, sweep)
 }

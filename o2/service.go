@@ -4,8 +4,8 @@ package o2
 // (§2 cites directory lookup bottlenecking a Web server) promoted to a
 // first-class open-loop service subsystem. Its siblings are serviceload.go
 // (the seeded arrival process, bounded request queue, open-loop driver, and
-// tail-latency recorder) and servicesweep.go (sweep axes, the ServiceCell
-// runner, and the o2bench web entry points).
+// tail-latency recorder) and servicesweep.go (sweep axes, the WebScenario
+// cell workload, and the o2bench web entry points).
 //
 // Where KVService measures closed-loop throughput — clients issue the next
 // operation the moment the previous one returns, so the system can never

@@ -361,41 +361,6 @@ func TestWebServiceDefaultsAndValidation(t *testing.T) {
 	}
 }
 
-// TestServiceCellHonorsCellScheduler: Cell.Scheduler is authoritative for
-// ServiceCell exactly as for DirLookupCell and KVCell, and PolicyAxis
-// keeps it in sync with the policy it applies.
-func TestServiceCellHonorsCellScheduler(t *testing.T) {
-	base := Cell{
-		Machine: Tiny8,
-		Web:     WebSpec{DocRoots: 6, FilesPerRoot: 64},
-		Service: ServiceLoad{Requests: 120, RPS: 400_000},
-	}
-
-	bare := base
-	bare.Scheduler = Baseline
-	m, err := ServiceCell(bare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m["migrations"] != 0 {
-		t.Errorf("Scheduler=Baseline cell migrated %v times; ServiceCell is ignoring Cell.Scheduler", m["migrations"])
-	}
-
-	viaAxis := base
-	viaAxis.Scheduler = Baseline
-	PolicyAxis(KVCoreTime).Values[0].Apply(&viaAxis)
-	if viaAxis.Scheduler != CoreTime {
-		t.Fatalf("PolicyAxis left Cell.Scheduler = %v, want CoreTime", viaAxis.Scheduler)
-	}
-	m, err = ServiceCell(viaAxis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m["migrations"] == 0 {
-		t.Error("PolicyAxis(KVCoreTime) cell never migrated; the policy is not in effect")
-	}
-}
-
 // TestWebSweepWorkerInvariance runs a small rate×policy grid at one and
 // many workers: the SweepResults must be deeply identical — the service
 // instance of the engine's determinism guarantee, now covering latency
@@ -410,8 +375,8 @@ func TestWebSweepWorkerInvariance(t *testing.T) {
 
 	run := func(workers int) *SweepResult {
 		_, sweep := WebSweep(cfg)
-		sweep.Seed = 5
-		res, err := sweep.WithWorkers(workers).Run()
+		sweep.Seed, sweep.Workers = 5, workers
+		res, err := sweep.Run()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,8 +2,8 @@ package o2
 
 // Sweep integration for the WebService scenario: the ArrivalRate and
 // Compaction axes (placement policies reuse PolicyAxis — the KVPolicy
-// bundles are scheduler configurations, not KV-specific), the ServiceCell
-// runner, and the configured sweep behind `o2bench web`.
+// bundles are scheduler configurations, not KV-specific), the WebScenario
+// cell workload, and the configured sweep behind `o2bench web`.
 
 import (
 	"fmt"
@@ -16,10 +16,9 @@ import (
 func ArrivalRateAxis(rps ...float64) Axis {
 	vals := make([]AxisValue, len(rps))
 	for i, r := range rps {
-		r := r
 		vals[i] = AxisValue{
 			Label: fmt.Sprintf("%gk", r/1000),
-			Apply: func(c *Cell) { c.Service.RPS = r },
+			Apply: editScenario("rps", func(s *WebScenario) { s.Load.RPS = r }),
 		}
 	}
 	return Axis{Name: "rps", Values: vals}
@@ -30,31 +29,33 @@ func ArrivalRateAxis(rps ...float64) Axis {
 func CompactionAxis(shares ...float64) Axis {
 	vals := make([]AxisValue, len(shares))
 	for i, s := range shares {
-		s := s
 		vals[i] = AxisValue{
 			Label: strconv.FormatFloat(s, 'g', -1, 64),
-			Apply: func(c *Cell) { c.Service.CompactionShare = s },
+			Apply: editScenario("compaction", func(sc *WebScenario) { sc.Load.CompactionShare = s }),
 		}
 	}
 	return Axis{Name: "compaction", Values: vals}
 }
 
-// ServiceCell is the web scenario's sweep runner: build the service on a
-// runtime from the cell's options (reusing the cell's arena across
-// repeats), offer the cell's open-loop load once. The engine's derived
+// WebScenario is the web scenario as a sweep cell's workload: the
+// service Spec is built once per cell and offered the open-loop Load. The
 // cell seed reaches both the runtime and the load generator, so results
 // are a pure function of the grid position — the worker-count invariance
 // the o2bench web golden test pins.
-func ServiceCell(c Cell) (Metrics, error) {
-	svc, err := scenarioForCell(&c, func(rt *Runtime) (*WebService, error) {
-		return rt.NewWebService(c.Web)
+type WebScenario struct {
+	Spec WebSpec
+	Load ServiceLoad
+}
+
+func (s WebScenario) measure(c Cell) (Metrics, error) {
+	svc, err := scenarioForCell(c, func(rt *Runtime) (*WebService, error) {
+		return rt.NewWebService(s.Spec)
 	})
 	if err != nil {
 		return nil, err
 	}
-	load := c.Service
-	load.Seed = c.Seed
-	res, err := svc.Run(load)
+	s.Load.Seed = c.Seed
+	res, err := svc.Run(s.Load)
 	if err != nil {
 		return nil, err
 	}
@@ -150,9 +151,7 @@ func QuickSoakWebConfig() WebConfig {
 // what the cells run. ServiceLoad's zero fields resolve per cell against
 // the machine's core count.
 func WebSweep(cfg WebConfig) (WebConfig, Sweep) {
-	if cfg.Machine.cfg.Chips == 0 {
-		cfg.Machine = AMD16
-	}
+	cfg.Machine = cfg.Machine.orDefault()
 	cfg.Spec = cfg.Spec.WithDefaults()
 	if len(cfg.Rates) == 0 {
 		cfg.Rates = DefaultWebConfig().Rates
@@ -169,10 +168,9 @@ func WebSweep(cfg WebConfig) (WebConfig, Sweep) {
 		PolicyAxis(cfg.Policies...),
 	}
 	return cfg, Sweep{
-		Name:   "web",
-		Base:   Cell{Machine: cfg.Machine, Web: cfg.Spec, Service: cfg.Load},
-		Axes:   axes,
-		Runner: ServiceCell,
+		Name: "web",
+		Base: Cell{Machine: cfg.Machine, Scenario: WebScenario{Spec: cfg.Spec, Load: cfg.Load}},
+		Axes: axes,
 	}
 }
 

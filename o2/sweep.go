@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
@@ -18,7 +17,7 @@ import (
 // with a deterministic per-cell seed (see CellSeed), and the repeats are
 // aggregated into mean/stddev/min/max summaries per metric. A cell's
 // repeats run sequentially on one worker sharing a cellArena, so
-// arena-aware runners reuse the built runtime across repeats instead of
+// scenarios reuse the built runtime across repeats instead of
 // reallocating it. Results are independent of the worker count: the same
 // Sweep with the same Seed produces byte-identical output at Workers=1
 // and Workers=N.
@@ -26,12 +25,12 @@ import (
 // A Figure-4-style comparison over tree sizes and schedulers:
 //
 //	sw := o2.Sweep{
-//		Base:    o2.Cell{Machine: o2.AMD16, Params: o2.DefaultRunParams()},
+//		Base:    o2.Cell{Machine: o2.AMD16, Scenario: o2.DirLookupScenario{Params: o2.DefaultRunParams()}},
 //		Axes:    []o2.Axis{o2.DirCountAxis(1000, 64, 224, 640), o2.SchedulerAxis(o2.Baseline, o2.CoreTime)},
 //		Repeats: 3,
-//		Runner:  o2.DirLookupCell,
+//		Workers: 8,
 //	}
-//	res, err := sw.WithWorkers(8).Run()
+//	res, err := sw.Run()
 type Sweep struct {
 	// Name labels the sweep in reports and JSON output.
 	Name string
@@ -45,22 +44,20 @@ type Sweep struct {
 	// Repeats is how many times each cell is measured, each repeat on a
 	// fresh runtime with its own derived seed; values < 1 mean 1.
 	Repeats int
-	// Workers bounds the worker pool; 0 means runtime.NumCPU(). Use
-	// WithWorkers for call-site chaining.
+	// Workers bounds the worker pool; 0 means runtime.NumCPU().
 	Workers int
 	// Seed is the base seed every per-cell seed derives from.
 	Seed uint64
-	// Runner measures one repeat of one cell. DirLookupCell is the
-	// standard directory-lookup runner; figures install their own.
+	// Runner, when set, measures one repeat of one cell in place of the
+	// cell's Scenario; figures that measure something other than a
+	// scenario's standard metrics install their own. Nil measures
+	// Cell.Scenario.
 	Runner func(Cell) (Metrics, error)
 	// Progress, when non-nil, receives one line per completed cell.
 	// Lines appear in completion order, so they may be out of grid order
 	// when Workers > 1.
 	Progress io.Writer
 }
-
-// WithWorkers returns a copy of the sweep with the worker bound set.
-func (s Sweep) WithWorkers(n int) Sweep { s.Workers = n; return s }
 
 // Axis is one dimension of a sweep grid: an ordered set of values, each of
 // which edits the cell under construction. Helpers build the common axes
@@ -83,7 +80,6 @@ type AxisValue struct {
 func TopologyAxis(tops ...Topology) Axis {
 	vals := make([]AxisValue, len(tops))
 	for i, t := range tops {
-		t := t
 		vals[i] = AxisValue{Label: t.Name(), Apply: func(c *Cell) { c.Machine = t }}
 	}
 	return Axis{Name: "machine", Values: vals}
@@ -93,7 +89,6 @@ func TopologyAxis(tops ...Topology) Axis {
 func SchedulerAxis(scheds ...Scheduler) Axis {
 	vals := make([]AxisValue, len(scheds))
 	for i, sc := range scheds {
-		sc := sc
 		vals[i] = AxisValue{Label: sc.String(), Apply: func(c *Cell) { c.Scheduler = sc }}
 	}
 	return Axis{Name: "scheduler", Values: vals}
@@ -104,10 +99,11 @@ func SchedulerAxis(scheds ...Scheduler) Axis {
 func DirCountAxis(entriesPerDir int, counts ...int) Axis {
 	vals := make([]AxisValue, len(counts))
 	for i, n := range counts {
-		n := n
 		vals[i] = AxisValue{
 			Label: fmt.Sprintf("%d", n),
-			Apply: func(c *Cell) { c.Tree = DirSpec{Dirs: n, EntriesPerDir: entriesPerDir} },
+			Apply: editScenario("dirs", func(s *DirLookupScenario) {
+				s.Tree = DirSpec{Dirs: n, EntriesPerDir: entriesPerDir}
+			}),
 		}
 	}
 	return Axis{Name: "dirs", Values: vals}
@@ -126,68 +122,111 @@ type Cell struct {
 	// Repeat is which repetition this measurement is (0-based).
 	Repeat int
 	// Seed is the measurement's derived seed, CellSeed(sweep.Seed,
-	// Index, Repeat). The engine also installs it as Params.Seed.
+	// Index, Repeat). Every scenario installs it as the runtime's seed
+	// and as its workload's seed.
 	Seed uint64
 
 	// Machine is the simulated topology; the zero value means AMD16.
 	Machine Topology
 	// Scheduler is the scheduling policy (default CoreTime). It is
-	// authoritative: standard runners (DirLookupCell, KVCell) apply it
-	// after Options. Axes that select schedulers (SchedulerAxis,
-	// PolicyAxis) set this field.
+	// authoritative: every scenario applies it after Options. Axes that
+	// select schedulers (SchedulerAxis, PolicyAxis) set this field.
 	Scheduler Scheduler
-	// Tree sizes the directory-lookup workload for runners that build
-	// one (DirLookupCell).
-	Tree DirSpec
-	// Paths sizes the path-resolution workload for runners that build
-	// one.
-	Paths PathSpec
-	// KV sizes the key-value store for the KV scenario runner (KVCell).
-	KV KVSpec
-	// Load drives the KV load generator for KVCell; the engine installs
-	// the cell seed as its Seed.
-	Load KVLoad
-	// Web sizes the web service for the open-loop service runner
-	// (ServiceCell).
-	Web WebSpec
-	// Service drives the open-loop load generator for ServiceCell; the
-	// engine installs the cell seed as its Seed.
-	Service ServiceLoad
-	// Params drive the measurement; zero fields are defaulted as in
-	// Experiment.Run.
-	Params RunParams
+	// Scenario is the workload the cell measures: a DirLookupScenario,
+	// KVScenario, or WebScenario. A sweep without a Runner measures it.
+	Scenario Scenario
 	// Options apply to the runtime after WithTopology/WithSeed.
 	Options []Option
 
 	// arena carries reusable runtime state between the sequential repeats
-	// of one cell (see cellArena). The sweep engine installs it; runners
-	// that understand it reuse the built runtime across repeats, and
-	// runners that ignore it keep building fresh runtimes. Nil for cells
-	// run outside a sweep.
+	// of one cell (see cellArena). The sweep engine installs it; scenarios
+	// reuse the built runtime across repeats, and runners that ignore it
+	// keep building fresh runtimes. Nil for cells run outside a sweep.
 	arena *cellArena
 }
 
-// Metrics is one measurement's named values. Standard runners report
-// "kres_per_sec", "resolutions", and "migrations"; custom runners may
-// report anything.
+// measure measures the cell's scenario.
+func (c Cell) measure() (Metrics, error) {
+	if c.Scenario == nil {
+		return nil, fmt.Errorf("o2: cell has neither a Runner nor a Scenario")
+	}
+	return c.Scenario.measure(c)
+}
+
+// Scenario is the workload of a sweep cell, able to measure itself on
+// the cell's machine, scheduler, options, and seed: DirLookupScenario,
+// KVScenario, or WebScenario. Every scenario builds its runtime through
+// scenarioForCell, so all share one precedence rule and arena reuse.
+type Scenario interface {
+	measure(c Cell) (Metrics, error)
+}
+
+// Metrics is one measurement's named values. Each scenario reports its
+// own set — DirLookupScenario "kres_per_sec", "resolutions", and
+// "migrations" — and custom runners may report anything.
 type Metrics map[string]float64
 
-// DirLookupCell is the standard sweep runner: one directory-lookup
-// Experiment run of the cell. It is Experiment.Run underneath — the same
-// code path Experiment.Compare uses — so sweep cells and hand-rolled
-// experiments cannot drift; inside a sweep the cell's arena lets repeats
-// after the first reuse the built runtime and tree.
-func DirLookupCell(c Cell) (Metrics, error) {
-	exp := Experiment{Machine: c.Machine, Tree: c.Tree, Params: c.Params, Options: c.Options}
-	res, err := exp.runCell(&c)
+// DirLookupScenario is the paper's directory-lookup workload (Figure 4):
+// Tree is built once per cell and measured under Params, whose zero
+// fields are defaulted as in Experiment.Run. The cell seed becomes
+// Params.Seed, so a cell measures exactly what Experiment.Run measures
+// at that seed.
+type DirLookupScenario struct {
+	Tree   DirSpec
+	Params RunParams
+}
+
+func (s DirLookupScenario) measure(c Cell) (Metrics, error) {
+	// Seed before defaulting: WithDefaults keeps a partly set RunParams
+	// field by field, where an all-zero one becomes DefaultRunParams.
+	s.Params.Seed = c.Seed
+	params, err := runParams(s.Params)
 	if err != nil {
 		return nil, err
 	}
+	tree, err := scenarioForCell(c, func(rt *Runtime) (*DirTree, error) {
+		return rt.NewDirTree(s.Tree)
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := tree.Run(params)
 	return Metrics{
 		"kres_per_sec": res.KResPerSec,
 		"resolutions":  float64(res.Resolutions),
 		"migrations":   float64(res.Migrations),
 	}, nil
+}
+
+// editScenario returns the Apply of a scenario axis value: edit the
+// cell's scenario when it is an S. Any other scenario becomes an
+// axisMismatch naming the axis, so a sweep whose axis cannot edit its
+// cells fails instead of measuring unchanged cells under the axis's
+// labels.
+func editScenario[S Scenario](axis string, edit func(*S)) func(*Cell) {
+	return func(c *Cell) {
+		if _, bad := c.Scenario.(axisMismatch); bad {
+			return // keep the first mismatch
+		}
+		sc, ok := c.Scenario.(S)
+		if !ok {
+			c.Scenario = axisMismatch{axis: axis, found: c.Scenario}
+			return
+		}
+		edit(&sc)
+		c.Scenario = sc
+	}
+}
+
+// axisMismatch is the scenario editScenario leaves on a cell whose
+// scenario the axis does not apply to; measuring it fails.
+type axisMismatch struct {
+	axis  string
+	found Scenario
+}
+
+func (m axisMismatch) measure(Cell) (Metrics, error) {
+	return nil, fmt.Errorf("o2: axis %q does not apply to scenario %T", m.axis, m.found)
 }
 
 // Aggregate summarises one metric across a cell's repeats.
@@ -350,23 +389,6 @@ func (r *SweepResult) WriteCSV(w io.Writer, cols []Column) {
 	}
 }
 
-// MetricNames returns every metric name reported anywhere in the sweep,
-// sorted.
-func (r *SweepResult) MetricNames() []string {
-	seen := map[string]bool{}
-	for _, c := range r.Cells {
-		for name := range c.Stats {
-			seen[name] = true
-		}
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // cells expands the grid row-major (last axis fastest).
 func (s Sweep) cells() []Cell {
 	total := 1
@@ -402,17 +424,37 @@ func (s Sweep) cells() []Cell {
 	return out
 }
 
+// runner returns what measures one repeat of a cell: the sweep's Runner,
+// or else the cell's own Scenario.
+func (s Sweep) runner() func(Cell) (Metrics, error) {
+	if s.Runner != nil {
+		return s.Runner
+	}
+	return Cell.measure
+}
+
+// runRecovered measures one repeat, turning a panic — the runner's own or
+// a simulated thread's, which its coroutine re-raises through Run — into
+// the repeat's error.
+func runRecovered(run func(Cell) (Metrics, error), c Cell) (m Metrics, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			m, err = nil, fmt.Errorf("panic: %v", p)
+		}
+	}()
+	return run(c)
+}
+
 // Run executes the sweep and returns the aggregated results. Cells are
 // distributed over the worker pool and each cell's repeats run
 // sequentially on its worker; every measurement is seeded with CellSeed
 // and no state — RNG, caches, machine counters — is shared between
 // concurrent measurements (repeats of one cell share an arena, but only
-// after the previous repeat has fully drained). The first error (in grid
-// order, independent of scheduling) aborts the result.
+// after the previous repeat has fully drained). A panicking repeat fails
+// like an erroring one, and the first failure (in grid order,
+// independent of scheduling) aborts the result, naming the cell, repeat,
+// and seed that reproduce it.
 func (s Sweep) Run() (*SweepResult, error) {
-	if s.Runner == nil {
-		return nil, fmt.Errorf("o2: Sweep %q has no Runner", s.Name)
-	}
 	for _, a := range s.Axes {
 		if len(a.Values) == 0 {
 			return nil, fmt.Errorf("o2: Sweep %q axis %q has no values", s.Name, a.Name)
@@ -423,6 +465,7 @@ func (s Sweep) Run() (*SweepResult, error) {
 		repeats = 1
 	}
 	cells := s.cells()
+	run := s.runner()
 	workers := s.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -479,15 +522,16 @@ func (s Sweep) Run() (*SweepResult, error) {
 					c := cells[ci]
 					c.Repeat = r
 					c.Seed = CellSeed(s.Seed, c.Index, r)
-					c.Params.Seed = c.Seed
 					c.arena = arena
-					m, err := s.Runner(c)
+					m, err := runRecovered(run, c)
 					runs[ci][r] = m
 					seeds[ci][r] = c.Seed
 					errs[ci][r] = err
 					if err != nil {
-						// A failed repeat may leave the arena half-built;
+						// A failed repeat may leave the arena half-built
+						// or its threads stranded mid-run: stop them, and
 						// give the next repeat a clean slate.
+						arena.close()
 						arena = &cellArena{}
 					}
 					cellDone(ci)
@@ -506,8 +550,8 @@ func (s Sweep) Run() (*SweepResult, error) {
 	for ci := range cells {
 		for r := 0; r < repeats; r++ {
 			if err := errs[ci][r]; err != nil {
-				return nil, fmt.Errorf("o2: sweep %q cell %d %v repeat %d: %w",
-					s.Name, ci, cells[ci].Labels, r, err)
+				return nil, fmt.Errorf("o2: sweep %q cell %d %v repeat %d seed %d: %w",
+					s.Name, ci, cells[ci].Labels, r, seeds[ci][r], err)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -18,14 +19,13 @@ func tinySweep() Sweep {
 	p.Measure = 400_000
 	return Sweep{
 		Name: "tiny",
-		Base: Cell{Machine: Tiny8, Params: p},
+		Base: Cell{Machine: Tiny8, Scenario: DirLookupScenario{Params: p}},
 		Axes: []Axis{
 			DirCountAxis(128, 2, 6),
 			SchedulerAxis(Baseline, CoreTime),
 		},
 		Repeats: 2,
 		Seed:    7,
-		Runner:  DirLookupCell,
 	}
 }
 
@@ -33,11 +33,16 @@ func tinySweep() Sweep {
 // property of the parallel engine: the same sweep with the same seed must
 // produce byte-identical per-cell results at -workers=1 and -workers=8.
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	serial, err := tinySweep().WithWorkers(1).Run()
+	run := func(workers int) (*SweepResult, error) {
+		s := tinySweep()
+		s.Workers = workers
+		return s.Run()
+	}
+	serial, err := run(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := tinySweep().WithWorkers(8).Run()
+	parallel, err := run(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +84,8 @@ func TestSweepGridExpansion(t *testing.T) {
 			t.Errorf("cell %d labels = %v, want %v", i, c.Labels, wantLabels[i])
 		}
 	}
-	if cells[0].Tree.Dirs != 2 || cells[2].Tree.Dirs != 6 {
-		t.Errorf("dir axis not applied: %+v / %+v", cells[0].Tree, cells[2].Tree)
+	if a, b := cells[0].Scenario.(DirLookupScenario), cells[2].Scenario.(DirLookupScenario); a.Tree.Dirs != 2 || b.Tree.Dirs != 6 {
+		t.Errorf("dir axis not applied: %+v / %+v", a.Tree, b.Tree)
 	}
 	if cells[0].Scheduler != Baseline || cells[1].Scheduler != CoreTime {
 		t.Error("scheduler axis not applied")
@@ -118,9 +123,6 @@ func TestSweepPerCellSeeds(t *testing.T) {
 		Runner: func(c Cell) (Metrics, error) {
 			if c.Seed != CellSeed(42, c.Index, c.Repeat) {
 				return nil, fmt.Errorf("cell %d repeat %d got seed %d", c.Index, c.Repeat, c.Seed)
-			}
-			if c.Params.Seed != c.Seed {
-				return nil, fmt.Errorf("Params.Seed %d != cell seed %d", c.Params.Seed, c.Seed)
 			}
 			return Metrics{"seed": float64(c.Seed)}, nil
 		},
@@ -178,25 +180,146 @@ func TestSweepErrorIsFirstInGridOrder(t *testing.T) {
 		},
 	}
 	for _, workers := range []int{1, 8} {
-		_, err := s.WithWorkers(workers).Run()
+		s.Workers = workers
+		_, err := s.Run()
 		if err == nil || !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want wrapped boom", workers, err)
 		}
-		if !strings.Contains(err.Error(), "cell 1") {
-			t.Errorf("workers=%d: err %q does not name the first failing cell", workers, err)
+		want := fmt.Sprintf("cell 1 [b] repeat 0 seed %d:", CellSeed(0, 1, 0))
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("workers=%d: err %q does not name the first failing cell as %q", workers, err, want)
 		}
 	}
 }
 
 func TestSweepWithoutRunnerFails(t *testing.T) {
 	if _, err := (Sweep{Name: "norunner"}).Run(); err == nil {
-		t.Fatal("sweep without Runner did not error")
+		t.Fatal("sweep with neither a Runner nor a Scenario did not error")
 	}
 	s := Sweep{Name: "emptyaxis", Axes: []Axis{{Name: "x"}},
 		Runner: func(Cell) (Metrics, error) { return nil, nil }}
 	if _, err := s.Run(); err == nil {
 		t.Fatal("sweep with an empty axis did not error")
 	}
+}
+
+// TestSweepAxisScenarioMismatchFails: an axis applied to a scenario it
+// does not edit fails the sweep, naming the axis and the scenario type,
+// instead of measuring unchanged cells under the axis's labels.
+func TestSweepAxisScenarioMismatchFails(t *testing.T) {
+	_, web := WebSweep(QuickWebConfig())
+	web.Axes = append(web.Axes, MixAxis(KVMix{Gets: 1}, KVMix{Scans: 1}))
+	bare := Sweep{Name: "bare", Axes: []Axis{DirCountAxis(64, 2)}}
+	for _, tc := range []struct {
+		s    Sweep
+		want string
+	}{
+		{web, `axis "mix" does not apply to scenario o2.WebScenario`},
+		{bare, `axis "dirs" does not apply to scenario <nil>`},
+	} {
+		_, err := tc.s.Run()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("sweep %q: err = %v, want it to contain %q", tc.s.Name, err, tc.want)
+		}
+	}
+}
+
+// TestSweepPanicBecomesCellError: a simulated thread's panic surfaces
+// from Run on the sweep worker's goroutine. The engine turns it into the
+// cell's error, naming the cell, repeat, and seed that reproduce it, and
+// stops the threads the panic stranded on the arena's runtime, so no
+// coroutine outlives the sweep.
+func TestSweepPanicBecomesCellError(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := Sweep{
+		Name:    "panic",
+		Base:    Cell{Machine: Tiny8, Options: []Option{WithMemory(1 << 20)}},
+		Axes:    []Axis{SchedulerAxis(Baseline, CoreTime)},
+		Repeats: 2,
+		Workers: 2,
+		Runner: func(c Cell) (Metrics, error) {
+			rt, err := scenarioForCell(c, func(rt *Runtime) (*Runtime, error) {
+				return rt, rt.ensure(0)
+			})
+			if err != nil {
+				return nil, err
+			}
+			for i := 0; i < 4; i++ {
+				i := i
+				rt.Go(fmt.Sprintf("w%d", i), i, func(th *Thread) {
+					for k := 0; k < 50; k++ {
+						if i == 0 && k == 10 && c.Index == 1 && c.Repeat == 1 {
+							panic("boom")
+						}
+						th.Compute(100)
+					}
+				})
+			}
+			return Metrics{"now": float64(rt.Run())}, nil
+		},
+	}
+	_, err := s.Run()
+	want := fmt.Sprintf(`o2: sweep "panic" cell 1 [coretime] repeat 1 seed %d: panic: boom`, CellSeed(0, 1, 1))
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the sweep, %d before: the panicked run's threads leaked", n, before)
+	}
+}
+
+// honorsCellScheduler pins the precedence rule every scenario shares
+// through scenarioForCell: Cell.Scheduler is authoritative, applied after
+// Options, and PolicyAxis keeps it in sync with the policy it applies.
+func honorsCellScheduler(t *testing.T, sc Scenario) {
+	t.Helper()
+	// A CoreTime option under a Baseline cell scheduler: the cell wins.
+	bare := Cell{Machine: Tiny8, Scenario: sc, Scheduler: Baseline, Options: []Option{WithScheduler(CoreTime)}}
+	m, err := bare.measure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m["migrations"] != 0 {
+		t.Errorf("%T: Scheduler=Baseline cell migrated %v times; Cell.Scheduler is not authoritative", sc, m["migrations"])
+	}
+
+	// A PolicyAxis value applied over a conflicting base scheduler must
+	// select the policy's scheduler, not the base's.
+	viaAxis := Cell{Machine: Tiny8, Scenario: sc, Scheduler: Baseline}
+	PolicyAxis(KVCoreTime).Values[0].Apply(&viaAxis)
+	if viaAxis.Scheduler != CoreTime {
+		t.Fatalf("PolicyAxis left Cell.Scheduler = %v, want CoreTime", viaAxis.Scheduler)
+	}
+	if m, err = viaAxis.measure(); err != nil {
+		t.Fatal(err)
+	}
+	if m["migrations"] == 0 {
+		t.Errorf("%T: PolicyAxis(KVCoreTime) cell never migrated; the policy is not in effect", sc)
+	}
+}
+
+func TestDirLookupHonorsCellScheduler(t *testing.T) {
+	honorsCellScheduler(t, DirLookupScenario{
+		Tree:   DirSpec{Dirs: 16, EntriesPerDir: 256},
+		Params: RunParams{Threads: 8, Warmup: 200_000, Measure: 300_000},
+	})
+}
+
+func TestKVCellHonorsCellScheduler(t *testing.T) {
+	honorsCellScheduler(t, KVScenario{
+		Spec: KVSpec{Shards: 4, SlotsPerShard: 16, SlotBytes: 64, Keys: 64},
+		Load: KVLoad{Clients: 2, OpsPerClient: 20},
+	})
+}
+
+func TestServiceCellHonorsCellScheduler(t *testing.T) {
+	honorsCellScheduler(t, WebScenario{
+		Spec: WebSpec{DocRoots: 6, FilesPerRoot: 64},
+		Load: ServiceLoad{Requests: 120, RPS: 400_000},
+	})
 }
 
 func TestSweepOptionsDoNotAliasAcrossCells(t *testing.T) {
@@ -252,7 +375,8 @@ func TestCellSeedDeterministicAndDistinct(t *testing.T) {
 func TestSweepResultCellLookup(t *testing.T) {
 	s := tinySweep()
 	s.Repeats = 1
-	res, err := s.WithWorkers(2).Run()
+	s.Workers = 2
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,15 +390,12 @@ func TestSweepResultCellLookup(t *testing.T) {
 	if res.Cell("999", "coretime") != nil {
 		t.Error("lookup of absent cell returned non-nil")
 	}
-	names := res.MetricNames()
-	if !reflect.DeepEqual(names, []string{"kres_per_sec", "migrations", "resolutions"}) {
-		t.Errorf("MetricNames = %v", names)
-	}
 }
 
 // TestFig4SweepMatchesExperiment pins the no-drift property: a sweep cell
 // and a hand-rolled Experiment.Run with the same seed produce identical
-// results, because DirLookupCell is Experiment.Run underneath.
+// results, because DirLookupScenario resolves its parameters and builds
+// its runtime exactly as Experiment.Run does.
 func TestFig4SweepMatchesExperiment(t *testing.T) {
 	p := DefaultRunParams()
 	p.Threads = 4
@@ -283,10 +404,9 @@ func TestFig4SweepMatchesExperiment(t *testing.T) {
 
 	s := Sweep{
 		Name:    "pin",
-		Base:    Cell{Machine: Tiny8, Params: p},
+		Base:    Cell{Machine: Tiny8, Scenario: DirLookupScenario{Params: p}},
 		Axes:    []Axis{DirCountAxis(128, 4), SchedulerAxis(CoreTime)},
 		Seed:    11,
-		Runner:  DirLookupCell,
 		Workers: 2,
 	}
 	res, err := s.Run()

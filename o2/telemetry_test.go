@@ -195,36 +195,18 @@ func TestTracedArenaRepeatsMatchFreshRuns(t *testing.T) {
 	p.Warmup = 200_000
 	p.Measure = 400_000
 
-	const repeats = 3
-	s := Sweep{
-		Name:    "arena-traced",
-		Base:    Cell{Machine: Tiny8, Params: p, Options: []Option{WithTrace(256)}},
+	checkRepeatsMatchFresh(t, Sweep{
+		Name: "arena-traced",
+		Base: Cell{
+			Machine:  Tiny8,
+			Scenario: DirLookupScenario{Params: p},
+			Options:  []Option{WithTrace(256)},
+		},
 		Axes:    []Axis{DirCountAxis(128, 4), SchedulerAxis(CoreTime)},
-		Repeats: repeats,
+		Repeats: 3,
 		Seed:    29,
-		Runner:  DirLookupCell,
 		Workers: 1,
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ci, cell := range res.Cells {
-		for r := 0; r < repeats; r++ {
-			fresh := s.cells()[ci]
-			fresh.Repeat = r
-			fresh.Seed = CellSeed(s.Seed, fresh.Index, r)
-			fresh.Params.Seed = fresh.Seed
-			m, err := DirLookupCell(fresh)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(cell.Runs[r], m) {
-				t.Errorf("cell %v repeat %d: arena run %v != fresh run %v",
-					cell.Labels, r, cell.Runs[r], m)
-			}
-		}
-	}
+	})
 }
 
 // TestTracedRuntimeIsReusable pins the arena eligibility fix itself: a
