@@ -71,8 +71,10 @@ type Cache struct {
 	count  int
 }
 
-// pageLines is the number of cache lines per 4 KB page at 64-byte lines.
-const pageLines = 64
+// PageLines is the number of cache lines per 4 KB page at 64-byte lines:
+// the unit of the set index's page hash here and of the coherence
+// directory's page table.
+const PageLines = 64
 
 // New builds an empty cache with the given geometry. It panics on invalid
 // geometry; callers validate configs at startup via topology.Config.Validate.
@@ -87,7 +89,7 @@ func New(geom topology.CacheGeom) *Cache {
 		geom:   geom,
 		sets:   make([][]entry, nsets),
 		mask:   uint64(nsets - 1),
-		hashed: nsets > pageLines,
+		hashed: nsets > PageLines,
 	}
 	slab := make([]entry, nsets*geom.Assoc)
 	for i := range c.sets {
@@ -111,11 +113,11 @@ func (c *Cache) setOf(l Line) int {
 	}
 	// Keep the within-page offset bits, substitute hashed page-number
 	// bits for the rest of the index (fmix-style avalanche).
-	page := uint64(l) / pageLines
+	page := uint64(l) / PageLines
 	page ^= page >> 33
 	page *= 0xFF51AFD7ED558CCD
 	page ^= page >> 33
-	return int(((uint64(l) % pageLines) | (page * pageLines)) & c.mask)
+	return int(((uint64(l) % PageLines) | (page * PageLines)) & c.mask)
 }
 
 // Lookup reports whether line is resident and, if so, marks it most

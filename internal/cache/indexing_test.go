@@ -23,10 +23,10 @@ func TestHashedIndexPreservesWithinPageLocality(t *testing.T) {
 	// Consecutive lines of one 4 KB page must land in consecutive sets
 	// (mod the page), exactly as a physically-indexed cache sees them.
 	c := New(topology.CacheGeom{Size: 512 << 10, LineSize: 64, Assoc: 16})
-	base := Line(12345 * pageLines) // an arbitrary page boundary
+	base := Line(12345 * PageLines) // an arbitrary page boundary
 	s0 := c.setOf(base)
-	for i := 1; i < pageLines; i++ {
-		want := (s0 &^ (pageLines - 1)) | ((s0 + i) & (pageLines - 1))
+	for i := 1; i < PageLines; i++ {
+		want := (s0 &^ (PageLines - 1)) | ((s0 + i) & (PageLines - 1))
 		// Within a page only the low 6 set-index bits advance.
 		got := c.setOf(base + Line(i))
 		if got != want {
@@ -39,13 +39,13 @@ func TestHashedIndexSpreadsAlignedObjects(t *testing.T) {
 	// The pathology the hash exists to kill: N objects of exactly
 	// sets×lineSize bytes, all identically aligned. Under modular
 	// indexing, line 0 of every object lands in the same set. A
-	// physically-indexed 512-set cache has sets/pageLines = 8 page
+	// physically-indexed 512-set cache has sets/PageLines = 8 page
 	// colors, so hashed indexing cannot do better than spreading the
 	// first lines over those 8 colors — but it must actually use them
 	// all instead of stacking everything in one set.
 	c := New(topology.CacheGeom{Size: 512 << 10, LineSize: 64, Assoc: 16})
 	sets := c.geom.Sets()
-	colors := sets / pageLines
+	colors := sets / PageLines
 	objLines := Line(sets) // one line per set under modular indexing
 	counts := make(map[int]int)
 	const objects = 64

@@ -18,28 +18,27 @@
 // check that correspondence after every simulation.
 //
 // The directory sits on the simulator's access fast path — every miss
-// probes it and every store acquires ownership through it — so entries
-// live inline in an open-addressed hash table rather than behind the
-// pointer-chasing map[Line]*state this package started with. An entry is
-// 24 bytes: the line number, the first 64-bit word of the holder bitset,
-// and the dirty owner. Probing is linear with backward-shift deletion, so
-// lookups never cross tombstones and the common probe is one cache line of
-// table.
+// probes it and every store acquires ownership through it — so its state
+// is indexed directly by line number, through a page table. A page is one
+// simulated 4 KB page (cache.PageLines lines); the first time any of its
+// lines gains a holder, the page is mapped to a chunk: the page's holder
+// sets stored back to back, plus one owner field per line. A lookup is two
+// array reads with no probing, consecutive lines sit in consecutive words
+// (the full-shard scans of the sharded workloads walk memory in order),
+// and storage grows with the pages a run touches, not with the image.
+// Chunks are never unmapped. The zero set and zero owner mean "untracked,
+// no owner", so a line is tracked exactly while its set is non-empty and
+// Reset is a clear that keeps every page mapped.
 //
 // # Sharer-set width
 //
-// A holder set is a fixed-width bitset of NumWords() 64-bit words. On
-// machines with at most 64 nodes — every configuration up to the paper's
-// AMD16 and the 64-core presets — the whole set is the inline `holders`
-// word and the directory runs exactly the single-word code it always has:
-// holders == 0 doubles as the empty-slot marker and no extra storage
-// exists. Wider machines (the 128/256-core NUMA presets) spill words 1..w
-// into a flat side array indexed by slot, occupancy switches to an owner
-// sentinel (a word-0-only marker cannot work when a line's only holder is
-// node ≥ 64), and the fan-out paths iterate set words with
-// popcount/trailing-zero scans. Callers on wide directories use the
-// *Words APIs (CopyHolderWords, AcquireExclusiveWords) with caller-owned
-// scratch so the hot paths stay allocation-free at 256 cores.
+// A holder set is a fixed-width bitset of NumWords() 64-bit words: one word
+// on machines with at most 64 nodes (every configuration up to the paper's
+// AMD16 and the 64-core presets), five on the 256-core NUMA preset. One
+// representation serves every width. HolderMask and AcquireExclusive are
+// single-word fast paths; callers on wide directories use the *Words APIs
+// (CopyHolderWords, AcquireExclusiveWords) with caller-owned scratch so the
+// hot paths stay allocation-free at 256 cores.
 package coherence
 
 import (
@@ -63,41 +62,22 @@ const NoOwner Node = -1
 // preset, not an accident.
 const MaxNodes = 512
 
-const (
-	// ownerNone is NoOwner in an entry's compact owner field.
-	ownerNone int16 = -1
-	// ownerEmpty marks an empty slot in a wide (NumWords > 1) table, where
-	// holders == 0 cannot mean "empty": a line held only by node ≥ 64 has
-	// word 0 clear. Narrow tables never store it.
-	ownerEmpty int16 = -2
-)
-
-// entry is the directory's record for one line, stored by value in the
-// open-addressed table. In a narrow (one-word) table, holders == 0 doubles
-// as the empty-slot marker: a tracked line always has at least one holder
-// (the last RemoveSharer or InvalidateExcept deletes the entry), so no
-// separate occupancy bit is needed and line 0 stays a valid key. In a wide
-// table, owner == ownerEmpty marks the empty slot instead.
-type entry struct {
-	line    cache.Line
-	holders uint64 // word 0 of the holder bitset
-	owner   int16  // node holding the line dirty, ownerNone, or ownerEmpty
-}
-
-// dirInitialSlots is the starting table size. Runs at AMD16 scale track a
-// few hundred thousand lines; the table doubles as needed.
-const dirInitialSlots = 1024
+// pageLines is the page table's page size in lines.
+const pageLines = cache.PageLines
 
 // Directory tracks holders of every cached line in the machine.
+//
+// Line l lives in page l/pageLines. A mapped page's chunk c gives l the
+// slot s = c*pageLines + l%pageLines: its holder set is
+// sets[s*nwords : (s+1)*nwords] and its dirty owner is owner[s].
 type Directory struct {
-	nodes   int
-	nwords  int // 64-bit words per holder set
-	extw    int // nwords-1: side-array words per slot (0 ⇒ narrow table)
-	tab     []entry
-	ext     []uint64 // slot i's holder words 1..nwords-1 at [i*extw, (i+1)*extw)
-	mask    uint64   // len(tab)-1; len(tab) is a power of two
-	count   int      // occupied slots
-	maxLoad int      // grow when count reaches this (¾ of the table)
+	nodes  int
+	nwords int // 64-bit words per holder set
+	count  int // lines with a non-empty holder set
+
+	page  []int32  // page → chunk+1; 0 means never mapped
+	sets  []uint64 // holder sets, pageLines*nwords words per chunk
+	owner []int16  // dirty owner+1 per slot; 0 means no dirty copy
 }
 
 // NewDirectory creates a directory for a machine with the given total
@@ -108,26 +88,7 @@ func NewDirectory(nodes int) *Directory {
 	if nodes <= 0 || nodes > MaxNodes {
 		panic(fmt.Sprintf("coherence: %d nodes outside supported range [1,%d]", nodes, MaxNodes))
 	}
-	d := &Directory{
-		nodes:  nodes,
-		nwords: (nodes + 63) / 64,
-	}
-	d.extw = d.nwords - 1
-	d.initTable(dirInitialSlots)
-	return d
-}
-
-func (d *Directory) initTable(slots int) {
-	d.tab = make([]entry, slots)
-	d.mask = uint64(slots - 1)
-	d.maxLoad = slots - slots/4
-	d.count = 0
-	if d.extw != 0 {
-		d.ext = make([]uint64, slots*d.extw)
-		for i := range d.tab {
-			d.tab[i].owner = ownerEmpty
-		}
-	}
+	return &Directory{nodes: nodes, nwords: (nodes + 63) / 64}
 }
 
 // Nodes returns the number of nodes the directory was built for.
@@ -140,18 +101,13 @@ func (d *Directory) NumWords() int { return d.nwords }
 // TrackedLines returns how many lines currently have at least one holder.
 func (d *Directory) TrackedLines() int { return d.count }
 
-// Reset drops every entry while keeping the table's capacity, so a machine
-// flushed between benchmark phases does not regrow the directory from
-// scratch.
+// Reset drops every holder and owner while keeping every page mapped, so a
+// machine flushed between benchmark phases or reused across sweep repeats
+// allocates nothing to track the same lines again.
 func (d *Directory) Reset() {
-	clear(d.tab)
+	clear(d.sets)
+	clear(d.owner)
 	d.count = 0
-	if d.extw != 0 {
-		clear(d.ext)
-		for i := range d.tab {
-			d.tab[i].owner = ownerEmpty
-		}
-	}
 }
 
 func (d *Directory) checkNode(n Node) {
@@ -166,197 +122,74 @@ func panicNarrowOnly(op string) {
 	panic("coherence: " + op + " is single-word; use the *Words API on a >64-node directory")
 }
 
-// hashLine is the fmix64 finalizer: a full-avalanche hash so line numbers,
-// which arrive with strong arithmetic structure (consecutive lines,
-// chip-interleaved strides), spread over the table.
-func hashLine(l cache.Line) uint64 {
-	x := uint64(l)
-	x ^= x >> 33
-	x *= 0xFF51AFD7ED558CCD
-	x ^= x >> 33
-	x *= 0xC4CEB9FE1A85EC53
-	x ^= x >> 33
-	return x
-}
-
-// findSlot returns the table index of l's entry, or -1 when l is
-// untracked. The narrow table checks occupancy on the inline holder word;
-// the wide table on the owner sentinel.
+// slot returns l's slot, or -1 when l's page has never been mapped (and
+// so l has no holders).
 //
 //o2:hotpath
-func (d *Directory) findSlot(l cache.Line) int {
-	i := hashLine(l) & d.mask
-	if d.extw == 0 {
-		for {
-			e := &d.tab[i]
-			if e.holders == 0 {
-				return -1
-			}
-			if e.line == l {
-				return int(i)
-			}
-			i = (i + 1) & d.mask
-		}
+func (d *Directory) slot(l cache.Line) int {
+	p := uint64(l) / pageLines
+	if p >= uint64(len(d.page)) {
+		return -1
 	}
-	for {
-		e := &d.tab[i]
-		if e.owner == ownerEmpty {
-			return -1
-		}
-		if e.line == l {
-			return int(i)
-		}
-		i = (i + 1) & d.mask
+	c := int(d.page[p])
+	if c == 0 {
+		return -1
 	}
+	return (c-1)*pageLines + int(uint64(l)%pageLines)
 }
 
-// find returns a pointer to l's entry, or nil when l is untracked.
+// ensureSlot returns l's slot, mapping its page first if needed.
 //
 //o2:hotpath
-func (d *Directory) find(l cache.Line) *entry {
-	if i := d.findSlot(l); i >= 0 {
-		return &d.tab[i]
+func (d *Directory) ensureSlot(l cache.Line) int {
+	if s := d.slot(l); s >= 0 {
+		return s
 	}
-	return nil
+	return d.mapPage(l)
 }
 
-// ensureIdx returns the slot index of l's entry, claiming an empty slot
-// when the line is untracked. In a narrow table the caller must set at
-// least one holder bit before the next table operation (holders == 0 marks
-// an empty slot); a wide table is occupied the moment the slot is claimed
-// (owner leaves ownerEmpty), and the caller must still add a holder or the
-// entry leaks.
+// mapPage gives l's page a fresh, zeroed chunk and returns l's slot in it.
+func (d *Directory) mapPage(l cache.Line) int {
+	p := int(uint64(l) / pageLines)
+	if p >= len(d.page) {
+		d.page = extend(d.page, p+1)
+	}
+	c := len(d.owner) / pageLines
+	d.owner = extend(d.owner, (c+1)*pageLines)
+	d.sets = extend(d.sets, (c+1)*pageLines*d.nwords)
+	d.page[p] = int32(c + 1)
+	return c*pageLines + int(uint64(l)%pageLines)
+}
+
+// extend returns s lengthened to n elements; the new ones are zero. A
+// reallocation at least doubles the capacity: append grows large slices
+// by ~1.25x, which allocates and copies a growing pool about five times
+// over on its way up, against twice with doubling.
+func extend[T any](s []T, n int) []T {
+	if n > cap(s) {
+		t := make([]T, len(s), max(n, 2*cap(s)))
+		copy(t, s)
+		s = t
+	}
+	// Nothing is ever written past len, so the exposed tail is zero.
+	return s[:n]
+}
+
+// set returns slot s's holder words.
 //
 //o2:hotpath
-func (d *Directory) ensureIdx(l cache.Line) int {
-	if d.count >= d.maxLoad {
-		d.grow()
-	}
-	i := hashLine(l) & d.mask
-	if d.extw == 0 {
-		for {
-			e := &d.tab[i]
-			if e.holders == 0 {
-				e.line = l
-				e.owner = ownerNone
-				d.count++
-				return int(i)
-			}
-			if e.line == l {
-				return int(i)
-			}
-			i = (i + 1) & d.mask
-		}
-	}
-	for {
-		e := &d.tab[i]
-		if e.owner == ownerEmpty {
-			e.line = l
-			e.owner = ownerNone
-			d.count++
-			return int(i)
-		}
-		if e.line == l {
-			return int(i)
-		}
-		i = (i + 1) & d.mask
-	}
+func (d *Directory) set(s int) []uint64 {
+	return d.sets[s*d.nwords : (s+1)*d.nwords]
 }
 
-// ensure returns l's entry, claiming an empty slot when the line is
-// untracked; see ensureIdx for the occupancy contract.
-//
-//o2:hotpath
-func (d *Directory) ensure(l cache.Line) *entry {
-	return &d.tab[d.ensureIdx(l)]
-}
-
-// occupied reports whether slot i holds a live entry.
-func (d *Directory) occupied(i uint64) bool {
-	if d.extw == 0 {
-		return d.tab[i].holders != 0
-	}
-	return d.tab[i].owner != ownerEmpty
-}
-
-// extAt returns slot i's side words (wide tables only).
-func (d *Directory) extAt(i uint64) []uint64 {
-	return d.ext[i*uint64(d.extw) : (i+1)*uint64(d.extw)]
-}
-
-// clearSlot empties slot i, including its side words.
-func (d *Directory) clearSlot(i uint64) {
-	d.tab[i] = entry{}
-	if d.extw != 0 {
-		d.tab[i].owner = ownerEmpty
-		clear(d.extAt(i))
-	}
-}
-
-// empty reports whether the whole holder set of slot i is zero.
-func (d *Directory) empty(i uint64) bool {
-	if d.tab[i].holders != 0 {
-		return false
-	}
-	if d.extw != 0 {
-		for _, w := range d.extAt(i) {
-			if w != 0 {
-				return false
-			}
+// empty reports whether a holder set has no bits.
+func empty(set []uint64) bool {
+	for _, w := range set {
+		if w != 0 {
+			return false
 		}
 	}
 	return true
-}
-
-func (d *Directory) grow() {
-	old := d.tab
-	oldExt := d.ext
-	oldExtw := uint64(d.extw)
-	d.initTable(len(old) * 2)
-	for i := range old {
-		if oldExtw == 0 {
-			if old[i].holders == 0 {
-				continue
-			}
-		} else if old[i].owner == ownerEmpty {
-			continue
-		}
-		j := hashLine(old[i].line) & d.mask
-		for d.occupied(j) {
-			j = (j + 1) & d.mask
-		}
-		d.tab[j] = old[i]
-		if oldExtw != 0 {
-			copy(d.extAt(j), oldExt[uint64(i)*oldExtw:(uint64(i)+1)*oldExtw])
-		}
-		d.count++
-	}
-}
-
-// deleteAt removes the entry at slot i, backward-shifting any displaced
-// entries in its probe run so later probes never traverse tombstones
-// (Knuth vol. 3, algorithm R). Side words shift with their entries.
-func (d *Directory) deleteAt(i uint64) {
-	d.count--
-	j := i
-	for {
-		j = (j + 1) & d.mask
-		if !d.occupied(j) {
-			break
-		}
-		e := d.tab[j]
-		k := hashLine(e.line) & d.mask
-		// Shift e back into the hole when its home slot k precedes the
-		// hole cyclically — i.e. the hole sits inside e's probe path.
-		if (j > i && (k <= i || k > j)) || (j < i && k <= i && k > j) {
-			d.tab[i] = e
-			if d.extw != 0 {
-				copy(d.extAt(i), d.extAt(j))
-			}
-			i = j
-		}
-	}
-	d.clearSlot(i)
 }
 
 // wordBit splits a node into its set-word index and bit.
@@ -364,74 +197,52 @@ func wordBit(n Node) (w int, bit uint64) {
 	return int(n) >> 6, 1 << (uint(n) & 63)
 }
 
-// setBit sets node n's bit in slot i's holder set.
-func (d *Directory) setBit(i int, n Node) {
-	w, bit := wordBit(n)
-	if w == 0 {
-		d.tab[i].holders |= bit
-	} else {
-		d.ext[i*d.extw+w-1] |= bit
+// addBit sets node n's bit in slot s's holder set, counting the line as
+// tracked if the set was empty.
+func (d *Directory) addBit(s int, n Node) {
+	set := d.set(s)
+	if empty(set) {
+		d.count++
 	}
-}
-
-// clearBit clears node n's bit in slot i's holder set and reports whether
-// the bit was set.
-func (d *Directory) clearBit(i int, n Node) bool {
 	w, bit := wordBit(n)
-	var p *uint64
-	if w == 0 {
-		p = &d.tab[i].holders
-	} else {
-		p = &d.ext[i*d.extw+w-1]
-	}
-	was := *p&bit != 0
-	*p &^= bit
-	return was
-}
-
-// hasBit reports whether node n holds the line at slot i.
-func (d *Directory) hasBit(i int, n Node) bool {
-	w, bit := wordBit(n)
-	if w == 0 {
-		return d.tab[i].holders&bit != 0
-	}
-	return d.ext[i*d.extw+w-1]&bit != 0
+	set[w] |= bit
 }
 
 // AddSharer records that node now holds a clean copy of line.
 func (d *Directory) AddSharer(l cache.Line, n Node) {
 	d.checkNode(n)
-	if d.extw == 0 {
-		d.ensure(l).holders |= 1 << uint(n)
-		return
-	}
-	d.setBit(d.ensureIdx(l), n)
+	d.addBit(d.ensureSlot(l), n)
 }
 
 // SetOwner records that node holds line dirty (Modified). Any previous
 // owner mark is replaced; the node is also recorded as a holder.
 func (d *Directory) SetOwner(l cache.Line, n Node) {
 	d.checkNode(n)
-	i := d.ensureIdx(l)
-	d.setBit(i, n)
-	d.tab[i].owner = int16(n)
+	s := d.ensureSlot(l)
+	d.addBit(s, n)
+	d.owner[s] = int16(n) + 1
 }
 
 // RemoveSharer records that node no longer holds line (eviction or
-// invalidation). When the last holder disappears the entry is dropped —
-// the line lives only in DRAM.
+// invalidation). When the last holder disappears the line is untracked —
+// it lives only in DRAM.
 func (d *Directory) RemoveSharer(l cache.Line, n Node) {
 	d.checkNode(n)
-	i := d.findSlot(l)
-	if i < 0 {
+	s := d.slot(l)
+	if s < 0 {
 		return
 	}
-	d.clearBit(i, n)
-	if d.tab[i].owner == int16(n) {
-		d.tab[i].owner = ownerNone
+	set := d.set(s)
+	w, bit := wordBit(n)
+	if set[w]&bit == 0 {
+		return
 	}
-	if d.empty(uint64(i)) {
-		d.deleteAt(uint64(i))
+	set[w] &^= bit
+	if d.owner[s] == int16(n)+1 {
+		d.owner[s] = 0
+	}
+	if empty(set) {
+		d.count--
 	}
 }
 
@@ -440,18 +251,20 @@ func (d *Directory) RemoveSharer(l cache.Line, n Node) {
 func (d *Directory) MoveSharer(l cache.Line, from, to Node) {
 	d.checkNode(from)
 	d.checkNode(to)
-	i := d.findSlot(l)
-	if i < 0 || !d.hasBit(i, from) {
+	s := d.slot(l)
+	fw, fbit := wordBit(from)
+	if s < 0 || d.set(s)[fw]&fbit == 0 {
 		// Nothing to move; treat as a plain add so callers need not
 		// special-case races between eviction paths.
 		d.AddSharer(l, to)
 		return
 	}
-	wasOwner := d.tab[i].owner == int16(from)
-	d.clearBit(i, from)
-	d.setBit(i, to)
-	if wasOwner {
-		d.tab[i].owner = int16(to)
+	set := d.set(s)
+	tw, tbit := wordBit(to)
+	set[fw] &^= fbit
+	set[tw] |= tbit
+	if d.owner[s] == int16(from)+1 {
+		d.owner[s] = int16(to) + 1
 	}
 }
 
@@ -459,19 +272,19 @@ func (d *Directory) MoveSharer(l cache.Line, from, to Node) {
 // is freshly allocated; the hot paths use HolderMask or CopyHolderWords
 // instead.
 func (d *Directory) Holders(l cache.Line) []Node {
-	i := d.findSlot(l)
-	if i < 0 {
+	n := d.SharerCount(l)
+	if n == 0 {
 		return nil
 	}
-	out := make([]Node, 0, d.sharerCountAt(i))
-	out = d.appendWord(out, d.tab[i].holders, 0)
-	for w := 0; w < d.extw; w++ {
-		out = d.appendWord(out, d.ext[i*d.extw+w], (w+1)*64)
+	out := make([]Node, 0, n)
+	for w, x := range d.set(d.slot(l)) {
+		out = appendWord(out, x, w*64)
 	}
 	return out
 }
 
-func (d *Directory) appendWord(dst []Node, m uint64, base int) []Node {
+// appendWord appends the nodes of holder word m, whose first node is base.
+func appendWord(dst []Node, m uint64, base int) []Node {
 	for m != 0 {
 		n := bits.TrailingZeros64(m)
 		dst = append(dst, Node(base+n))
@@ -486,14 +299,14 @@ func (d *Directory) appendWord(dst []Node, m uint64, base int) []Node {
 //
 //o2:hotpath
 func (d *Directory) HolderMask(l cache.Line) uint64 {
-	if d.extw != 0 {
+	if d.nwords != 1 {
 		panicNarrowOnly("HolderMask")
 	}
-	e := d.find(l)
-	if e == nil {
+	s := d.slot(l)
+	if s < 0 {
 		return 0
 	}
-	return e.holders
+	return d.sets[s]
 }
 
 // CopyHolderWords copies line's holder set into dst, which must have at
@@ -504,21 +317,14 @@ func (d *Directory) HolderMask(l cache.Line) uint64 {
 //
 //o2:hotpath
 func (d *Directory) CopyHolderWords(l cache.Line, dst []uint64) bool {
-	i := d.findSlot(l)
-	if i < 0 {
-		for w := 0; w < d.nwords; w++ {
-			dst[w] = 0
-		}
+	dst = dst[:d.nwords]
+	s := d.slot(l)
+	if s < 0 {
+		clear(dst)
 		return false
 	}
-	dst[0] = d.tab[i].holders
-	any := dst[0] != 0
-	for w := 0; w < d.extw; w++ {
-		x := d.ext[i*d.extw+w]
-		dst[w+1] = x
-		any = any || x != 0
-	}
-	return any
+	copy(dst, d.set(s))
+	return !empty(dst)
 }
 
 // HasHolders reports whether any node holds line. Unlike HolderMask it is
@@ -526,42 +332,48 @@ func (d *Directory) CopyHolderWords(l cache.Line, dst []uint64) bool {
 //
 //o2:hotpath
 func (d *Directory) HasHolders(l cache.Line) bool {
-	return d.findSlot(l) >= 0
+	s := d.slot(l)
+	return s >= 0 && !empty(d.set(s))
 }
 
 // Holds reports whether node holds line.
 func (d *Directory) Holds(l cache.Line, n Node) bool {
 	d.checkNode(n)
-	i := d.findSlot(l)
-	return i >= 0 && d.hasBit(i, n)
+	s := d.slot(l)
+	w, bit := wordBit(n)
+	return s >= 0 && d.set(s)[w]&bit != 0
 }
 
 // Owner returns the node holding line dirty, or NoOwner.
 func (d *Directory) Owner(l cache.Line) Node {
-	e := d.find(l)
-	if e == nil {
+	s := d.slot(l)
+	if s < 0 {
 		return NoOwner
 	}
-	return Node(e.owner)
+	return Node(d.owner[s]) - 1
 }
 
 // AcquireExclusive makes keep the sole holder and dirty owner of line in a
-// single table probe — InvalidateExcept followed by SetOwner, fused for
-// the store path — and returns the bitmask of nodes that lost their
-// copies. The common case (keep already the sole owner) touches one entry
-// and allocates nothing. Narrow directories only; the wide store path is
+// single lookup — InvalidateExcept followed by SetOwner, fused for the
+// store path — and returns the bitmask of nodes that lost their copies.
+// It allocates nothing. Narrow directories only; the wide store path is
 // AcquireExclusiveWords.
 //
 //o2:hotpath
 func (d *Directory) AcquireExclusive(l cache.Line, keep Node) (invalidated uint64) {
-	if d.extw != 0 {
+	if d.nwords != 1 {
 		panicNarrowOnly("AcquireExclusive")
 	}
 	d.checkNode(keep)
-	e := d.ensure(l)
-	invalidated = e.holders &^ (1 << uint(keep))
-	e.holders = 1 << uint(keep)
-	e.owner = int16(keep)
+	s := d.ensureSlot(l)
+	h := &d.sets[s]
+	if *h == 0 {
+		d.count++
+	}
+	bit := uint64(1) << uint(keep)
+	invalidated = *h &^ bit
+	*h = bit
+	d.owner[s] = int16(keep) + 1
 	return invalidated
 }
 
@@ -574,31 +386,19 @@ func (d *Directory) AcquireExclusive(l cache.Line, keep Node) (invalidated uint6
 //o2:hotpath
 func (d *Directory) AcquireExclusiveWords(l cache.Line, keep Node, inv []uint64) bool {
 	d.checkNode(keep)
-	i := d.ensureIdx(l)
+	s := d.ensureSlot(l)
+	set := d.set(s)
+	inv = inv[:len(set)]
 	kw, kbit := wordBit(keep)
-	e := &d.tab[i]
-	w0 := e.holders
-	if kw == 0 {
-		w0 &^= kbit
-		e.holders = kbit
-	} else {
-		e.holders = 0
+	copy(inv, set)
+	if empty(set) {
+		d.count++
 	}
-	inv[0] = w0
-	any := w0 != 0
-	for w := 0; w < d.extw; w++ {
-		x := d.ext[i*d.extw+w]
-		if w+1 == kw {
-			x &^= kbit
-			d.ext[i*d.extw+w] = kbit
-		} else {
-			d.ext[i*d.extw+w] = 0
-		}
-		inv[w+1] = x
-		any = any || x != 0
-	}
-	e.owner = int16(keep)
-	return any
+	clear(set)
+	set[kw] = kbit
+	inv[kw] &^= kbit
+	d.owner[s] = int16(keep) + 1
+	return !empty(inv)
 }
 
 // InvalidateExcept removes every holder of line other than keep and returns
@@ -606,50 +406,40 @@ func (d *Directory) AcquireExclusiveWords(l cache.Line, keep Node, inv []uint64)
 // write path: a store must make the writer the sole holder.
 func (d *Directory) InvalidateExcept(l cache.Line, keep Node) []Node {
 	d.checkNode(keep)
-	i := d.findSlot(l)
-	if i < 0 {
+	s := d.slot(l)
+	if s < 0 {
 		return nil
 	}
+	set := d.set(s)
 	kw, kbit := wordBit(keep)
+	kept := set[kw] & kbit
 	var out []Node
-	w0 := d.tab[i].holders
-	keepMask0 := uint64(0)
-	if kw == 0 {
-		keepMask0 = w0 & kbit
-	}
-	out = d.appendWord(out, w0&^keepMask0, 0)
-	d.tab[i].holders = keepMask0
-	for w := 0; w < d.extw; w++ {
-		x := d.ext[i*d.extw+w]
-		keepMask := uint64(0)
-		if w+1 == kw {
-			keepMask = x & kbit
+	for w, x := range set {
+		if w == kw {
+			x &^= kbit
 		}
-		out = d.appendWord(out, x&^keepMask, (w+1)*64)
-		d.ext[i*d.extw+w] = keepMask
+		out = appendWord(out, x, w*64)
+		set[w] = 0
 	}
-	if d.tab[i].owner != int16(keep) {
-		d.tab[i].owner = ownerNone
+	set[kw] = kept
+	if d.owner[s] != int16(keep)+1 {
+		d.owner[s] = 0
 	}
-	if d.empty(uint64(i)) {
-		d.deleteAt(uint64(i))
+	if kept == 0 && len(out) > 0 {
+		d.count--
 	}
 	return out
 }
 
 // SharerCount returns the number of holders of line.
 func (d *Directory) SharerCount(l cache.Line) int {
-	i := d.findSlot(l)
-	if i < 0 {
+	s := d.slot(l)
+	if s < 0 {
 		return 0
 	}
-	return d.sharerCountAt(i)
-}
-
-func (d *Directory) sharerCountAt(i int) int {
-	n := bits.OnesCount64(d.tab[i].holders)
-	for w := 0; w < d.extw; w++ {
-		n += bits.OnesCount64(d.ext[i*d.extw+w])
+	n := 0
+	for _, x := range d.set(s) {
+		n += bits.OnesCount64(x)
 	}
 	return n
 }

@@ -8,10 +8,10 @@ import (
 	"repro/internal/stats"
 )
 
-// These tests pin the directory's observable semantics ahead of (and
-// through) the open-addressed table rewrite: any change to sharer
-// bookkeeping, invalidation fan-out, dirty-owner transfer, or replicated
-// read-only lines shows up here before it can disturb simulation results.
+// These tests pin the directory's observable semantics through any change
+// of its storage: any change to sharer bookkeeping, invalidation fan-out,
+// dirty-owner transfer, or replicated read-only lines shows up here
+// before it can disturb simulation results.
 
 // dirOp is one scripted directory operation for the table-driven tests.
 type dirOp struct {
@@ -273,9 +273,9 @@ func TestReplicatedReadOnlyLines(t *testing.T) {
 }
 
 // TestDirectoryMatchesModel drives the directory and a map-based reference
-// model through a long random schedule over enough distinct lines to force
-// table growth and deletion-heavy churn, then checks full agreement. This
-// is the heavyweight pin for the open-addressed rewrite.
+// model through a long, deletion-heavy random schedule over 64 pages of
+// lines, then checks full agreement. FuzzDirectory explores the same
+// comparison from arbitrary operation streams.
 func TestDirectoryMatchesModel(t *testing.T) {
 	const (
 		nodes  = 20

@@ -8,11 +8,11 @@ import (
 	"repro/internal/stats"
 )
 
-// These tests pin the multi-word sharer-set extension: directories wider
-// than 64 nodes must implement exactly the semantics the single-word table
-// always had, and the narrow table must be bit-for-bit unaffected by the
-// rewrite (the ≤64-node code path is the one every existing golden runs
-// through).
+// These tests pin the multi-word sharer sets: directories wider than 64
+// nodes must implement exactly the semantics of a one-word directory, and
+// the single-word fast paths (HolderMask, AcquireExclusive) must agree
+// with the word APIs (the ≤64-node machines every existing golden runs on
+// use them).
 
 // wideRef is the map-based reference model for a directory of any width.
 type wideRef struct {
@@ -26,8 +26,8 @@ func newWideRef() *wideRef {
 
 // TestWideDirectoryMatchesModel drives a 288-node directory (the NUMA256
 // machine's node count) and a reference model through a deletion-heavy
-// random schedule, crossing table growth, then checks full agreement
-// through every read API including the word-based ones.
+// random schedule over 64 pages, then checks full agreement through every
+// read API including the word-based ones.
 func TestWideDirectoryMatchesModel(t *testing.T) {
 	const (
 		nodes  = 288
@@ -164,9 +164,8 @@ func TestWideDirectoryMatchesModel(t *testing.T) {
 // TestWideMatchesNarrow runs one random schedule over nodes < 64 against
 // both a narrow (64-node) and a wide (80-node) directory and demands
 // identical observable state throughout, including identical invalidation
-// sets from the two store-path APIs. This is the model-parity pin for the
-// rewrite: configurations that fit one word must behave exactly as the
-// single-word implementation did.
+// sets from the two store-path APIs: configurations that fit one word
+// must behave the same whatever the set width.
 func TestWideMatchesNarrow(t *testing.T) {
 	const (
 		nodes  = 60
@@ -232,9 +231,10 @@ func TestWideMatchesNarrow(t *testing.T) {
 	}
 }
 
-// TestWideReset proves Reset restores a wide table to pristine state: the
-// owner sentinels and side words must all be re-armed or later probes
-// would resurrect stale holder bits.
+// TestWideReset proves Reset restores a wide directory to pristine state:
+// every holder word, owner and the tracked-line count must be cleared
+// while the pages stay mapped, or a later lookup would resurrect stale
+// holder bits.
 func TestWideReset(t *testing.T) {
 	d := NewDirectory(100)
 	for i := 0; i < 5000; i++ {
@@ -249,10 +249,10 @@ func TestWideReset(t *testing.T) {
 			t.Fatalf("line %d still tracked after Reset", i)
 		}
 	}
-	// The table must be immediately reusable with clean semantics.
+	// The directory must be immediately reusable with clean semantics.
 	d.SetOwner(7, 99)
 	if d.SharerCount(7) != 1 || d.Owner(7) != 99 {
-		t.Fatal("Reset left the table unusable")
+		t.Fatal("Reset left the directory unusable")
 	}
 }
 

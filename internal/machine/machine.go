@@ -565,7 +565,9 @@ func (m *Machine) Reset() {
 //  1. directory ↔ cache agreement: node n holds line l in the directory
 //     iff l is resident in n's cache(s);
 //  2. inclusion: every L1 line is also in the same core's L2;
-//  3. owner validity: a line's dirty owner is one of its holders.
+//  3. owner validity: a line's dirty owner is one of its holders;
+//  4. count conservation: the directory tracks exactly the distinct
+//     resident lines.
 //
 // It is called from tests after simulations; it is not on the hot path.
 func (m *Machine) CheckInvariants() error {
@@ -598,8 +600,11 @@ func (m *Machine) CheckInvariants() error {
 }
 
 // checkDirectoryBacked walks all resident lines and confirms each directory
-// holder bit is backed by a real resident line. The residency scan reuses
-// the machine's line scratch (sorted and deduplicated in place) instead of
+// holder bit is backed by a real resident line, and that the directory's
+// tracked-line count equals the number of distinct resident lines (with
+// the per-node checks above, this rules out a tracked line no cache holds
+// and drift in the directory's count). The residency scan reuses the
+// machine's line scratch (sorted and deduplicated in place) instead of
 // building a fresh map per call.
 func (m *Machine) checkDirectoryBacked() error {
 	ncores := m.cfg.NumCores()
@@ -613,6 +618,9 @@ func (m *Machine) checkDirectoryBacked() error {
 	slices.Sort(lines)
 	lines = slices.Compact(lines)
 	m.scratchLines = lines
+	if n := m.dir.TrackedLines(); n != len(lines) {
+		return fmt.Errorf("machine: directory tracks %d lines but %d distinct lines are resident", n, len(lines))
+	}
 	for _, l := range lines {
 		for _, n := range m.dir.Holders(l) {
 			var resident bool

@@ -7,6 +7,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -90,6 +91,53 @@ func TestWideMachineCoherence(t *testing.T) {
 	}
 	if got := m.Counters().Total().Invalidations; got != uint64(m.NumCores()-1) {
 		t.Fatalf("Invalidations = %d, want %d", got, m.NumCores()-1)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWideMachineInvariantsUnderTraffic runs random load/store traffic on
+// a 256-core machine and ends in CheckInvariants, whose count check holds
+// the wide directory's tracked-line count to the distinct resident lines.
+// Most traffic comes from chip 0's cores over 32 MB, well past their L2s
+// plus L3, so L2 victims move into the L3 and L3 victims are written
+// back. Cores on both sides of the holder set's 64-node word boundary and
+// on the last chip add more; the rest is every core sharing, and storing
+// to, a small hot region, so holder sets span all five words and stores
+// collapse them.
+func TestWideMachineInvariantsUnderTraffic(t *testing.T) {
+	m, err := New(topology.NUMA256(), 32<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	others := []int{60, 63, 64, 67, 248, 255}
+	rng := stats.NewRNG(0x256)
+	var at sim.Time
+	for i := 0; i < 500_000; i++ {
+		var core int
+		addr := mem.Addr(rng.Intn(32 << 20))
+		switch r := rng.Intn(10); {
+		case r < 8:
+			core = rng.Intn(8) // chip 0
+		case r < 9:
+			core = others[rng.Intn(len(others))]
+		default:
+			core = rng.Intn(m.NumCores())
+			addr = mem.Addr(rng.Intn(64 << 10))
+		}
+		at += m.Access(core, addr, rng.Intn(4) == 0, at)
+	}
+	// A chip-0 core's L2 misses bound its L2 evictions (each miss installs
+	// one line), so evictions beyond them are L3 writebacks it caused.
+	var evictions, l2Misses uint64
+	for core := 0; core < 8; core++ {
+		c := m.Counters().Snapshot(core)
+		evictions += c.Evictions
+		l2Misses += c.L2Miss
+	}
+	if evictions <= l2Misses {
+		t.Fatalf("chip 0: %d evictions for %d L2 misses; the L3 writeback path went unexercised", evictions, l2Misses)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
