@@ -119,8 +119,9 @@ func TestClear(t *testing.T) {
 
 func TestCapacityNeverExceeded(t *testing.T) {
 	// Property: under arbitrary insert/lookup/remove traffic the cache
-	// never exceeds capacity and set occupancy never exceeds
-	// associativity.
+	// never exceeds capacity, and every set keeps its layout: occupied
+	// ways contiguous at the MRU end, no line twice, and Len equal to
+	// the occupied ways.
 	f := func(ops []uint16) bool {
 		c := tiny()
 		for _, op := range ops {
@@ -137,12 +138,7 @@ func TestCapacityNeverExceeded(t *testing.T) {
 				return false
 			}
 		}
-		for _, set := range c.sets {
-			if len(set) > c.geom.Assoc {
-				return false
-			}
-		}
-		return true
+		return layoutOK(c)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -213,4 +209,28 @@ func TestInvalidGeometryPanics(t *testing.T) {
 		}
 	}()
 	New(topology.CacheGeom{Size: 100, LineSize: 64, Assoc: 2})
+}
+
+// layoutOK reports whether every set of c keeps its empty ways at the LRU
+// end and holds no line twice, and whether Len counts the occupied ways.
+func layoutOK(c *Cache) bool {
+	occupied := 0
+	for s := 0; s < len(c.ways); s += c.assoc {
+		set := c.ways[s : s+c.assoc]
+		seen := make(map[entry]bool)
+		for i, e := range set {
+			if e == 0 {
+				if i > 0 && set[i-1] != 0 {
+					return false // an empty way above an occupied one
+				}
+				continue
+			}
+			if seen[e&^entryDirty] {
+				return false
+			}
+			seen[e&^entryDirty] = true
+			occupied++
+		}
+	}
+	return occupied == c.count
 }

@@ -94,6 +94,12 @@ func NewWithMemLimit(cfg topology.Config, memBytes, memLimit int) (*Machine, err
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if lines := uint64(memLimit) / uint64(cfg.L1.LineSize); lines > cache.MaxLines {
+		// A cache way names at most cache.MaxLines lines; a larger
+		// image would hand the caches lines they cannot hold.
+		return nil, fmt.Errorf("machine: memory limit %d B is %d lines, beyond the %d a cache way can hold",
+			memLimit, lines, cache.MaxLines)
+	}
 	n := cfg.NumCores()
 	if nodes := n + cfg.Chips; nodes > coherence.MaxNodes {
 		// Fail loudly here rather than panicking inside the directory:
@@ -216,7 +222,8 @@ func (m *Machine) homeChip(l cache.Line) int { return int(uint64(l) % uint64(m.c
 // returns its latency. `at` is the simulated time the access issues;
 // callers performing batched scans pass at + (latency accumulated so far).
 func (m *Machine) Access(core int, addr mem.Addr, write bool, at sim.Time) sim.Cycles {
-	return m.accessLine(core, cache.LineOf(addr, m.lineSize), write, at)
+	l := cache.LineOf(addr, m.lineSize)
+	return m.lineAccess(core, l, cache.IndexOf(l), write, at, m.ctr.Core(core), m.l1[core])
 }
 
 // Load charges a read of [addr, addr+size) and returns its total latency.
@@ -233,8 +240,9 @@ func (m *Machine) Store(core int, addr mem.Addr, size int, at sim.Time) sim.Cycl
 // AccessRange charges an access to every line overlapping
 // [addr, addr+size), serialized, and returns the total latency. This is
 // the line-batched entry point the execution substrate's cost batches
-// drive: per-core state (counters, L1) is resolved once per range, not
-// once per line, and the whole common case allocates nothing.
+// drive: per-core state (counters, L1) is resolved once per range and
+// the set-index page hash once per page, not once per line, and the whole
+// common case allocates nothing.
 //
 //o2:hotpath
 func (m *Machine) AccessRange(core int, addr mem.Addr, size int, write bool, at sim.Time) sim.Cycles {
@@ -245,39 +253,38 @@ func (m *Machine) AccessRange(core int, addr mem.Addr, size int, write bool, at 
 	last := cache.LineOf(addr+mem.Addr(size-1), m.lineSize)
 	c := m.ctr.Core(core)
 	l1 := m.l1[core]
+	page := cache.PageIndex(first)
 	var total sim.Cycles
 	for l := first; l <= last; l++ {
-		total += m.lineAccess(core, l, write, at+total, c, l1)
+		if l%cache.PageLines == 0 {
+			page = cache.PageIndex(l)
+		}
+		total += m.lineAccess(core, l, page|cache.Index(l%cache.PageLines), write, at+total, c, l1)
 	}
 	return total
 }
 
-// accessLine is one core touching one line, resolving the per-core state
-// lineAccess wants hoisted.
-func (m *Machine) accessLine(core int, l cache.Line, write bool, at sim.Time) sim.Cycles {
-	return m.lineAccess(core, l, write, at, m.ctr.Core(core), m.l1[core])
-}
-
 // lineAccess is the heart of the model: one core touching one line, with
-// the core's counter file and L1 already resolved (AccessRange hoists
-// them out of its per-line loop). The common case — an L1 hit — completes
-// here without touching the directory (loads) or allocating (loads and
-// stores); everything else drops into missLine, the out-of-line slow
-// path.
+// the line's set Index, the core's counter file and L1 already resolved
+// (AccessRange hoists them out of its per-line loop). Every L1 and L2
+// probe and install below reuses idx. The common case — an L1 hit —
+// completes here without touching the directory (loads) or allocating
+// (loads and stores); everything else drops into missLine, the
+// out-of-line slow path.
 //
 //o2:hotpath
-func (m *Machine) lineAccess(core int, l cache.Line, write bool, at sim.Time, c *perfctr.Counters, l1 *cache.Cache) sim.Cycles {
+func (m *Machine) lineAccess(core int, l cache.Line, idx cache.Index, write bool, at sim.Time, c *perfctr.Counters, l1 *cache.Cache) sim.Cycles {
 	if write {
 		c.Stores++
 	} else {
 		c.Loads++
 	}
 	var lat sim.Cycles
-	if l1.Lookup(l) {
-		lat = m.l1HitTail(core, l, write, c)
+	if l1.LookupAt(l, idx) {
+		lat = m.l1HitTail(core, l, idx, write, c)
 	} else {
 		c.L1Miss++
-		lat = m.missLine(core, l, write, at, c)
+		lat = m.missLine(core, l, idx, write, at, c)
 	}
 	c.StallCycles += uint64(lat)
 	return lat
@@ -287,8 +294,8 @@ func (m *Machine) lineAccess(core int, l cache.Line, write bool, at sim.Time, c 
 // (inclusive hierarchy) and, for stores, acquire exclusive ownership.
 //
 //o2:hotpath
-func (m *Machine) l1HitTail(core int, l cache.Line, write bool, c *perfctr.Counters) sim.Cycles {
-	m.l2[core].Lookup(l)
+func (m *Machine) l1HitTail(core int, l cache.Line, idx cache.Index, write bool, c *perfctr.Counters) sim.Cycles {
+	m.l2[core].LookupAt(l, idx)
 	lat := m.cfg.Lat.L1Hit
 	if write {
 		lat += m.acquireOwnership(core, l, c)
@@ -298,10 +305,10 @@ func (m *Machine) l1HitTail(core int, l cache.Line, write bool, c *perfctr.Count
 
 // missLine services an access that missed L1: the rest of the local
 // hierarchy, then remote caches or DRAM, then write ownership.
-func (m *Machine) missLine(core int, l cache.Line, write bool, at sim.Time, c *perfctr.Counters) sim.Cycles {
-	lat, ok := m.lookupShared(core, l, c)
+func (m *Machine) missLine(core int, l cache.Line, idx cache.Index, write bool, at sim.Time, c *perfctr.Counters) sim.Cycles {
+	lat, ok := m.lookupShared(core, l, idx, c)
 	if !ok {
-		lat = m.fetchMiss(core, l, write, at, c)
+		lat = m.fetchMiss(core, l, idx, at, c)
 	}
 	if write {
 		lat += m.acquireOwnership(core, l, c)
@@ -310,22 +317,27 @@ func (m *Machine) missLine(core int, l cache.Line, write bool, at sim.Time, c *p
 }
 
 // lookupShared checks the core's L2 and the chip's shared L3 after an L1
-// miss.
-func (m *Machine) lookupShared(core int, l cache.Line, c *perfctr.Counters) (sim.Cycles, bool) {
-	if m.l2[core].Lookup(l) {
+// miss. The 32-way L3 is scanned only when the directory says the chip's
+// L3 holds the line: an L2 miss goes on to probe the directory anyway
+// (here or in fetchMiss), so the gate costs no extra host miss. The L2
+// lookup stays ungated: most L1 misses hit L2, and an L2 hit never
+// touched the directory before, so gating it measured slower.
+func (m *Machine) lookupShared(core int, l cache.Line, idx cache.Index, c *perfctr.Counters) (sim.Cycles, bool) {
+	if m.l2[core].LookupAt(l, idx) {
 		c.L2Loads++
-		m.installL1(core, l)
+		m.installL1(core, l, idx)
 		return m.cfg.Lat.L2Hit, true
 	}
 	c.L2Miss++
 	chip := m.chipOf[core]
-	if wasDirty, hit := m.l3[chip].Remove(l); hit {
+	if l3node := m.l3Node(chip); m.dir.Holds(l, l3node) {
 		// Exclusive victim L3: a hit promotes the line back into the
 		// core's private hierarchy and removes it from L3. Remove probes
 		// and invalidates in one scan.
-		m.dir.RemoveSharer(l, m.l3Node(chip))
+		wasDirty, _ := m.l3[chip].Remove(l)
+		m.dir.RemoveSharer(l, l3node)
 		c.L3Loads++
-		m.installCore(core, l, wasDirty)
+		m.installCore(core, l, idx, wasDirty)
 		return m.cfg.Lat.L3Hit, true
 	}
 	c.L3Miss++
@@ -339,7 +351,7 @@ func (m *Machine) lookupShared(core int, l cache.Line, c *perfctr.Counters) (sim
 // bandwidth, not distance, is the cost.
 //
 //o2:hotpath
-func (m *Machine) fetchMiss(core int, l cache.Line, write bool, at sim.Time, c *perfctr.Counters) sim.Cycles {
+func (m *Machine) fetchMiss(core int, l cache.Line, idx cache.Index, at sim.Time, c *perfctr.Counters) sim.Cycles {
 	myChip := m.chipOf[core]
 	var lat sim.Cycles
 	if srcChip, found := m.nearestHolderChip(core, l); found {
@@ -366,7 +378,7 @@ func (m *Machine) fetchMiss(core int, l cache.Line, write bool, at sim.Time, c *
 			c.LinkQueueCycles += uint64(lq)
 		}
 	}
-	m.installCore(core, l, false)
+	m.installCore(core, l, idx, false)
 	return lat
 }
 
@@ -495,28 +507,38 @@ func (m *Machine) invalidateWord(inv uint64, base int, l cache.Line) {
 // are written back to DRAM (holder bit dropped). Inclusion (L1 ⊆ L2) is
 // maintained so the directory can treat each core's private hierarchy as a
 // single node.
-func (m *Machine) installCore(core int, l cache.Line, dirty bool) {
+func (m *Machine) installCore(core int, l cache.Line, idx cache.Index, dirty bool) {
 	chip := m.chipOf[core]
 	node := m.coreNode(core)
 	c := m.ctr.Core(core)
 
 	// InsertNew: every install follows a failed L2 lookup on this line
 	// (lookupShared's L2 miss), so the residency re-scan is skipped.
-	if victim, vDirty, evicted := m.l2[core].InsertNew(l, dirty); evicted {
+	if victim, vDirty, evicted := m.l2[core].InsertNewAt(l, idx, dirty); evicted {
 		c.Evictions++
 		// Maintain inclusion: the victim may still sit in L1.
 		m.l1[core].Remove(victim)
 		m.spillToL3(chip, node, victim, vDirty, c)
 	}
 	m.dir.AddSharer(l, node)
-	m.installL1(core, l)
+	m.installL1(core, l, idx)
 }
 
-// spillToL3 places an L2 victim into the chip's victim L3.
+// spillToL3 places an L2 victim into the chip's victim L3. The victim may
+// already sit there (another core of the chip spilled it first); only
+// then does the L3 need Insert's residency scan, and the directory says
+// which case this is.
 func (m *Machine) spillToL3(chip int, from coherence.Node, victim cache.Line, dirty bool, c *perfctr.Counters) {
 	l3 := m.l3[chip]
 	l3node := m.l3Node(chip)
-	if w, _, evicted := l3.Insert(victim, dirty); evicted {
+	var w cache.Line
+	var evicted bool
+	if m.dir.Holds(victim, l3node) {
+		w, _, evicted = l3.Insert(victim, dirty)
+	} else {
+		w, _, evicted = l3.InsertNew(victim, dirty)
+	}
+	if evicted {
 		c.Evictions++
 		m.dir.RemoveSharer(w, l3node) // writeback to DRAM
 	}
@@ -525,9 +547,9 @@ func (m *Machine) spillToL3(chip int, from coherence.Node, victim cache.Line, di
 
 // installL1 inserts into L1 only; L1 victims need no bookkeeping because
 // inclusion guarantees they remain in L2. Every caller is on the miss
-// path after this core's L1 lookup failed, so InsertNew applies.
-func (m *Machine) installL1(core int, l cache.Line) {
-	m.l1[core].InsertNew(l, false)
+// path after this core's L1 lookup failed, so InsertNewAt applies.
+func (m *Machine) installL1(core int, l cache.Line, idx cache.Index) {
+	m.l1[core].InsertNewAt(l, idx, false)
 }
 
 // FlushAll empties every cache and the directory (cold-start between

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -25,6 +26,22 @@ func TestNewRejectsOverwideMachine(t *testing.T) {
 	if _, err := New(cfg, 1<<20); err == nil {
 		t.Fatalf("New accepted a machine with %d directory nodes (max %d)",
 			cfg.NumCores()+cfg.Chips, coherence.MaxNodes)
+	}
+}
+
+// TestNewRejectsMemoryBeyondLineRange pins the guard on the 31-bit
+// line range of a cache way: a memory limit with more lines than a way
+// can name must fail at construction, and the largest one that fits must
+// build.
+func TestNewRejectsMemoryBeyondLineRange(t *testing.T) {
+	cfg := topology.Tiny8()
+	ls := cfg.L1.LineSize
+	if _, err := NewWithMemLimit(cfg, 1<<20, (cache.MaxLines+1)*ls); err == nil ||
+		!strings.Contains(err.Error(), "cache way") {
+		t.Fatalf("a %d-line memory limit was not refused: %v", cache.MaxLines+1, err)
+	}
+	if _, err := NewWithMemLimit(cfg, 1<<20, cache.MaxLines*ls); err != nil {
+		t.Fatalf("a %d-line memory limit was refused: %v", cache.MaxLines, err)
 	}
 }
 
