@@ -114,15 +114,15 @@ func run(cmd string, args []string) error {
 	}
 	switch cmd {
 	case "fig2", "cachemap":
-		return runFig2(args)
+		return runFig2(os.Stdout, args)
 	case "trace":
 		return runTrace(args)
 	case "latency":
-		return runLatency()
+		return runLatency(os.Stdout)
 	case "migration":
-		return runMigration(args)
+		return runMigration(os.Stdout, args)
 	case "ablation":
-		return runAblation(args)
+		return runAblation(os.Stdout, args)
 	case "all":
 		return runAll(args)
 	case "help":
@@ -318,7 +318,7 @@ func runSweep(sc *sweepCmd, args []string) error {
 	return emit(os.Stdout, sc, title, sw, format)
 }
 
-func runFig2(args []string) error {
+func runFig2(w io.Writer, args []string) error {
 	cfg := o2.DefaultFig2Config()
 	fs := flag.NewFlagSet("fig2", flag.ContinueOnError)
 	fs.IntVar(&cfg.Dirs, "dirs", cfg.Dirs, "number of directories")
@@ -332,24 +332,24 @@ func runFig2(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("# Figure 2: cache contents, %d directories × %d entries on %s\n\n",
+	fmt.Fprintf(w, "# Figure 2: cache contents, %d directories × %d entries on %s\n\n",
 		cfg.Dirs, cfg.EntriesPerDir, cfg.Machine.Name())
-	o2.WriteCacheMap(os.Stdout, cfg.Machine, base)
-	fmt.Println()
-	o2.WriteCacheMap(os.Stdout, cfg.Machine, ct)
+	o2.WriteCacheMap(w, cfg.Machine, base)
+	fmt.Fprintln(w)
+	o2.WriteCacheMap(w, cfg.Machine, ct)
 	return nil
 }
 
-func runLatency() error {
+func runLatency(w io.Writer) error {
 	rows, err := o2.LatencyTable()
 	if err != nil {
 		return err
 	}
-	o2.WriteLatencyTable(os.Stdout, rows)
+	o2.WriteLatencyTable(w, rows)
 	return nil
 }
 
-func runMigration(args []string) error {
+func runMigration(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("migration", flag.ContinueOnError)
 	trials := fs.Int("trials", 128, "migration round trips to average")
 	if err := parse(fs, args); err != nil {
@@ -359,11 +359,11 @@ func runMigration(args []string) error {
 	if err != nil {
 		return err
 	}
-	o2.WriteMigrationResult(os.Stdout, r)
+	o2.WriteMigrationResult(w, r)
 	return nil
 }
 
-func runAblation(args []string) error {
+func runAblation(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("ablation", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "clustering|replication|replacement|migcost|hetero|paths|single|all")
 	if err := parse(fs, args); err != nil {
@@ -378,8 +378,8 @@ func runAblation(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", a.Name, err)
 		}
-		o2.WriteAblation(os.Stdout, a.Title, rows)
-		fmt.Println()
+		o2.WriteAblation(w, a.Title, rows)
+		fmt.Fprintln(w)
 		ran = true
 	}
 	if !ran {
@@ -390,15 +390,15 @@ func runAblation(args []string) error {
 
 // runAll runs every command but trace, passing args to each sweep.
 func runAll(args []string) error {
-	if err := runLatency(); err != nil {
+	if err := runLatency(os.Stdout); err != nil {
 		return err
 	}
 	fmt.Println()
-	if err := runMigration(nil); err != nil {
+	if err := runMigration(os.Stdout, nil); err != nil {
 		return err
 	}
 	fmt.Println()
-	if err := runFig2(nil); err != nil {
+	if err := runFig2(os.Stdout, nil); err != nil {
 		return err
 	}
 	fmt.Println()
@@ -408,5 +408,5 @@ func runAll(args []string) error {
 		}
 		fmt.Println()
 	}
-	return runAblation([]string{"-exp=all"})
+	return runAblation(os.Stdout, []string{"-exp=all"})
 }

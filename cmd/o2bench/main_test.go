@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -34,6 +35,8 @@ var goldenCases = map[string]goldenCase{
 		[]string{"rps", "compaction", "policy", "p99 (cycles)", "coretime+repl", "±"}},
 	"scale": {"scale", "scale", func() (string, o2.Sweep) { return scaleSweep(goldenScaleConfig()) },
 		[]string{"machine", "service", "policy", "kops/sec/core", "numa256", "dirlookup", "±"}},
+	"soak": {"soak", "soak", func() (string, o2.Sweep) { return soakSweep(o2.QuickSoakWebConfig()) },
+		[]string{"Soak", "rps", "p99 (cycles)", "coretime", "±"}},
 }
 
 // goldenFig4Config is a reduced Figure-4 sweep: small machine, two grid
@@ -169,6 +172,43 @@ func TestWebTableSmoke(t *testing.T)             { checkTable(t, "web") }
 func TestScaleJSONGolden(t *testing.T)           { checkGolden(t, "scale") }
 func TestScaleJSONWorkerInvariance(t *testing.T) { checkWorkerInvariance(t, "scale") }
 func TestScaleTableSmoke(t *testing.T)           { checkTable(t, "scale") }
+func TestSoakJSONGolden(t *testing.T)            { checkGolden(t, "soak") }
+func TestSoakJSONWorkerInvariance(t *testing.T)  { checkWorkerInvariance(t, "soak") }
+func TestSoakTableSmoke(t *testing.T)            { checkTable(t, "soak") }
+
+// checkTextGolden pins the full stdout of a command that is not a sweep
+// against testdata/<name>.txt (regenerate with -update).
+func checkTextGolden(t *testing.T, name string, run func(io.Writer) error) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := run(&buf); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", name+".txt")
+	if *update {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden file (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("o2bench %s output drifted from %s.\nGot:\n%s\nWant:\n%s\nIf intentional, rerun with -update and review.",
+			name, golden, buf.Bytes(), want)
+	}
+}
+
+func TestLatencyGolden(t *testing.T) { checkTextGolden(t, "latency", runLatency) }
+
+func TestMigrationGolden(t *testing.T) {
+	checkTextGolden(t, "migration", func(w io.Writer) error { return runMigration(w, nil) })
+}
+
+func TestFig2Golden(t *testing.T) {
+	checkTextGolden(t, "fig2", func(w io.Writer) error { return runFig2(w, nil) })
+}
 
 // TestSweepFlagsConfigureSweep checks that the shared flags land on the
 // sweep of every sweep command, and that each sweep carries its
