@@ -248,3 +248,7 @@ func TestRunUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+func TestAblationGolden(t *testing.T) {
+	checkTextGolden(t, "ablation", func(w io.Writer) error { return runAblation(w, []string{"-exp=all"}) })
+}

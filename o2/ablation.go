@@ -76,8 +76,8 @@ type objBench struct {
 	objs []*Object
 }
 
-func newObjBench(topo Topology, opts []Option, count, size int) (*objBench, error) {
-	all := append([]Option{WithTopology(topo), WithMemory(size*count*2 + (8 << 20))}, opts...)
+func newObjBench(topo Topology, seed uint64, opts []Option, count, size int) (*objBench, error) {
+	all := append([]Option{WithTopology(topo), WithSeed(seed), WithMemory(size*count*2 + (8 << 20))}, opts...)
 	rt, err := New(all...)
 	if err != nil {
 		return nil, err
@@ -130,6 +130,10 @@ const (
 	ablMeasure Cycles = 4_000_000
 )
 
+// ablSeed is configuration i's runtime and workload seed: the seed a
+// sweep at base seed 1 gives the first repeat of cell i.
+func ablSeed(i int) uint64 { return CellSeed(1, i, 0) }
+
 // AblationClustering measures §6.2 object clustering: every operation uses
 // a pair of objects together ("if one thread or operation uses two objects
 // simultaneously then it might be best to place both objects in the same
@@ -139,15 +143,15 @@ func AblationClustering() ([]AblationRow, error) {
 	const pairs = 6
 	const size = 8 << 10
 
-	run := func(clustering bool) (float64, error) {
-		env, err := newObjBench(Tiny8, []Option{WithClustering(clustering)}, 2*pairs, size)
+	run := func(i int) (float64, error) {
+		env, err := newObjBench(Tiny8, ablSeed(i), []Option{WithClustering(i == 1)}, 2*pairs, size)
 		if err != nil {
 			return 0, err
 		}
 		for i := 0; i < pairs; i++ {
 			env.rt.PlaceTogether(env.objs[2*i], env.objs[2*i+1])
 		}
-		kops := env.runObjOps(8, ablWarmup, ablMeasure, 7, func(t *Thread, rng *RNG, n *uint64) {
+		kops := env.runObjOps(8, ablWarmup, ablMeasure, ablSeed(i), func(t *Thread, rng *RNG, n *uint64) {
 			i := rng.Intn(pairs)
 			a, b := env.objs[2*i], env.objs[2*i+1]
 			// Nested operations: the operation on a uses b inside it,
@@ -166,8 +170,7 @@ func AblationClustering() ([]AblationRow, error) {
 		return kops, nil
 	}
 
-	kops, err := configSweep("clustering", []string{"off", "on"},
-		func(i int) (float64, error) { return run(i == 1) })
+	kops, err := configSweep("clustering", []string{"off", "on"}, run)
 	if err != nil {
 		return nil, err
 	}
@@ -184,17 +187,17 @@ func AblationClustering() ([]AblationRow, error) {
 func AblationReplication() ([]AblationRow, error) {
 	const size = 8 << 10
 
-	run := func(replication bool) (float64, error) {
+	run := func(i int) (float64, error) {
 		opts := []Option{
-			WithReplication(replication),
+			WithReplication(i == 1),
 			WithReplicationThreshold(32, 0.95),
 		}
-		env, err := newObjBench(Tiny8, opts, 1, size)
+		env, err := newObjBench(Tiny8, ablSeed(i), opts, 1, size)
 		if err != nil {
 			return 0, err
 		}
 		hot := env.objs[0]
-		kops := env.runObjOps(8, ablWarmup, ablMeasure, 11, func(t *Thread, rng *RNG, n *uint64) {
+		kops := env.runObjOps(8, ablWarmup, ablMeasure, ablSeed(i), func(t *Thread, rng *RNG, n *uint64) {
 			op := t.BeginRO(hot)
 			t.LoadCompute(hot.Addr(0), hot.Size(), 0.1)
 			op.End()
@@ -203,8 +206,7 @@ func AblationReplication() ([]AblationRow, error) {
 		return kops, nil
 	}
 
-	kops, err := configSweep("replication", []string{"off", "on"},
-		func(i int) (float64, error) { return run(i == 1) })
+	kops, err := configSweep("replication", []string{"off", "on"}, run)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +248,9 @@ func AblationReplacement() ([]AblationRow, error) {
 	policies := []Replacement{FirstFit, Frequency}
 	kres, err := configSweep("replacement", []string{"first-fit", "frequency"},
 		func(i int) (float64, error) {
-			res, err := exp.Run(WithReplacement(policies[i]))
+			e := exp
+			e.Params.Seed = ablSeed(i)
+			res, err := e.Run(WithSeed(ablSeed(i)), WithReplacement(policies[i]))
 			return res.KResPerSec, err
 		})
 	if err != nil {
@@ -283,11 +287,13 @@ func AblationMigrationCost() ([]AblationRow, error) {
 		labels = append(labels, fmt.Sprintf("%d", c))
 	}
 	kres, err := configSweep("migcost", labels, func(i int) (float64, error) {
+		e := exp
+		e.Params.Seed = ablSeed(i)
 		if i == 0 {
-			res, err := exp.Run(WithScheduler(Baseline))
+			res, err := e.Run(WithSeed(ablSeed(i)), WithScheduler(Baseline))
 			return res.KResPerSec, err
 		}
-		res, err := exp.Run(WithMigrationCost(costs[i-1]))
+		res, err := e.Run(WithSeed(ablSeed(i)), WithMigrationCost(costs[i-1]))
 		return res.KResPerSec, err
 	})
 	if err != nil {
@@ -331,12 +337,13 @@ func AblationPathClustering() ([]AblationRow, error) {
 	results := make([]PathResult, len(configs))
 	if _, err := (Sweep{
 		Name: "paths",
+		Seed: 1,
 		Base: Cell{Machine: Tiny8},
 		Axes: []Axis{{Name: "config", Values: []AxisValue{
 			{Label: "baseline"}, {Label: "flat"}, {Label: "clustered"},
 		}}},
 		Runner: func(c Cell) (Metrics, error) {
-			rt, err := New(append([]Option{WithTopology(c.Machine)}, configs[c.Coords[0]]...)...)
+			rt, err := New(append([]Option{WithTopology(c.Machine), WithSeed(c.Seed)}, configs[c.Coords[0]]...)...)
 			if err != nil {
 				return nil, err
 			}
@@ -382,12 +389,13 @@ func AblationSingleThread() ([]AblationRow, error) {
 	const objects = 12
 	const size = 16 << 10
 
-	run := func(scheduler Scheduler) (float64, error) {
-		env, err := newObjBench(Tiny8, []Option{WithScheduler(scheduler)}, objects, size)
+	scheds := []Scheduler{Baseline, CoreTime}
+	run := func(i int) (float64, error) {
+		env, err := newObjBench(Tiny8, ablSeed(i), []Option{WithScheduler(scheds[i])}, objects, size)
 		if err != nil {
 			return 0, err
 		}
-		kops := env.runObjOps(1, ablWarmup, ablMeasure, 21, func(t *Thread, rng *RNG, n *uint64) {
+		kops := env.runObjOps(1, ablWarmup, ablMeasure, ablSeed(i), func(t *Thread, rng *RNG, n *uint64) {
 			obj := env.objs[rng.Intn(objects)]
 			op := t.Begin(obj)
 			t.LoadCompute(obj.Addr(0), obj.Size(), 0.05)
@@ -396,9 +404,7 @@ func AblationSingleThread() ([]AblationRow, error) {
 		})
 		return kops, nil
 	}
-	scheds := []Scheduler{Baseline, CoreTime}
-	kops, err := configSweep("single", []string{"pinned", "coretime"},
-		func(i int) (float64, error) { return run(scheds[i]) })
+	kops, err := configSweep("single", []string{"pinned", "coretime"}, run)
 	if err != nil {
 		return nil, err
 	}
@@ -430,7 +436,9 @@ func AblationHeterogeneous() ([]AblationRow, error) {
 	scheds := []Scheduler{Baseline, CoreTime}
 	kres, err := configSweep("hetero", []string{"thread-scheduler", "coretime"},
 		func(i int) (float64, error) {
-			res, err := exp.Run(WithScheduler(scheds[i]))
+			e := exp
+			e.Params.Seed = ablSeed(i)
+			res, err := e.Run(WithSeed(ablSeed(i)), WithScheduler(scheds[i]))
 			return res.KResPerSec, err
 		})
 	if err != nil {
