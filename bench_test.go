@@ -9,6 +9,7 @@
 package repro_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/o2"
@@ -98,68 +99,28 @@ func BenchmarkMigrationCost(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationClustering measures the §6.2 object-clustering
-// extension.
-func BenchmarkAblationClustering(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := o2.AblationClustering()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].KOps, "kops_off")
-		b.ReportMetric(rows[1].KOps, "kops_on")
-	}
-}
-
-// BenchmarkAblationReplication measures the §6.2 read-only replication
-// extension.
-func BenchmarkAblationReplication(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := o2.AblationReplication()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].KOps, "kops_off")
-		b.ReportMetric(rows[1].KOps, "kops_on")
-	}
-}
-
-// BenchmarkAblationReplacement measures the §6.2 over-capacity replacement
-// policy.
-func BenchmarkAblationReplacement(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := o2.AblationReplacement()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].KOps, "kres_firstfit")
-		b.ReportMetric(rows[1].KOps, "kres_frequency")
-	}
-}
-
-// BenchmarkAblationMigrationCost sweeps the migration cost (§6.1, active
-// messages).
-func BenchmarkAblationMigrationCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := o2.AblationMigrationCost()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[1].KOps, "kres_cost0")
-		b.ReportMetric(rows[len(rows)-1].KOps, "kres_cost8000")
-	}
-}
-
-// BenchmarkAblationHeterogeneous measures CoreTime on a machine with half
-// the cores at half speed (§6.1).
-func BenchmarkAblationHeterogeneous(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := o2.AblationHeterogeneous()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].KOps, "kres_base")
-		b.ReportMetric(rows[1].KOps, "kres_ct")
+// BenchmarkAblations runs every §6 ablation sweep, one sub-benchmark
+// each, reporting each cell's throughput (kops_per_sec, or kres_per_sec
+// for the directory and path scenarios) under its axis label.
+func BenchmarkAblations(b *testing.B) {
+	for _, a := range o2.Ablations() {
+		b.Run(a.Name, func(b *testing.B) {
+			sw := a.Sweep
+			sw.Seed = 1
+			for i := 0; i < b.N; i++ {
+				res, err := sw.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, c := range res.Cells {
+					for _, m := range []string{"kops_per_sec", "kres_per_sec"} {
+						if _, ok := c.Stats[m]; ok {
+							b.ReportMetric(c.Mean(m), m[:4]+"_"+strings.Join(c.Labels, "_"))
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -5,13 +5,14 @@
 // over the public repro/o2 package; `o2bench help` lists every command
 // and its flags.
 //
-// The sweep commands (fig4a, fig4b, kv, web, soak, scale) run on the
-// o2.Sweep engine and share one set of flags: -quick selects the reduced
-// configuration, -seed the base seed, -workers bounds the worker pool
-// (default: all host CPUs), -repeats measures every grid cell that many
-// times with distinct derived seeds and reports mean±stddev, and -json or
-// -csv replace the aligned table (both pinned by the golden tests in this
-// package). No output depends on -workers.
+// The sweep commands (fig4a, fig4b, kv, web, soak, scale) and the
+// ablations (`ablation -exp=NAME`) run on the o2.Sweep engine and share
+// one set of flags: -quick selects the reduced configuration, -seed the
+// base seed, -workers bounds the worker pool (default: all host CPUs),
+// -repeats measures every grid cell that many times with distinct
+// derived seeds and reports mean±stddev, and -json or -csv replace the
+// aligned table (both pinned by the golden tests in this package). No
+// output depends on -workers.
 //
 // The global -cpuprofile and -memprofile flags (before the command) write
 // pprof profiles covering the whole run; see DESIGN.md, "Profiling the
@@ -149,7 +150,9 @@ func usage() {
                                      JSON for chrome://tracing / Perfetto
   o2bench latency                    hardware latency table (§5)
   o2bench migration [-trials N]      migration cost microbenchmark (§5)
-  o2bench ablation -exp=NAME         clustering|replication|replacement|migcost|hetero|paths|single|all
+  o2bench ablation -exp=NAME [-quick] [-seed N] [-workers N] [-repeats N] [-json|-csv]
+                                     §6 ablations, NAME one of clustering|replication|replacement|
+                                     migcost|hetero|paths|single|all (default all)
   o2bench all [sweep flags]          latency, migration, fig2, every sweep above, and the ablations
 `)
 }
@@ -163,14 +166,15 @@ const (
 	formatJSON
 )
 
-// sweepCmd is one sweep command. All of them parse their flags with
-// sweepFlags and print through emit; they differ only in what they build
-// and how they render it.
+// sweepCmd is one sweep command, or one ablation. All of them parse their
+// flags with parseSweepFlags and print through emit; they differ only in
+// what they build and how they render it.
 type sweepCmd struct {
 	name  string
 	usage string // description for `o2bench help`
 	// build returns the report title and the sweep to run, reduced when
-	// quick is set; sweepFlags sets its seed, workers, and repeats.
+	// quick is set; sweepFlags.configure sets its seed, workers, and
+	// repeats.
 	build func(quick bool) (string, o2.Sweep)
 	// render writes a completed sweep as an aligned table, or as CSV.
 	render func(w io.Writer, title string, sw o2.Sweep, res *o2.SweepResult, csv bool) error
@@ -269,32 +273,42 @@ func renderFig4(w io.Writer, title string, sw o2.Sweep, res *o2.SweepResult, csv
 	return nil
 }
 
-// sweepFlags parses the flags every sweep command shares and returns the
-// command's report title, its sweep configured by them, and the output
-// format.
-func sweepFlags(sc *sweepCmd, args []string) (string, o2.Sweep, outFormat, error) {
-	fs := flag.NewFlagSet(sc.name, flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "reduced configuration (see o2bench help)")
-	seed := fs.Uint64("seed", 1, "base RNG seed")
-	workers := fs.Int("workers", 0, "parallel sweep workers (0 = all host CPUs)")
-	repeats := fs.Int("repeats", 1, "measurements per grid cell (mean/stddev reported)")
+// sweepFlags are the flags every sweep command shares.
+type sweepFlags struct {
+	quick            bool
+	seed             uint64
+	workers, repeats int
+	format           outFormat
+}
+
+// parseSweepFlags registers the shared sweep flags on fs, next to any
+// flags of the command's own, and parses args.
+func parseSweepFlags(fs *flag.FlagSet, args []string) (sweepFlags, error) {
+	var f sweepFlags
+	fs.BoolVar(&f.quick, "quick", false, "reduced configuration (see o2bench help)")
+	fs.Uint64Var(&f.seed, "seed", 1, "base RNG seed")
+	fs.IntVar(&f.workers, "workers", 0, "parallel sweep workers (0 = all host CPUs)")
+	fs.IntVar(&f.repeats, "repeats", 1, "measurements per grid cell (mean/stddev reported)")
 	jsonOut := fs.Bool("json", false, "emit machine-readable per-cell sweep results")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	if err := parse(fs, args); err != nil {
-		return "", o2.Sweep{}, formatTable, err
+		return f, err
 	}
-	format := formatTable
 	switch {
 	case *jsonOut && *csv:
-		return "", o2.Sweep{}, formatTable, fmt.Errorf("%w: -json and -csv are mutually exclusive", errUsage)
+		return f, fmt.Errorf("%w: -json and -csv are mutually exclusive", errUsage)
 	case *jsonOut:
-		format = formatJSON
+		f.format = formatJSON
 	case *csv:
-		format = formatCSV
+		f.format = formatCSV
 	}
-	title, sw := sc.build(*quick)
-	sw.Seed, sw.Workers, sw.Repeats, sw.Progress = *seed, *workers, *repeats, os.Stderr
-	return title, sw, format, nil
+	return f, nil
+}
+
+// configure sets the flags' seed, workers, and repeats on sw, with
+// progress on stderr.
+func (f sweepFlags) configure(sw *o2.Sweep) {
+	sw.Seed, sw.Workers, sw.Repeats, sw.Progress = f.seed, f.workers, f.repeats, os.Stderr
 }
 
 // emit runs sw and writes its result to w: JSON for every sweep, else the
@@ -311,11 +325,13 @@ func emit(w io.Writer, sc *sweepCmd, title string, sw o2.Sweep, format outFormat
 }
 
 func runSweep(sc *sweepCmd, args []string) error {
-	title, sw, format, err := sweepFlags(sc, args)
+	f, err := parseSweepFlags(flag.NewFlagSet(sc.name, flag.ContinueOnError), args)
 	if err != nil {
 		return err
 	}
-	return emit(os.Stdout, sc, title, sw, format)
+	title, sw := sc.build(f.quick)
+	f.configure(&sw)
+	return emit(os.Stdout, sc, title, sw, f.format)
 }
 
 func runFig2(w io.Writer, args []string) error {
@@ -363,27 +379,45 @@ func runMigration(w io.Writer, args []string) error {
 	return nil
 }
 
+// ablationCmds are the ablations of o2.Ablations as sweep commands. They
+// are CI-sized already, so -quick selects the same sweeps.
+func ablationCmds() []sweepCmd {
+	var cmds []sweepCmd
+	for _, a := range o2.Ablations() {
+		cmds = append(cmds, sweepCmd{a.Name, a.Title, func(bool) (string, o2.Sweep) { return a.Title, a.Sweep },
+			columns(o2.AblationColumns)})
+	}
+	return cmds
+}
+
+// runAblation runs the ablation -exp names, or all of them, each through
+// emit with the shared sweep flags; a blank line separates their outputs.
 func runAblation(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("ablation", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "clustering|replication|replacement|migcost|hetero|paths|single|all")
-	if err := parse(fs, args); err != nil {
+	f, err := parseSweepFlags(fs, args)
+	if err != nil {
 		return err
 	}
-	ran := false
-	for _, a := range o2.Ablations() {
-		if *exp != "all" && *exp != a.Name {
-			continue
+	var selected []sweepCmd
+	for _, sc := range ablationCmds() {
+		if *exp == "all" || *exp == sc.name {
+			selected = append(selected, sc)
 		}
-		rows, err := a.Run()
-		if err != nil {
-			return fmt.Errorf("%s: %w", a.Name, err)
-		}
-		o2.WriteAblation(w, a.Title, rows)
-		fmt.Fprintln(w)
-		ran = true
 	}
-	if !ran {
-		return fmt.Errorf("unknown ablation %q", *exp)
+	if len(selected) == 0 {
+		return fmt.Errorf("%w: unknown ablation %q", errUsage, *exp)
+	}
+	for i := range selected {
+		sc := &selected[i]
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		title, sw := sc.build(f.quick)
+		f.configure(&sw)
+		if err := emit(w, sc, title, sw, f.format); err != nil {
+			return fmt.Errorf("%s: %w", sc.name, err)
+		}
 	}
 	return nil
 }
@@ -408,5 +442,5 @@ func runAll(args []string) error {
 		}
 		fmt.Println()
 	}
-	return runAblation(os.Stdout, []string{"-exp=all"})
+	return runAblation(os.Stdout, append([]string{"-exp=all"}, args...))
 }

@@ -20,23 +20,33 @@ var update = flag.Bool("update", false, "rewrite golden files from current outpu
 // determinism contract, not to reproduce full-scale numbers. Every case
 // runs with seed 7 and two repeats; its goldens are taken at 4 workers.
 type goldenCase struct {
-	cmd    string                    // sweep command whose emit path renders the case
+	sc     *sweepCmd                 // sweep command whose emit path renders the case
 	golden string                    // testdata/<golden>_tiny.{json,csv}
 	build  func() (string, o2.Sweep) // title and sweep of the reduced configuration
 	table  []string                  // substrings the aligned table must contain
 }
 
 var goldenCases = map[string]goldenCase{
-	"fig4": {"fig4a", "fig4", func() (string, o2.Sweep) { return "Figure 4(a)", o2.Fig4aSweep(goldenFig4Config()) },
+	"fig4": {findSweep("fig4a"), "fig4", func() (string, o2.Sweep) { return "Figure 4(a)", o2.Fig4aSweep(goldenFig4Config()) },
 		[]string{"without-CT", "±"}},
-	"kv": {"kv", "kv", func() (string, o2.Sweep) { return kvSweep(goldenKVConfig()) },
+	"kv": {findSweep("kv"), "kv", func() (string, o2.Sweep) { return kvSweep(goldenKVConfig()) },
 		[]string{"policy", "kops/sec", "coretime+repl", "±"}},
-	"web": {"web", "web", func() (string, o2.Sweep) { return webSweep(goldenWebConfig()) },
+	"web": {findSweep("web"), "web", func() (string, o2.Sweep) { return webSweep(goldenWebConfig()) },
 		[]string{"rps", "compaction", "policy", "p99 (cycles)", "coretime+repl", "±"}},
-	"scale": {"scale", "scale", func() (string, o2.Sweep) { return scaleSweep(goldenScaleConfig()) },
+	"scale": {findSweep("scale"), "scale", func() (string, o2.Sweep) { return scaleSweep(goldenScaleConfig()) },
 		[]string{"machine", "service", "policy", "kops/sec/core", "numa256", "dirlookup", "±"}},
-	"soak": {"soak", "soak", func() (string, o2.Sweep) { return soakSweep(o2.QuickSoakWebConfig()) },
+	"soak": {findSweep("soak"), "soak", func() (string, o2.Sweep) { return soakSweep(o2.QuickSoakWebConfig()) },
 		[]string{"Soak", "rps", "p99 (cycles)", "coretime", "±"}},
+}
+
+// The ablations are CI-sized already: each golden case is the ablation's
+// own sweep, named after its command, ablation_<name>.
+func init() {
+	for _, sc := range ablationCmds() {
+		goldenCases["ablation_"+sc.name] = goldenCase{&sc, "ablation_" + sc.name,
+			func() (string, o2.Sweep) { return sc.build(false) },
+			[]string{"# " + sc.usage, "kops/sec", "migrations", "±"}}
+	}
 }
 
 // goldenFig4Config is a reduced Figure-4 sweep: small machine, two grid
@@ -98,7 +108,7 @@ func output(t *testing.T, gc goldenCase, workers int, format outFormat) []byte {
 	title, sw := gc.build()
 	sw.Seed, sw.Repeats, sw.Workers = 7, 2, workers
 	var buf bytes.Buffer
-	if err := emit(&buf, findSweep(gc.cmd), title, sw, format); err != nil {
+	if err := emit(&buf, gc.sc, title, sw, format); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -127,7 +137,7 @@ func checkGolden(t *testing.T, name string) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("o2bench %s output drifted from %s.\nGot:\n%s\nWant:\n%s\nIf intentional, rerun with -update and review.",
-				gc.cmd, golden, got, want)
+				gc.sc.name, golden, got, want)
 		}
 	}
 }
@@ -155,7 +165,7 @@ func checkTable(t *testing.T, name string) {
 	table := output(t, gc, 4, formatTable)
 	for _, want := range gc.table {
 		if !bytes.Contains(table, []byte(want)) {
-			t.Errorf("o2bench %s table missing %q:\n%s", gc.cmd, want, table)
+			t.Errorf("o2bench %s table missing %q:\n%s", gc.sc.name, want, table)
 		}
 	}
 }
@@ -175,6 +185,17 @@ func TestScaleTableSmoke(t *testing.T)           { checkTable(t, "scale") }
 func TestSoakJSONGolden(t *testing.T)            { checkGolden(t, "soak") }
 func TestSoakJSONWorkerInvariance(t *testing.T)  { checkWorkerInvariance(t, "soak") }
 func TestSoakTableSmoke(t *testing.T)            { checkTable(t, "soak") }
+
+// forAblations runs check on every ablation's golden case.
+func forAblations(t *testing.T, check func(*testing.T, string)) {
+	for _, a := range o2.Ablations() {
+		t.Run(a.Name, func(t *testing.T) { check(t, "ablation_"+a.Name) })
+	}
+}
+
+func TestAblationJSONGolden(t *testing.T)           { forAblations(t, checkGolden) }
+func TestAblationJSONWorkerInvariance(t *testing.T) { forAblations(t, checkWorkerInvariance) }
+func TestAblationTableSmoke(t *testing.T)           { forAblations(t, checkTable) }
 
 // checkTextGolden pins the full stdout of a command that is not a sweep
 // against testdata/<name>.txt (regenerate with -update).
@@ -211,24 +232,26 @@ func TestFig2Golden(t *testing.T) {
 }
 
 // TestSweepFlagsConfigureSweep checks that the shared flags land on the
-// sweep of every sweep command, and that each sweep carries its
-// command's name into the results.
+// sweep of every sweep command and ablation, and that each sweep carries
+// its command's name into the results.
 func TestSweepFlagsConfigureSweep(t *testing.T) {
-	for i := range sweeps {
-		sc := &sweeps[i]
-		_, sw, format, err := sweepFlags(sc, []string{"-quick", "-seed", "9", "-workers", "3", "-repeats", "2", "-csv"})
+	for _, sc := range append(append([]sweepCmd(nil), sweeps...), ablationCmds()...) {
+		f, err := parseSweepFlags(flag.NewFlagSet(sc.name, flag.ContinueOnError),
+			[]string{"-quick", "-seed", "9", "-workers", "3", "-repeats", "2", "-csv"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sw.Name != sc.name || sw.Seed != 9 || sw.Workers != 3 || sw.Repeats != 2 || format != formatCSV {
-			t.Errorf("%s: sweep %q seed %d workers %d repeats %d format %d", sc.name, sw.Name, sw.Seed, sw.Workers, sw.Repeats, format)
+		_, sw := sc.build(f.quick)
+		f.configure(&sw)
+		if sw.Name != sc.name || sw.Seed != 9 || sw.Workers != 3 || sw.Repeats != 2 || f.format != formatCSV {
+			t.Errorf("%s: sweep %q seed %d workers %d repeats %d format %d", sc.name, sw.Name, sw.Seed, sw.Workers, sw.Repeats, f.format)
 		}
 	}
 }
 
 // TestRunUsageErrors pins how command-line mistakes exit: -h on any
-// command exits 0; a bad flag, -json with -csv, or an unknown command
-// exits 2.
+// command exits 0; a bad flag, -json with -csv, an unknown command, or an
+// unknown ablation exits 2.
 func TestRunUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -241,14 +264,12 @@ func TestRunUsageErrors(t *testing.T) {
 		{[]string{"trace", "-bogus"}, errUsage, 2},
 		{[]string{"kv", "-json", "-csv"}, errUsage, 2},
 		{[]string{"nosuch"}, errUsage, 2},
+		{[]string{"ablation", "-exp=bogus"}, errUsage, 2},
+		{[]string{"ablation", "-json", "-csv"}, errUsage, 2},
 	} {
 		err := run(tc.args[0], tc.args[1:])
 		if !errors.Is(err, tc.want) || exitCode(err) != tc.code {
 			t.Errorf("run %v = %v (exit %d), want %v (exit %d)", tc.args, err, exitCode(err), tc.want, tc.code)
 		}
 	}
-}
-
-func TestAblationGolden(t *testing.T) {
-	checkTextGolden(t, "ablation", func(w io.Writer) error { return runAblation(w, []string{"-exp=all"}) })
 }

@@ -468,6 +468,38 @@ func TestFrequencyReplacementEvictsColdObject(t *testing.T) {
 	}
 }
 
+// TestFrequencyReplacementTieBreaksByAddress pins the victim among
+// equally cold placed objects: the lowest address, whatever order the
+// object map iterates in. Several fresh runtimes give the map several
+// iteration orders.
+func TestFrequencyReplacementTieBreaksByAddress(t *testing.T) {
+	for run := 0; run < 8; run++ {
+		opts := noRebalance()
+		opts.Replacement = ReplaceFrequency
+		h := newHarness(t, opts)
+		cold := make([]*objInfo, 32) // fills every core's budget
+		for i := range cold {
+			oi := h.rt.info(h.alloc(t, "cold", 448<<10).Base)
+			oi.missEWMA = 50
+			cold[i] = oi
+			if !h.rt.place(oi) {
+				t.Fatalf("setup: cold object %d did not place", i)
+			}
+		}
+		hot := h.rt.info(h.alloc(t, "hot", 448<<10).Base)
+		hot.missEWMA = 5000
+		hot.windowOps = 1000
+		if !h.rt.place(hot) {
+			t.Fatal("frequency policy failed to make room for hot object")
+		}
+		for i, oi := range cold {
+			if oi.placed == (i == 0) {
+				t.Fatalf("run %d: cold object %d placed=%v; want only the lowest-address object evicted", run, i, oi.placed)
+			}
+		}
+	}
+}
+
 func TestFirstFitPolicyDoesNotEvict(t *testing.T) {
 	h := newHarness(t, noRebalance()) // ReplaceNone
 	nCold := 16 * 2

@@ -169,14 +169,16 @@ func (oi *objInfo) opRate() float64 {
 
 // evictColderThan removes the least-beneficial placed object provided it
 // is strictly colder than oi (with head-room so two similar objects do not
-// thrash). It reports whether anything was evicted.
+// thrash). It reports whether anything was evicted. Equally cold objects
+// tie-break on address, never on map iteration order.
 func (rt *Runtime) evictColderThan(oi *objInfo) bool {
 	var victim *objInfo
 	for _, cand := range rt.objs {
 		if !cand.placed || cand == oi {
 			continue
 		}
-		if victim == nil || cand.opRate() < victim.opRate() {
+		if victim == nil || cand.opRate() < victim.opRate() ||
+			cand.opRate() == victim.opRate() && cand.obj.Base < victim.obj.Base {
 			victim = cand
 		}
 	}

@@ -1,128 +1,29 @@
 package o2
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
-// AblationRow is one configuration of an ablation experiment.
-type AblationRow struct {
-	Config string
-	KOps   float64 // thousands of operations per second
-	Note   string
-}
-
-// WriteAblation formats ablation rows.
-func WriteAblation(w io.Writer, title string, rows []AblationRow) {
-	fmt.Fprintf(w, "# %s\n", title)
-	fmt.Fprintf(w, "%-32s %12s  %s\n", "config", "kops/sec", "notes")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-32s %12.0f  %s\n", r.Config, r.KOps, r.Note)
-	}
-}
-
-// Ablation names one ablation experiment for CLIs and test drivers.
+// Ablation names one ablation of the §6 design extensions: a sweep over
+// one scenario, reported through AblationColumns. Seed, repeats, and
+// workers are set on Sweep by the caller.
 type Ablation struct {
 	Name  string
 	Title string
-	Run   func() ([]AblationRow, error)
+	Sweep Sweep
 }
 
-// Ablations returns the full ablation registry in report order.
-func Ablations() []Ablation {
-	return []Ablation{
-		{"clustering", "A1: object clustering (§6.2)", AblationClustering},
-		{"replication", "A2: read-only replication (§6.2)", AblationReplication},
-		{"replacement", "A3: over-capacity replacement policy (§6.2)", AblationReplacement},
-		{"migcost", "A4: migration-cost sensitivity (§6.1)", AblationMigrationCost},
-		{"hetero", "A5: heterogeneous cores (§6.1)", AblationHeterogeneous},
-		{"paths", "A6: clustering on hierarchical path resolution (§6.2)", AblationPathClustering},
-		{"single", "A7: single-threaded application using the whole chip's caches (§1)", AblationSingleThread},
-	}
+// AblationColumns report an ablation sweep: throughput (±stddev when the
+// sweep carried repeats) and migrations in the measured window. The
+// directory and path scenarios count resolutions as their operations.
+var AblationColumns = []Column{
+	{name: "kops_per_sec", head: "kops/sec", width: 12, csv: 1, spread: "kops_stddev", value: ablationKOps},
+	{name: "migrations", head: "migrations", width: 11},
 }
 
-// configSweep runs one sweep cell per named configuration — in parallel,
-// each on its own fresh runtime — and returns the measured values in
-// configuration order. It is the thin bridge every ablation uses to get
-// the Sweep engine's worker pool.
-func configSweep(name string, labels []string, run func(i int) (float64, error)) ([]float64, error) {
-	out := make([]float64, len(labels))
-	vals := make([]AxisValue, len(labels))
-	for i, l := range labels {
-		vals[i] = AxisValue{Label: l}
+func ablationKOps(c *CellResult) Aggregate {
+	if a, ok := c.Stats["kops_per_sec"]; ok {
+		return a
 	}
-	_, err := Sweep{
-		Name: name,
-		Axes: []Axis{{Name: "config", Values: vals}},
-		Runner: func(c Cell) (Metrics, error) {
-			v, err := run(c.Coords[0])
-			if err != nil {
-				return nil, err
-			}
-			out[c.Coords[0]] = v // distinct index per cell, no race
-			return Metrics{"kops": v}, nil
-		},
-	}.Run()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// objBench is a small non-filesystem environment for ablations that need
-// raw objects: a runtime with count objects of size bytes each.
-type objBench struct {
-	rt   *Runtime
-	objs []*Object
-}
-
-func newObjBench(topo Topology, seed uint64, opts []Option, count, size int) (*objBench, error) {
-	all := append([]Option{WithTopology(topo), WithSeed(seed), WithMemory(size*count*2 + (8 << 20))}, opts...)
-	rt, err := New(all...)
-	if err != nil {
-		return nil, err
-	}
-	e := &objBench{rt: rt}
-	for i := 0; i < count; i++ {
-		obj, err := rt.NewObject(fmt.Sprintf("obj%03d", i), size)
-		if err != nil {
-			return nil, err
-		}
-		e.objs = append(e.objs, obj)
-	}
-	return e, nil
-}
-
-// runObjOps drives threads that repeatedly run `op` and returns operations
-// per simulated second (in thousands).
-func (e *objBench) runObjOps(threads int, warmup, measure Cycles, seed uint64,
-	op func(t *Thread, rng *RNG, measured *uint64)) float64 {
-	homes := RoundRobin(threads, e.rt.NumCores())
-	measureStart := e.rt.Now() + warmup
-	deadline := measureStart + measure
-	counts := make([]uint64, threads)
-	master := NewRNG(seed)
-	for i := 0; i < threads; i++ {
-		i := i
-		rng := master.Split()
-		e.rt.Go(fmt.Sprintf("w%d", i), homes[i], func(t *Thread) {
-			for t.Now() < deadline {
-				var measured uint64
-				op(t, rng, &measured)
-				if t.Now() >= measureStart && t.Now() <= deadline {
-					counts[i] += measured
-				}
-				t.Yield()
-			}
-		})
-	}
-	e.rt.Run()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	seconds := float64(measure) / e.rt.ClockHz()
-	return float64(total) / seconds / 1000
+	return c.Stats["kres_per_sec"]
 }
 
 const (
@@ -130,325 +31,220 @@ const (
 	ablMeasure Cycles = 4_000_000
 )
 
-// ablSeed is configuration i's runtime and workload seed: the seed a
-// sweep at base seed 1 gives the first repeat of cell i.
-func ablSeed(i int) uint64 { return CellSeed(1, i, 0) }
-
-// AblationClustering measures §6.2 object clustering: every operation uses
-// a pair of objects together ("if one thread or operation uses two objects
-// simultaneously then it might be best to place both objects in the same
-// cache"). With clustering the pair shares a core (one migration per
-// operation); without, the partner object is usually remote.
-func AblationClustering() ([]AblationRow, error) {
-	const pairs = 6
-	const size = 8 << 10
-
-	run := func(i int) (float64, error) {
-		env, err := newObjBench(Tiny8, ablSeed(i), []Option{WithClustering(i == 1)}, 2*pairs, size)
-		if err != nil {
-			return 0, err
-		}
-		for i := 0; i < pairs; i++ {
-			env.rt.PlaceTogether(env.objs[2*i], env.objs[2*i+1])
-		}
-		kops := env.runObjOps(8, ablWarmup, ablMeasure, ablSeed(i), func(t *Thread, rng *RNG, n *uint64) {
-			i := rng.Intn(pairs)
-			a, b := env.objs[2*i], env.objs[2*i+1]
-			// Nested operations: the operation on a uses b inside it,
-			// the co-use pattern clustering targets. Without
-			// clustering the inner operation migrates to b's core
-			// and back every time; with it, b shares a's core and
-			// the inner operation is free.
-			opA := t.Begin(a)
-			t.LoadCompute(a.Addr(0), a.Size(), 0.05)
-			opB := t.Begin(b)
-			t.LoadCompute(b.Addr(0), b.Size(), 0.05)
-			opB.End()
-			opA.End()
-			*n = 1
-		})
-		return kops, nil
-	}
-
-	kops, err := configSweep("clustering", []string{"off", "on"}, run)
-	if err != nil {
-		return nil, err
-	}
-	off, on := kops[0], kops[1]
-	return []AblationRow{
-		{Config: "clustering off", KOps: off, Note: "partner object remote"},
-		{Config: "clustering on", KOps: on, Note: fmt.Sprintf("%.2fx", on/off)},
-	}, nil
-}
-
-// AblationReplication measures §6.2 read-only replication: one hot
-// read-only object serializes every operation on a single core unless it
-// is replicated per chip.
-func AblationReplication() ([]AblationRow, error) {
-	const size = 8 << 10
-
-	run := func(i int) (float64, error) {
-		opts := []Option{
-			WithReplication(i == 1),
-			WithReplicationThreshold(32, 0.95),
-		}
-		env, err := newObjBench(Tiny8, ablSeed(i), opts, 1, size)
-		if err != nil {
-			return 0, err
-		}
-		hot := env.objs[0]
-		kops := env.runObjOps(8, ablWarmup, ablMeasure, ablSeed(i), func(t *Thread, rng *RNG, n *uint64) {
-			op := t.BeginRO(hot)
-			t.LoadCompute(hot.Addr(0), hot.Size(), 0.1)
-			op.End()
-			*n = 1
-		})
-		return kops, nil
-	}
-
-	kops, err := configSweep("replication", []string{"off", "on"}, run)
-	if err != nil {
-		return nil, err
-	}
-	off, on := kops[0], kops[1]
-	return []AblationRow{
-		{Config: "replication off", KOps: off, Note: "all ops funnel to one core"},
-		{Config: "replication on", KOps: on, Note: fmt.Sprintf("one replica per chip, %.2fx", on/off)},
-	}, nil
-}
-
-// AblationReplacement measures the §6.2 over-capacity policy: the working
-// set exceeds total on-chip memory, with a hot subset. First-fit keeps
-// whichever objects crossed the miss threshold first; frequency-based
-// replacement keeps the hot ones.
-func AblationReplacement() ([]AblationRow, error) {
+// ablParams are the directory and path ablations' run parameters: eight
+// threads over the ablation measurement window.
+func ablParams() RunParams {
 	p := DefaultRunParams()
 	p.Threads = 8
 	p.Warmup = ablWarmup
 	p.Measure = ablMeasure
-	// Adversarial schedule: uniform traffic during warmup fills the
+	return p
+}
+
+// optionValue is an axis value that appends opt to the cell's options.
+func optionValue(label string, opt Option) AxisValue {
+	return AxisValue{Label: label, Apply: func(c *Cell) { c.Options = append(c.Options, opt) }}
+}
+
+// Ablations returns the full ablation registry in report order. DESIGN.md
+// §4 reads the results.
+func Ablations() []Ablation {
+	threadScheduler := SchedulerAxis(Baseline).Values[0] // the reference cell
+
+	// A3's adversarial schedule: uniform traffic during warmup fills the
 	// budget with arbitrary directories; then the distribution shifts to
 	// a hot subset. First-fit is stuck with its early picks;
 	// frequency-based replacement revises them.
-	p.Popularity = UniformThenHotspot
-	p.PhaseShiftAt = ablWarmup
-	p.HotDirs = 6
-	p.HotFraction = 0.9
+	hotspot := ablParams()
+	hotspot.Popularity = UniformThenHotspot
+	hotspot.PhaseShiftAt = ablWarmup
+	hotspot.HotDirs = 6
+	hotspot.HotFraction = 0.9
 
-	exp := Experiment{
-		Machine: Tiny8,
-		Tree:    DirSpec{Dirs: 32, EntriesPerDir: 512}, // 512 KB on a 256 KB machine
-		Params:  p,
-		// Decay and the DRAM-ineffectiveness unplacer would eventually
-		// free the budget on their own; disable both to isolate the
-		// replacement policy.
-		Options: []Option{WithDecayWindow(0), WithDRAMUnplaceFraction(0)},
+	migCost := Axis{Name: "migration_cost", Values: []AxisValue{threadScheduler}}
+	for _, c := range []Cycles{0, 250, 550, 1500, 4000, 8000} {
+		migCost.Values = append(migCost.Values, optionValue(fmt.Sprint(c), WithMigrationCost(c)))
 	}
 
-	policies := []Replacement{FirstFit, Frequency}
-	kres, err := configSweep("replacement", []string{"first-fit", "frequency"},
-		func(i int) (float64, error) {
-			e := exp
-			e.Params.Seed = ablSeed(i)
-			res, err := e.Run(WithSeed(ablSeed(i)), WithReplacement(policies[i]))
-			return res.KResPerSec, err
-		})
-	if err != nil {
-		return nil, err
+	return []Ablation{
+		{"clustering", "A1: object clustering (§6.2)", Sweep{
+			Name: "clustering",
+			// Every operation uses a pair of objects, one nested in the
+			// other: the co-use pattern clustering targets.
+			Base: Cell{Machine: Tiny8, Scenario: objectScenario{objects: 12, size: 8 << 10, threads: 8, group: 2, perByte: 0.05}},
+			Axes: []Axis{{Name: "clustering", Values: []AxisValue{
+				optionValue("off", WithClustering(false)), optionValue("on", WithClustering(true)),
+			}}},
+		}},
+		{"replication", "A2: read-only replication (§6.2)", Sweep{
+			Name: "replication",
+			// One hot read-only object serializes every operation on one
+			// core unless it is replicated per chip.
+			Base: Cell{Machine: Tiny8, Options: []Option{WithReplicationThreshold(32, 0.95)},
+				Scenario: objectScenario{objects: 1, size: 8 << 10, threads: 8, group: 1, readOnly: true, perByte: 0.1}},
+			Axes: []Axis{{Name: "replication", Values: []AxisValue{
+				optionValue("off", WithReplication(false)), optionValue("on", WithReplication(true)),
+			}}},
+		}},
+		{"replacement", "A3: over-capacity replacement policy (§6.2)", Sweep{
+			Name: "replacement",
+			// 512 KB of directories on a 256 KB machine. Decay and the
+			// DRAM-ineffectiveness unplacer would eventually free the
+			// budget on their own; both are off to isolate replacement.
+			Base: Cell{Machine: Tiny8, Options: []Option{WithDecayWindow(0), WithDRAMUnplaceFraction(0)},
+				Scenario: DirLookupScenario{Tree: DirSpec{Dirs: 32, EntriesPerDir: 512}, Params: hotspot}},
+			Axes: []Axis{{Name: "replacement", Values: []AxisValue{
+				optionValue("first-fit", WithReplacement(FirstFit)), optionValue("frequency", WithReplacement(Frequency)),
+			}}},
+		}},
+		{"migcost", "A4: migration-cost sensitivity (§6.1)", Sweep{
+			Name: "migcost",
+			Base: Cell{Machine: Tiny8, Scenario: DirLookupScenario{Tree: DirSpec{Dirs: 8, EntriesPerDir: 512}, Params: ablParams()}},
+			Axes: []Axis{migCost},
+		}},
+		{"hetero", "A5: heterogeneous cores (§6.1)", Sweep{
+			Name: "hetero",
+			// Odd cores run at half speed.
+			Base: Cell{Machine: Tiny8.WithCoreSpeeds(1, 2, 1, 2, 1, 2, 1, 2),
+				Scenario: DirLookupScenario{Tree: DirSpec{Dirs: 8, EntriesPerDir: 512}, Params: ablParams()}},
+			Axes: []Axis{SchedulerAxis(Baseline, CoreTime)},
+		}},
+		{"paths", "A6: clustering on hierarchical path resolution (§6.2)", Sweep{
+			Name: "paths",
+			// Subdirectory scans are small, hence the lower placement
+			// threshold.
+			Base: Cell{Machine: Tiny8, Options: []Option{WithMissThreshold(4)}, Scenario: pathScenario{}},
+			Axes: []Axis{{Name: "clustering", Values: []AxisValue{
+				threadScheduler, optionValue("off", WithClustering(false)), optionValue("on", WithClustering(true)),
+			}}},
+		}},
+		{"single", "A7: single-threaded application using the whole chip's caches (§1)", Sweep{
+			Name: "single",
+			// 12 × 16 KB = 192 KB: far beyond one Tiny8 core's ~29 KB
+			// budget (L2 + L3 share), inside the machine's 256 KB total.
+			Base: Cell{Machine: Tiny8, Scenario: objectScenario{objects: 12, size: 16 << 10, threads: 1, group: 1, perByte: 0.05}},
+			Axes: []Axis{SchedulerAxis(Baseline, CoreTime)},
+		}},
 	}
-	return []AblationRow{
-		{Config: "first-fit (paper base)", KOps: kres[0], Note: "placement is first-come"},
-		{Config: "frequency replacement", KOps: kres[1],
-			Note: fmt.Sprintf("hot objects win space, %.2fx", kres[1]/kres[0])},
-	}, nil
 }
 
-// AblationMigrationCost sweeps the fixed CPU cost of migration (§6.1: the
-// AMD machine's "high cost to migrate a thread" limits CoreTime; hardware
-// active messages "could reduce the overhead of migration").
-func AblationMigrationCost() ([]AblationRow, error) {
-	costs := []Cycles{0, 250, 550, 1500, 4000, 8000}
+// objectScenario is the raw-object workload of the clustering,
+// replication and single-thread ablations: objects of size bytes each
+// and threads threads that repeatedly pick a group of group consecutive
+// objects uniformly and scan each with LoadCompute at perByte cycles a
+// byte, inside one operation per object, nested in group order (read-only
+// operations when readOnly). Groups of more than one object carry a
+// PlaceTogether hint. It reports kops_per_sec and migrations.
+type objectScenario struct {
+	objects, size, threads, group int
+	readOnly                      bool
+	perByte                       float64
+}
 
-	p := DefaultRunParams()
-	p.Threads = 8
-	p.Warmup = ablWarmup
-	p.Measure = ablMeasure
+// objectSet is an objectScenario's built state.
+type objectSet struct {
+	rt   *Runtime
+	objs []*Object
+}
 
-	exp := Experiment{
-		Machine: Tiny8,
-		Tree:    DirSpec{Dirs: 8, EntriesPerDir: 512},
-		Params:  p,
-	}
-
-	// One cell for the baseline reference (no migrations at all), then
-	// one per migration cost.
-	labels := []string{"baseline"}
-	for _, c := range costs {
-		labels = append(labels, fmt.Sprintf("%d", c))
-	}
-	kres, err := configSweep("migcost", labels, func(i int) (float64, error) {
-		e := exp
-		e.Params.Seed = ablSeed(i)
-		if i == 0 {
-			res, err := e.Run(WithSeed(ablSeed(i)), WithScheduler(Baseline))
-			return res.KResPerSec, err
+func (s objectScenario) measure(c Cell) (Metrics, error) {
+	c.Options = append([]Option{WithMemory(2*s.objects*s.size + 8<<20)}, c.Options...)
+	set, err := scenarioForCell(c, func(rt *Runtime) (*objectSet, error) {
+		set := &objectSet{rt: rt}
+		for i := 0; i < s.objects; i++ {
+			obj, err := rt.NewObject(fmt.Sprintf("obj%03d", i), s.size)
+			if err != nil {
+				return nil, err
+			}
+			set.objs = append(set.objs, obj)
 		}
-		res, err := e.Run(WithSeed(ablSeed(i)), WithMigrationCost(costs[i-1]))
-		return res.KResPerSec, err
+		return set, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows := []AblationRow{{Config: "thread scheduler (reference)", KOps: kres[0]}}
-	for i, c := range costs {
-		note := ""
-		if c == 0 {
-			note = "≈ hardware active messages"
+	rt, objs := set.rt, set.objs
+	// An arena reset forgets cluster hints, so every repeat gives them.
+	if s.group > 1 {
+		for i := 0; i < len(objs); i += s.group {
+			rt.PlaceTogether(objs[i : i+s.group]...)
 		}
-		rows = append(rows, AblationRow{
-			Config: fmt.Sprintf("coretime, migr CPU cost %d", c),
-			KOps:   kres[i+1],
-			Note:   note,
+	}
+
+	homes := RoundRobin(s.threads, rt.NumCores())
+	measureStart := rt.Now() + ablWarmup
+	deadline := measureStart + ablMeasure
+	counts := make([]uint64, s.threads)
+	var migBase uint64
+	master := NewRNG(c.Seed)
+	for i := 0; i < s.threads; i++ {
+		rng := master.Split()
+		rt.Go(fmt.Sprintf("w%d", i), homes[i], func(t *Thread) {
+			for t.Now() < deadline {
+				g := rng.Intn(len(objs)/s.group) * s.group
+				s.visit(t, objs[g:g+s.group])
+				if t.Now() >= measureStart && t.Now() <= deadline {
+					counts[i]++
+				}
+				t.Yield()
+			}
 		})
 	}
-	return rows, nil
-}
-
-// AblationPathClustering measures clustering on the real file system:
-// two-level path resolutions (/TOP/SUB/FILE) are nested operations over a
-// top directory and one of its subdirectories. Clustering each top with
-// its subdirectories keeps whole resolutions on one core (§6.2: "if one
-// thread or operation uses two objects simultaneously then it might be
-// best to place both objects in the same cache").
-func AblationPathClustering() ([]AblationRow, error) {
-	p := DefaultRunParams()
-	p.Threads = 8
-	p.Warmup = ablWarmup
-	p.Measure = ablMeasure
-
-	// Subdirectory scans are small, hence the lower placement threshold
-	// on the CoreTime configurations.
-	configs := [][]Option{
-		{WithScheduler(Baseline)},
-		{WithMissThreshold(4), WithClustering(false)},
-		{WithMissThreshold(4), WithClustering(true)},
+	rt.At(measureStart, func() { migBase = rt.migrationsIn() })
+	rt.Run()
+	var total uint64
+	for _, n := range counts {
+		total += n
 	}
-	paths := PathSpec{TopDirs: 4, SubsPerTop: 6, FilesPerSub: 128}
-	results := make([]PathResult, len(configs))
-	if _, err := (Sweep{
-		Name: "paths",
-		Seed: 1,
-		Base: Cell{Machine: Tiny8},
-		Axes: []Axis{{Name: "config", Values: []AxisValue{
-			{Label: "baseline"}, {Label: "flat"}, {Label: "clustered"},
-		}}},
-		Runner: func(c Cell) (Metrics, error) {
-			rt, err := New(append([]Option{WithTopology(c.Machine), WithSeed(c.Seed)}, configs[c.Coords[0]]...)...)
-			if err != nil {
-				return nil, err
-			}
-			pt, err := rt.NewPathTree(paths)
-			if err != nil {
-				return nil, err
-			}
-			pt.ClusterByTop()
-			params := p
-			params.Seed = c.Seed
-			res := pt.Run(params)
-			results[c.Coords[0]] = res // distinct index per cell, no race
-			return Metrics{"kres_per_sec": res.KResPerSec, "migrations": float64(res.Migrations)}, nil
-		},
-	}).Run(); err != nil {
-		return nil, err
-	}
-	base, flat, clustered := results[0], results[1], results[2]
-	return []AblationRow{
-		{Config: "thread scheduler (reference)", KOps: base.KResPerSec},
-		{Config: "coretime, clustering off", KOps: flat.KResPerSec,
-			Note: fmt.Sprintf("%d migrations", flat.Migrations)},
-		{Config: "coretime, clustering on", KOps: clustered.KResPerSec,
-			Note: fmt.Sprintf("%d migrations, %.2fx over unclustered",
-				clustered.Migrations, clustered.KResPerSec/flat.KResPerSec)},
+	return Metrics{
+		"kops_per_sec": float64(total) / (float64(ablMeasure) / rt.ClockHz()) / 1000,
+		"migrations":   float64(rt.migrationsIn() - migBase),
 	}, nil
 }
 
-// AblationSingleThread reproduces the §1 claim that even single-threaded
-// applications can benefit: "a single threaded application might have a
-// working set larger than a single core's cache capacity. The application
-// would run faster with more cache, and the processor may well have spare
-// cache in other cores, but if the application stays on one core it can
-// use only a small fraction of the total cache."
-//
-// One thread scans objects whose total exceeds a single core's budget but
-// fits the machine. The baseline pins the thread (implicitly: it never
-// migrates); CoreTime partitions the objects across all caches and walks
-// the thread among them.
-func AblationSingleThread() ([]AblationRow, error) {
-	// 12 × 16 KB = 192 KB: far beyond one Tiny8 core's ~29 KB budget
-	// (L2 + L3 share), comfortably inside the machine's 256 KB total.
-	const objects = 12
-	const size = 16 << 10
-
-	scheds := []Scheduler{Baseline, CoreTime}
-	run := func(i int) (float64, error) {
-		env, err := newObjBench(Tiny8, ablSeed(i), []Option{WithScheduler(scheds[i])}, objects, size)
-		if err != nil {
-			return 0, err
-		}
-		kops := env.runObjOps(1, ablWarmup, ablMeasure, ablSeed(i), func(t *Thread, rng *RNG, n *uint64) {
-			obj := env.objs[rng.Intn(objects)]
-			op := t.Begin(obj)
-			t.LoadCompute(obj.Addr(0), obj.Size(), 0.05)
-			op.End()
-			*n = 1
-		})
-		return kops, nil
+// visit runs one operation on group[0], with the operations on the rest
+// of the group nested inside it.
+func (s objectScenario) visit(t *Thread, group []*Object) {
+	if len(group) == 0 {
+		return
 	}
-	kops, err := configSweep("single", []string{"pinned", "coretime"}, run)
-	if err != nil {
-		return nil, err
-	}
-	base, ct := kops[0], kops[1]
-	return []AblationRow{
-		{Config: "single thread, pinned", KOps: base,
-			Note: "working set ≫ one core's caches"},
-		{Config: "single thread, coretime", KOps: ct,
-			Note: fmt.Sprintf("thread walks the placed objects, %.2fx", ct/base)},
-	}, nil
+	obj := group[0]
+	op := t.begin(obj, s.readOnly)
+	t.LoadCompute(obj.Addr(0), obj.Size(), s.perByte)
+	s.visit(t, group[1:])
+	op.End()
 }
 
-// AblationHeterogeneous runs the workload on a machine where half the
-// cores run at half speed (§6.1: "Future processors might have
-// heterogeneous cores, which would complicate the design of a O2
-// scheduler").
-func AblationHeterogeneous() ([]AblationRow, error) {
-	p := DefaultRunParams()
-	p.Threads = 8
-	p.Warmup = ablWarmup
-	p.Measure = ablMeasure
-
-	exp := Experiment{
-		// Odd cores run at half speed.
-		Machine: Tiny8.WithCoreSpeeds(1, 2, 1, 2, 1, 2, 1, 2),
-		Tree:    DirSpec{Dirs: 8, EntriesPerDir: 512},
-		Params:  p,
+// migrationsIn is the machine-wide count of thread migrations so far.
+func (rt *Runtime) migrationsIn() uint64 {
+	var n uint64
+	for c := 0; c < rt.NumCores(); c++ {
+		n += rt.mach.Counters().Snapshot(c).MigrationsIn
 	}
-	scheds := []Scheduler{Baseline, CoreTime}
-	kres, err := configSweep("hetero", []string{"thread-scheduler", "coretime"},
-		func(i int) (float64, error) {
-			e := exp
-			e.Params.Seed = ablSeed(i)
-			res, err := e.Run(WithSeed(ablSeed(i)), WithScheduler(scheds[i]))
-			return res.KResPerSec, err
-		})
+	return n
+}
+
+// pathScenario is the two-level path-resolution workload of the path
+// clustering ablation: a PathTree of 4 top directories × 6
+// subdirectories × 128 files under ablParams, each top directory hinted
+// to share a core with its subdirectories.
+type pathScenario struct{}
+
+func (pathScenario) measure(c Cell) (Metrics, error) {
+	params := ablParams()
+	params.Seed = c.Seed
+	pt, err := scenarioForCell(c, func(rt *Runtime) (*PathTree, error) {
+		return rt.NewPathTree(PathSpec{TopDirs: 4, SubsPerTop: 6, FilesPerSub: 128})
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	return []AblationRow{
-		{Config: "hetero, thread scheduler", KOps: kres[0]},
-		{Config: "hetero, coretime", KOps: kres[1],
-			Note: fmt.Sprintf("%.2fx; packer is speed-unaware (open problem per §6.1)",
-				kres[1]/kres[0])},
+	// An arena reset forgets cluster hints, so every repeat gives them.
+	pt.ClusterByTop()
+	res := pt.Run(params)
+	return Metrics{
+		"kres_per_sec": res.KResPerSec,
+		"resolutions":  float64(res.Resolutions),
+		"migrations":   float64(res.Migrations),
 	}, nil
 }

@@ -102,3 +102,36 @@ func TestArenaTruncatedServiceRepeatsMatchFreshRuns(t *testing.T) {
 	}
 	checkRepeatsMatchFresh(t, s)
 }
+
+// TestArenaObjectRepeatsMatchFreshRuns extends the transparency pin to
+// the raw-object scenario with clustering hints. An arena reset forgets
+// the hints with the rest of CoreTime's object state, so a scenario that
+// gave them only when it built the runtime would measure every repeat
+// after the first unclustered.
+func TestArenaObjectRepeatsMatchFreshRuns(t *testing.T) {
+	checkRepeatsMatchFresh(t, Sweep{
+		Name: "arena-objects",
+		Base: Cell{Machine: Tiny8, Scenario: objectScenario{objects: 8, size: 8 << 10, threads: 4, group: 2, perByte: 0.05}},
+		Axes: []Axis{{Name: "clustering", Values: []AxisValue{
+			optionValue("off", WithClustering(false)), optionValue("on", WithClustering(true)),
+		}}},
+		Repeats: 3,
+		Seed:    41,
+		Workers: 1,
+	})
+}
+
+// TestArenaPathRepeatsMatchFreshRuns is the same pin for the path
+// scenario, whose ClusterByTop hints an arena reset forgets too.
+func TestArenaPathRepeatsMatchFreshRuns(t *testing.T) {
+	checkRepeatsMatchFresh(t, Sweep{
+		Name: "arena-paths",
+		Base: Cell{Machine: Tiny8, Options: []Option{WithMissThreshold(4)}, Scenario: pathScenario{}},
+		Axes: []Axis{{Name: "clustering", Values: []AxisValue{
+			optionValue("off", WithClustering(false)), optionValue("on", WithClustering(true)),
+		}}},
+		Repeats: 3,
+		Seed:    43,
+		Workers: 1,
+	})
+}

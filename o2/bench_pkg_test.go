@@ -162,64 +162,82 @@ func TestFig2ShowsDeduplication(t *testing.T) {
 	}
 }
 
-func TestAblationClustering(t *testing.T) {
-	rows, err := AblationClustering()
-	if err != nil {
-		t.Fatal(err)
+// runAblation runs the named ablation at o2bench's default seed.
+func runAblation(t *testing.T, name string) *SweepResult {
+	t.Helper()
+	for _, a := range Ablations() {
+		if a.Name == name {
+			sw := a.Sweep
+			sw.Seed = 1
+			res, err := sw.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
 	}
-	t.Logf("clustering: off %.0f, on %.0f kops/s", rows[0].KOps, rows[1].KOps)
-	if rows[1].KOps <= rows[0].KOps {
-		t.Errorf("clustering did not help: %.0f vs %.0f", rows[1].KOps, rows[0].KOps)
+	t.Fatalf("no ablation %q", name)
+	return nil
+}
+
+// ablationKOpsOf returns the throughput column of the cell with the
+// given labels.
+func ablationKOpsOf(t *testing.T, res *SweepResult, labels ...string) float64 {
+	t.Helper()
+	c := res.Cell(labels...)
+	if c == nil {
+		t.Fatalf("ablation %s has no cell %v", res.Name, labels)
+	}
+	return ablationKOps(c).Mean
+}
+
+func TestAblationClustering(t *testing.T) {
+	res := runAblation(t, "clustering")
+	off, on := ablationKOpsOf(t, res, "off"), ablationKOpsOf(t, res, "on")
+	t.Logf("clustering: off %.0f, on %.0f kops/s", off, on)
+	if on <= off {
+		t.Errorf("clustering did not help: %.0f vs %.0f", on, off)
 	}
 }
 
 func TestAblationReplication(t *testing.T) {
-	rows, err := AblationReplication()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("replication: off %.0f, on %.0f kops/s", rows[0].KOps, rows[1].KOps)
-	if rows[1].KOps <= rows[0].KOps {
-		t.Errorf("replication did not help: %.0f vs %.0f", rows[1].KOps, rows[0].KOps)
+	res := runAblation(t, "replication")
+	off, on := ablationKOpsOf(t, res, "off"), ablationKOpsOf(t, res, "on")
+	t.Logf("replication: off %.0f, on %.0f kops/s", off, on)
+	if on <= off {
+		t.Errorf("replication did not help: %.0f vs %.0f", on, off)
 	}
 }
 
 func TestAblationReplacement(t *testing.T) {
-	rows, err := AblationReplacement()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("replacement: first-fit %.0f, frequency %.0f kres/s", rows[0].KOps, rows[1].KOps)
+	res := runAblation(t, "replacement")
+	firstFit, freq := ablationKOpsOf(t, res, "first-fit"), ablationKOpsOf(t, res, "frequency")
+	t.Logf("replacement: first-fit %.0f, frequency %.0f kres/s", firstFit, freq)
 	// Frequency-based replacement should not lose; usually it wins.
-	if rows[1].KOps < rows[0].KOps*0.95 {
-		t.Errorf("frequency replacement regressed: %.0f vs %.0f", rows[1].KOps, rows[0].KOps)
+	if freq < firstFit*0.95 {
+		t.Errorf("frequency replacement regressed: %.0f vs %.0f", freq, firstFit)
 	}
 }
 
 func TestAblationMigrationCostMonotone(t *testing.T) {
-	rows, err := AblationMigrationCost()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		t.Logf("%-36s %8.0f kres/s", r.Config, r.KOps)
+	res := runAblation(t, "migcost")
+	for i := range res.Cells {
+		t.Logf("%-16s %8.0f kres/s", res.Cells[i].Labels[0], ablationKOps(&res.Cells[i]).Mean)
 	}
 	// Throughput must not increase with migration cost (allowing noise).
-	first, last := rows[1].KOps, rows[len(rows)-1].KOps
+	first, last := ablationKOpsOf(t, res, "0"), ablationKOpsOf(t, res, "8000")
 	if last > first*1.05 {
 		t.Errorf("higher migration cost improved throughput: %.0f → %.0f", first, last)
 	}
 }
 
 func TestAblationPathClustering(t *testing.T) {
-	rows, err := AblationPathClustering()
-	if err != nil {
-		t.Fatal(err)
+	res := runAblation(t, "paths")
+	for i := range res.Cells {
+		c := &res.Cells[i]
+		t.Logf("%-16s %8.0f kres/s %6.0f migrations", c.Labels[0], c.Mean("kres_per_sec"), c.Mean("migrations"))
 	}
-	for _, r := range rows {
-		t.Logf("%-32s %8.0f kres/s %s", r.Config, r.KOps, r.Note)
-	}
-	flat, clustered := rows[1].KOps, rows[2].KOps
+	flat, clustered := ablationKOpsOf(t, res, "off"), ablationKOpsOf(t, res, "on")
 	if clustered < flat {
 		t.Errorf("path clustering slowed resolution: %.0f vs %.0f", clustered, flat)
 	}
@@ -229,27 +247,19 @@ func TestAblationSingleThread(t *testing.T) {
 	// §1: a single-threaded application with a working set larger than
 	// one core's cache runs faster when CoreTime walks it across the
 	// machine's caches.
-	rows, err := AblationSingleThread()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("single-thread: pinned %.0f, coretime %.0f kops/s (%.2fx)",
-		rows[0].KOps, rows[1].KOps, rows[1].KOps/rows[0].KOps)
-	if rows[1].KOps <= rows[0].KOps*1.3 {
-		t.Errorf("single-thread CoreTime advantage too small: %.0f vs %.0f",
-			rows[1].KOps, rows[0].KOps)
+	res := runAblation(t, "single")
+	pinned, ct := ablationKOpsOf(t, res, "thread-scheduler"), ablationKOpsOf(t, res, "coretime")
+	t.Logf("single-thread: pinned %.0f, coretime %.0f kops/s (%.2fx)", pinned, ct, ct/pinned)
+	if ct <= pinned*1.3 {
+		t.Errorf("single-thread CoreTime advantage too small: %.0f vs %.0f", ct, pinned)
 	}
 }
 
 func TestAblationHeterogeneous(t *testing.T) {
-	rows, err := AblationHeterogeneous()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		t.Logf("%-32s %8.0f kres/s %s", r.Config, r.KOps, r.Note)
-	}
-	if rows[0].KOps <= 0 || rows[1].KOps <= 0 {
+	res := runAblation(t, "hetero")
+	base, ct := ablationKOpsOf(t, res, "thread-scheduler"), ablationKOpsOf(t, res, "coretime")
+	t.Logf("hetero: thread scheduler %.0f, coretime %.0f kres/s (%.2fx)", base, ct, ct/base)
+	if base <= 0 || ct <= 0 {
 		t.Fatal("degenerate heterogeneous results")
 	}
 }

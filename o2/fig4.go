@@ -13,8 +13,9 @@ package o2
 //	Fig2         — cache contents under thread vs O2 scheduling (Fig. 2)
 //	LatencyTable — §5 hardware latency numbers
 //	MigrationCost— §5 "measured cost of migration is 2000 cycles"
-//	Ablations    — clustering, replication, replacement, migration-cost
-//	               sensitivity, heterogeneous cores (§6)
+//	Ablations    — one Sweep per §6 extension: clustering, replication,
+//	               replacement, migration-cost sensitivity, heterogeneous
+//	               cores, path clustering, single-thread cache spreading
 
 import (
 	"fmt"

@@ -174,24 +174,25 @@ type MigrationResult struct {
 // MigrationCost measures the round-trip thread migration cost on the AMD16
 // model: a thread repeatedly migrates to a target core and back, and the
 // per-migration cost is averaged. The two probes (same-chip, diagonal
-// cross-chip) run as a two-cell sweep, each on a fresh machine.
+// cross-chip) each run on a fresh machine.
 func MigrationCost(trials int) (MigrationResult, error) {
 	if trials <= 0 {
 		trials = 64
 	}
-	measure := func(target int) (float64, error) {
+	var costs [2]float64
+	for i, target := range []int{1, 12} { // same chip; diagonal chip (2 hops)
 		// The probe drives migration explicitly, so no scheduler is
 		// needed.
 		rt, err := New(WithTopology(AMD16), WithScheduler(Baseline))
 		if err != nil {
-			return 0, err
+			return MigrationResult{}, err
 		}
 		var total Cycles
 		rt.Go("migrator", 0, func(t *Thread) {
 			// Warm the context buffer and the path once.
 			t.MigrateTo(target)
 			t.ReturnHome()
-			for i := 0; i < trials; i++ {
+			for range trials {
 				start := t.Now()
 				t.MigrateTo(target)
 				t.ReturnHome()
@@ -199,14 +200,7 @@ func MigrationCost(trials int) (MigrationResult, error) {
 			}
 		})
 		rt.Run()
-		return float64(total) / float64(2*trials), nil
-	}
-
-	targets := []int{1, 12} // same chip; diagonal chip (2 hops)
-	costs, err := configSweep("migration", []string{"same-chip", "cross-chip"},
-		func(i int) (float64, error) { return measure(targets[i]) })
-	if err != nil {
-		return MigrationResult{}, err
+		costs[i] = float64(total) / float64(2*trials)
 	}
 	same, cross := costs[0], costs[1]
 	return MigrationResult{

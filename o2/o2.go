@@ -28,10 +28,11 @@
 // The package also carries the evaluation layer: Experiment compares
 // schedulers on the directory-lookup workload in a few lines, Sweep
 // executes declarative parameter grids on a bounded worker pool with
-// deterministic per-cell seeds and repeat statistics, and the
-// Fig4a/Fig4b/Fig2/LatencyTable/MigrationCost/Ablations entry points
-// regenerate every figure and table of the paper on that engine
-// (cmd/o2bench is a thin wrapper). Everything under internal/ is free to
+// deterministic per-cell seeds and repeat statistics, the Fig4a/Fig4b/
+// Fig2 entry points and the Ablations' sweeps regenerate the paper's
+// figures and §6 ablations on that engine, and LatencyTable and
+// MigrationCost probe the machine directly (cmd/o2bench is a thin
+// wrapper). Everything under internal/ is free to
 // evolve behind this façade; new scenarios should build on this package
 // alone.
 package o2

@@ -155,8 +155,9 @@ func (c Cell) measure() (Metrics, error) {
 
 // Scenario is the workload of a sweep cell, able to measure itself on
 // the cell's machine, scheduler, options, and seed: DirLookupScenario,
-// KVScenario, or WebScenario. Every scenario builds its runtime through
-// scenarioForCell, so all share one precedence rule and arena reuse.
+// KVScenario, WebScenario, or one of the ablations' unexported
+// scenarios. Every scenario builds its runtime through scenarioForCell,
+// so all share one precedence rule and arena reuse.
 type Scenario interface {
 	measure(c Cell) (Metrics, error)
 }
