@@ -39,3 +39,27 @@ func BenchmarkFig4Cell(b *testing.B) {
 		b.Fatal("benchmark produced no resolutions")
 	}
 }
+
+// BenchmarkDirTreeBuild measures the set-up every Figure-4 sweep cell pays
+// before its first simulated cycle: an AMD16 runtime plus a formatted and
+// populated tree of 224 directories of 1,000 entries (7 MB of directory
+// data, the middle of the Fig. 4 x-axis). ns/dir is host time per built
+// directory.
+func BenchmarkDirTreeBuild(b *testing.B) {
+	spec := o2.DirSpec{Dirs: 224, EntriesPerDir: 1000}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rt, err := o2.New(o2.WithTopology(o2.AMD16), o2.WithScheduler(o2.CoreTime))
+		if err != nil {
+			b.Fatal(err)
+		}
+		tree, err := rt.NewDirTree(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tree.Len() != spec.Dirs {
+			b.Fatalf("built %d directories, want %d", tree.Len(), spec.Dirs)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spec.Dirs), "ns/dir")
+}

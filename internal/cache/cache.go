@@ -270,8 +270,14 @@ func panicLineRange(l Line) {
 
 // MarkDirty sets the dirty bit on a resident line and reports whether the
 // line was present.
-func (c *Cache) MarkDirty(l Line) bool {
-	set := c.set(IndexOf(l))
+func (c *Cache) MarkDirty(l Line) bool { return c.MarkDirtyAt(l, IndexOf(l)) }
+
+// MarkDirtyAt is MarkDirty with l's Index supplied by the caller, which
+// must pass IndexOf(l).
+//
+//o2:hotpath
+func (c *Cache) MarkDirtyAt(l Line, idx Index) bool {
+	set := c.set(idx)
 	i := find(set, l)
 	if i < 0 {
 		return false

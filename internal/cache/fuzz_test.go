@@ -109,7 +109,9 @@ func (r *refCache) lines() []Line {
 // FuzzCache decodes a byte stream into Cache operations on one of
 // fuzzGeoms, applies each to the cache and to refCache, and after every
 // operation compares the returned values (hit, evicted line, its dirty
-// bit), Len and Lines. InsertNew is only issued after a failed Contains,
+// bit), Len and Lines. Opcodes 0-7 and 8-14 select the same operations,
+// except that opcode 14 marks dirty through MarkDirtyAt where 6 uses
+// MarkDirty. InsertNew is only issued after a failed Contains,
 // as its contract requires. The seed corpus lives in
 // testdata/fuzz/FuzzCache.
 func FuzzCache(f *testing.F) {
@@ -171,8 +173,12 @@ func FuzzCache(f *testing.F) {
 					if i >= 0 {
 						set[i].dirty = true
 					}
-					if got, want := c.MarkDirty(l), i >= 0; got != want {
-						fail("MarkDirty", got, want)
+					if op < 8 {
+						if got, want := c.MarkDirty(l), i >= 0; got != want {
+							fail("MarkDirty", got, want)
+						}
+					} else if got, want := c.MarkDirtyAt(l, IndexOf(l)), i >= 0; got != want {
+						fail("MarkDirtyAt", got, want)
 					}
 				case 7:
 					wd, rm := c.Remove(l)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/exec"
@@ -532,6 +533,40 @@ func TestClusteringPlacesTogether(t *testing.T) {
 	cb, _ := h.rt.Placement(b.Base)
 	if ca != cb {
 		t.Fatalf("clustered objects on cores %d and %d, want same", ca, cb)
+	}
+}
+
+// TestClusterCoreDeterministicWhenSplit splits one cluster across cores
+// (each core's ~0.9 MB budget holds two of its 400 KB members) and checks
+// that clusterCore always names the core of the placed member with the
+// lowest base address, not whichever member map iteration meets first.
+func TestClusterCoreDeterministicWhenSplit(t *testing.T) {
+	opts := noRebalance()
+	opts.EnableClustering = true
+	h := newHarness(t, opts)
+	var addrs []mem.Addr
+	for i := 0; i < 6; i++ {
+		addrs = append(addrs, h.alloc(t, fmt.Sprintf("m%d", i), 400<<10).Base)
+	}
+	h.rt.PlaceTogether(addrs...)
+	cores := map[int]bool{}
+	for _, a := range addrs {
+		oi := h.rt.info(a)
+		oi.missEWMA = 100
+		if !h.rt.place(oi) {
+			t.Fatalf("member %#x was not placed", a)
+		}
+		cores[oi.core] = true
+	}
+	if len(cores) < 2 {
+		t.Fatalf("cluster was not split: all members on one core")
+	}
+	id := h.rt.info(addrs[0]).cluster
+	want := h.rt.info(addrs[0]).core
+	for i := 0; i < 200; i++ {
+		if got, ok := h.rt.clusterCore(id); !ok || got != want {
+			t.Fatalf("call %d: clusterCore = %d, %v; want core %d of the lowest-addressed member", i, got, ok, want)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/perfctr"
@@ -51,6 +53,9 @@ type monitorState struct {
 	dramQ       []float64
 	linkQ       []float64
 	bwInit      bool
+
+	// victims is scratch for the withdrawal passes (see placedWhere).
+	victims []*objInfo
 }
 
 // rebalance is one monitor pass.
@@ -61,26 +66,20 @@ func (rt *Runtime) rebalance() {
 	// object whose operations still pull a large fraction of its lines
 	// from DRAM is not fitting on chip, so every migration to it is
 	// wasted cost.
-	if rt.opts.DecayWindow > 0 {
-		for _, oi := range rt.objs {
-			if oi.placed && now-oi.lastAccess > rt.opts.DecayWindow {
-				rt.unplace(oi)
-			}
+	if window := rt.opts.DecayWindow; window > 0 {
+		for _, oi := range rt.placedWhere(func(oi *objInfo) bool { return now-oi.lastAccess > window }) {
+			rt.unplace(oi)
 		}
 	}
 	if frac := rt.opts.UnplaceDRAMFrac; frac > 0 {
-		for _, oi := range rt.objs {
-			// Judge only placements old enough that the cold-start
-			// DRAM loads of the placement itself have decayed out of
-			// the EWMA (0.75^8 ≈ 10% residue at the default alpha).
-			if !oi.placed || oi.placedOps < 8 {
-				continue
-			}
-			lines := float64(oi.bytes()) / 64
-			if oi.dramEWMA > lines*frac {
-				rt.unplaceReason(oi, 1)
-				oi.noPlaceUntil = now + 8*rt.opts.RebalanceInterval
-			}
+		// Judge only placements old enough that the cold-start DRAM
+		// loads of the placement itself have decayed out of the EWMA
+		// (0.75^8 ≈ 10% residue at the default alpha).
+		for _, oi := range rt.placedWhere(func(oi *objInfo) bool {
+			return oi.placedOps >= 8 && oi.dramEWMA > float64(oi.bytes())/64*frac
+		}) {
+			rt.unplaceReason(oi, 1)
+			oi.noPlaceUntil = now + 8*rt.opts.RebalanceInterval
 		}
 	}
 
@@ -129,6 +128,22 @@ func (rt *Runtime) rebalance() {
 
 	// 3. Reset window statistics.
 	rt.endWindow()
+}
+
+// placedWhere returns the placed objects that satisfy pred, in base-address
+// order, in the monitor's scratch (valid until the next call). The
+// withdrawal passes unplace from it, so their unplace trace events never
+// follow map iteration order.
+func (rt *Runtime) placedWhere(pred func(*objInfo) bool) []*objInfo {
+	out := rt.mon.victims[:0]
+	for _, oi := range rt.objs {
+		if oi.placed && pred(oi) {
+			out = append(out, oi)
+		}
+	}
+	slices.SortFunc(out, func(a, b *objInfo) int { return cmp.Compare(a.obj.Base, b.obj.Base) })
+	rt.mon.victims = out
+	return out
 }
 
 func (rt *Runtime) endWindow() {

@@ -107,14 +107,20 @@ func (rt *Runtime) fits(oi *objInfo, core int) bool {
 	return true
 }
 
-// clusterCore returns the core where cluster id is already placed.
+// clusterCore returns the core where cluster id is already placed. A
+// cluster split across cores answers with the core of its placed member
+// at the lowest base address, never by map iteration order.
 func (rt *Runtime) clusterCore(id int) (int, bool) {
+	var first *objInfo
 	for _, oi := range rt.objs {
-		if oi.cluster == id && oi.placed {
-			return oi.core, true
+		if oi.cluster == id && oi.placed && (first == nil || oi.obj.Base < first.obj.Base) {
+			first = oi
 		}
 	}
-	return 0, false
+	if first == nil {
+		return 0, false
+	}
+	return first.core, true
 }
 
 // assign records oi → core and updates the load accounting.
@@ -202,13 +208,8 @@ func (rt *Runtime) PackAll() {
 			candidates = append(candidates, oi)
 		}
 	}
-	for _, oi := range candidates {
-		rt.unplace(oi)
-	}
-	// Undo the churn accounting: a repack is one logical event, and
-	// tests assert on Placements/Unplacements for the online path.
-	rt.stats.Unplacements -= uint64(len(candidates))
-
+	// Sort before unplacing, so the unplace trace events follow benefit
+	// order rather than map iteration order.
 	sort.Slice(candidates, func(i, j int) bool {
 		ri, rj := candidates[i].opRate(), candidates[j].opRate()
 		if ri != rj {
@@ -217,6 +218,12 @@ func (rt *Runtime) PackAll() {
 		// Deterministic tie-break on address.
 		return candidates[i].obj.Base < candidates[j].obj.Base
 	})
+	for _, oi := range candidates {
+		rt.unplace(oi)
+	}
+	// Undo the churn accounting: a repack is one logical event, and
+	// tests assert on Placements/Unplacements for the online path.
+	rt.stats.Unplacements -= uint64(len(candidates))
 
 	ncores := len(rt.coreLoad)
 	next := 0 // rotate first-fit start so equal-rate objects spread

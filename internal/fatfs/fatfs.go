@@ -8,13 +8,16 @@
 // of directory clusters — the same working-set arithmetic as the paper.
 //
 // Every metadata structure (boot sector, FAT, directory entries) is real
-// bytes in the image, parsed on every operation. Simulated cost is charged
-// through the Access interface: operations performed with a NullAccess are
-// free (setup), operations performed with an *exec.Batch charge the exact
-// cache/DRAM latencies of the bytes they touch.
+// bytes, parsed on every operation. The volume takes its addresses from
+// the machine's address space (mem.Image) and keeps its bytes in its own
+// paged store. Simulated cost is charged through the Access interface:
+// operations performed with a NullAccess are free (setup), operations
+// performed with an *exec.Batch charge the exact cache/DRAM latencies of
+// the bytes they touch.
 package fatfs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -87,7 +90,7 @@ func DefaultConfig() Config {
 
 // FS is a formatted FAT16 volume.
 type FS struct {
-	img  *mem.Image
+	vol  *store
 	cfg  Config
 	base mem.Addr
 
@@ -101,10 +104,13 @@ type FS struct {
 	// allocHint speeds host-side bulk setup; correctness never depends
 	// on it (allocation falls back to a full FAT scan).
 	allocHint int
+	// freeLow is where allocChainContiguous's first-fit scan starts:
+	// every cluster below it is in use. Freeing a cell lowers it.
+	freeLow int
 }
 
-// Format lays a fresh FAT16 volume into img. The volume occupies a single
-// allocation of cfg.TotalBytes.
+// Format lays a fresh FAT16 volume into img's address space. The volume
+// occupies a single allocation of cfg.TotalBytes.
 func Format(img *mem.Image, cfg Config) (*FS, error) {
 	if cfg.SectorsPerCluster <= 0 || cfg.SectorsPerCluster&(cfg.SectorsPerCluster-1) != 0 {
 		return nil, fmt.Errorf("fatfs: sectors per cluster %d must be a positive power of two",
@@ -138,23 +144,22 @@ func Format(img *mem.Image, cfg Config) (*FS, error) {
 	}
 
 	fs := &FS{
-		img:          img,
+		vol:          newStore(base, cfg.TotalBytes),
 		cfg:          cfg,
 		base:         base,
 		fatBase:      base + mem.Addr(SectorSize),
 		clusterBytes: clusterBytes,
 		nclusters:    nclusters,
 		allocHint:    minCluster,
+		freeLow:      minCluster,
 	}
 	fs.rootBase = fs.fatBase + mem.Addr(fatSectors*SectorSize)
 	fs.dataBase = fs.rootBase + mem.Addr(rootSectors*SectorSize)
 
 	fs.writeBootSector(totalSectors, fatSectors)
 
-	// Zero the FAT and root directory; mark reserved cells.
-	zero := make([]byte, (nclusters+minCluster)*2)
-	img.WriteAt(fs.fatBase, zero)
-	img.WriteAt(fs.rootBase, make([]byte, cfg.RootEntries*DirEntrySize))
+	// A fresh store reads as zeros: every FAT cell free and the root
+	// directory empty. Only the reserved cells need writing.
 	fs.setFAT(NullAccess{}, 0, 0xFFF8) // media descriptor copy
 	fs.setFAT(NullAccess{}, 1, fatEndOfFile)
 	return fs, nil
@@ -162,7 +167,7 @@ func Format(img *mem.Image, cfg Config) (*FS, error) {
 
 // writeBootSector emits a minimal but well-formed BPB.
 func (fs *FS) writeBootSector(totalSectors, fatSectors int) {
-	b := make([]byte, SectorSize)
+	b := fs.vol.write(fs.base, SectorSize)
 	copy(b[0:3], []byte{0xEB, 0x3C, 0x90}) // jump
 	copy(b[3:11], []byte("REPROFAT"))      // OEM
 	put16 := func(off int, v uint16) { b[off] = byte(v); b[off+1] = byte(v >> 8) }
@@ -182,11 +187,11 @@ func (fs *FS) writeBootSector(totalSectors, fatSectors int) {
 	b[21] = 0xF8 // media descriptor: fixed disk
 	put16(22, uint16(fatSectors))
 	b[510], b[511] = 0x55, 0xAA
-	fs.img.WriteAt(fs.base, b)
 }
 
-// Image returns the backing image.
-func (fs *FS) Image() *mem.Image { return fs.img }
+// PagesWritten returns how many 64 KB pages of the volume's store hold
+// bytes; the rest of the volume reads as zeros without host memory.
+func (fs *FS) PagesWritten() int { return fs.vol.written }
 
 // ClusterBytes returns the cluster size in bytes.
 func (fs *FS) ClusterBytes() int { return fs.clusterBytes }
@@ -206,13 +211,21 @@ func (fs *FS) fatAddr(n int) mem.Addr { return fs.fatBase + mem.Addr(2*n) }
 func (fs *FS) readFAT(acc Access, n int) uint16 {
 	acc.Load(fs.fatAddr(n), 2)
 	acc.Compute(FATDecodeCost)
-	return fs.img.Read16(fs.fatAddr(n))
+	return fs.fat(n)
+}
+
+// fat reads FAT cell n without charging anyone.
+func (fs *FS) fat(n int) uint16 {
+	return binary.LittleEndian.Uint16(fs.vol.read(fs.fatAddr(n), 2))
 }
 
 // setFAT writes FAT cell n, charging acc.
 func (fs *FS) setFAT(acc Access, n int, v uint16) {
 	acc.Store(fs.fatAddr(n), 2)
-	fs.img.Write16(fs.fatAddr(n), v)
+	binary.LittleEndian.PutUint16(fs.vol.write(fs.fatAddr(n), 2), v)
+	if v == fatFree && n < fs.freeLow {
+		fs.freeLow = n
+	}
 }
 
 // allocCluster finds a free cluster, marks it end-of-chain, and returns
@@ -234,16 +247,21 @@ func (fs *FS) allocCluster(acc Access) (int, error) {
 }
 
 // allocChainContiguous allocates count clusters guaranteed contiguous, for
-// directories that must form a single span (CoreTime objects).
+// directories that must form a single span (CoreTime objects). It takes
+// the first free run, scanning from freeLow: the clusters below it are in
+// use, so a scan from minCluster would choose the same run.
 func (fs *FS) allocChainContiguous(acc Access, count int) (int, error) {
 	if count <= 0 {
 		return 0, fmt.Errorf("fatfs: contiguous chain of %d clusters", count)
 	}
 	limit := fs.nclusters + minCluster
-	for start := minCluster; start+count <= limit; start++ {
+	for start := fs.freeLow; start+count <= limit; start++ {
 		ok := true
 		for i := 0; i < count; i++ {
 			if fs.readFAT(acc, start+i) != fatFree {
+				if i == 0 && start == fs.freeLow {
+					fs.freeLow++
+				}
 				ok = false
 				start += i // skip past the obstacle
 				break
@@ -256,6 +274,9 @@ func (fs *FS) allocChainContiguous(acc Access, count int) (int, error) {
 			fs.setFAT(acc, start+i, uint16(start+i+1))
 		}
 		fs.setFAT(acc, start+count-1, fatEndOfFile)
+		if start == fs.freeLow {
+			fs.freeLow = start + count
+		}
 		if fs.allocHint < start+count {
 			fs.allocHint = start + count
 		}

@@ -28,7 +28,7 @@ func TestFormatLayout(t *testing.T) {
 		t.Fatalf("only %d clusters in a 48 MB volume", fs.NumClusters())
 	}
 	// Boot sector signature.
-	sig := fs.img.Bytes(fs.base+510, 2)
+	sig := fs.vol.read(fs.base+510, 2)
 	if sig[0] != 0x55 || sig[1] != 0xAA {
 		t.Fatal("boot sector signature missing")
 	}
@@ -276,9 +276,7 @@ func TestPopulateFillsDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Populate(d, 1000, func(i int) string {
-		return fmt.Sprintf("F%07d", i)
-	}); err != nil {
+	if err := fs.Populate(d, benchNames(t, 1000)); err != nil {
 		t.Fatal(err)
 	}
 	entries := fs.ReadDir(null, d)
@@ -304,9 +302,7 @@ func TestPopulateOverflowRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Capacity rounds up to one cluster = 128 entries; 129 must fail.
-	if err := fs.Populate(d, 129, func(i int) string {
-		return fmt.Sprintf("F%07d", i)
-	}); err == nil {
+	if err := fs.Populate(d, benchNames(t, 129)); err == nil {
 		t.Fatal("overfull Populate accepted")
 	}
 }
@@ -429,9 +425,7 @@ func TestLookupChargesProportionalToPosition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Populate(d, 1000, func(i int) string {
-		return fmt.Sprintf("F%07d", i)
-	}); err != nil {
+	if err := fs.Populate(d, benchNames(t, 1000)); err != nil {
 		t.Fatal(err)
 	}
 	var first, last countingAccess
@@ -452,6 +446,20 @@ func TestLookupChargesProportionalToPosition(t *testing.T) {
 	if last.compute < 900*CompareCost {
 		t.Fatalf("compare cost not per-entry: %v", last.compute)
 	}
+}
+
+// benchNames encodes the benchmark file names F0000000, F0000001, ...
+func benchNames(t testing.TB, n int) [][11]byte {
+	t.Helper()
+	raws := make([][11]byte, n)
+	for i := range raws {
+		raw, err := EncodeName(fmt.Sprintf("F%07d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws[i] = raw
+	}
+	return raws
 }
 
 // countingAccess counts charged operations for cost-model tests.

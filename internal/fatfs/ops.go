@@ -85,7 +85,7 @@ func (fs *FS) forEachSlot(acc Access, d Dir, fn func(addr mem.Addr, idx int) boo
 
 // decodeEntry parses the dirent at addr (bytes must already be charged).
 func (fs *FS) decodeEntry(addr mem.Addr, idx int) Entry {
-	b := fs.img.Bytes(addr, DirEntrySize)
+	b := fs.vol.read(addr, DirEntrySize)
 	var raw [11]byte
 	copy(raw[:], b[:11])
 	return Entry{
@@ -100,13 +100,13 @@ func (fs *FS) decodeEntry(addr mem.Addr, idx int) Entry {
 
 // writeEntry emits a dirent at addr, charging acc.
 func (fs *FS) writeEntry(acc Access, addr mem.Addr, raw [11]byte, attr byte, firstCluster int, size uint32) {
-	b := make([]byte, DirEntrySize)
+	acc.Store(addr, DirEntrySize)
+	b := fs.vol.write(addr, DirEntrySize)
 	copy(b[:11], raw[:])
 	b[11] = attr
-	b[26], b[27] = byte(firstCluster), byte(firstCluster>>8)
-	b[28], b[29], b[30], b[31] = byte(size), byte(size>>8), byte(size>>16), byte(size>>24)
-	acc.Store(addr, DirEntrySize)
-	fs.img.WriteAt(addr, b)
+	clear(b[12:26])
+	binary.LittleEndian.PutUint16(b[26:], uint16(firstCluster))
+	binary.LittleEndian.PutUint32(b[28:], size)
 }
 
 // Lookup scans d for name, charging acc for every entry read until the
@@ -221,7 +221,7 @@ func (fs *FS) scanRegion(acc Access, base mem.Addr, nslots, idx0 int, raw *[11]b
 		off := int(addr % SectorSize)
 		if off == 0 {
 			acc.Load(addr, SectorSize)
-			sector = fs.img.Bytes(addr, SectorSize)
+			sector = fs.vol.read(addr, SectorSize)
 		}
 		n++
 		b := sector[off : off+DirEntrySize]
@@ -300,7 +300,7 @@ func (fs *FS) findFreeSlot(acc Access, d Dir) (mem.Addr, int, error) {
 	idx := -1
 	fs.forEachSlot(acc, d, func(a mem.Addr, i int) bool {
 		acc.Load(a, 1)
-		b := fs.img.Bytes(a, 1)[0]
+		b := fs.vol.read(a, 1)[0]
 		if b == 0x00 || b == 0xE5 {
 			addr, idx = a, i
 			return false
@@ -361,7 +361,7 @@ func (fs *FS) writeNewChain(acc Access, data []byte) (int, error) {
 			end = len(data)
 		}
 		acc.Store(fs.clusterAddr(cl), end-off)
-		fs.img.WriteAt(fs.clusterAddr(cl), data[off:end])
+		fs.vol.writeAt(data[off:end], fs.clusterAddr(cl))
 	}
 	return first, nil
 }
@@ -387,13 +387,12 @@ func (fs *FS) Mkdir(acc Access, parent Dir, name string, capEntries int) (Dir, e
 	if err != nil {
 		return Dir{}, err
 	}
-	// Zero the directory clusters (end-of-directory markers).
-	zero := make([]byte, fs.clusterBytes)
+	// Zero the directory clusters (end-of-directory markers). A freed
+	// file may have left bytes there; never-written pages are zero already.
 	for i := 0; i < clusters; i++ {
-		a := fs.clusterAddr(first + i)
-		acc.Store(a, fs.clusterBytes)
-		fs.img.WriteAt(a, zero)
+		acc.Store(fs.clusterAddr(first+i), fs.clusterBytes)
 	}
+	fs.vol.zero(fs.clusterAddr(first), clusters*fs.clusterBytes)
 	addr, _, err := fs.findFreeSlot(acc, parent)
 	if err != nil {
 		fs.freeChain(acc, first)
@@ -403,31 +402,24 @@ func (fs *FS) Mkdir(acc Access, parent Dir, name string, capEntries int) (Dir, e
 	return Dir{fs: fs, firstCluster: first}, nil
 }
 
-// Populate bulk-creates count zero-length files in d named by namer,
-// writing entries sequentially. It is the fast path for building benchmark
-// directories (1,000 entries each) without O(n²) free-slot scans; it
-// assumes d is empty.
-func (fs *FS) Populate(d Dir, count int, namer func(i int) string) error {
+// Populate bulk-creates one zero-length file in d per pre-encoded name
+// (see EncodeName), writing entries sequentially. It is the fast path for
+// building benchmark directories (1,000 entries each) without O(n²)
+// free-slot scans or per-directory name encoding: a tree whose
+// directories hold the same names encodes them once. It assumes d is
+// empty.
+func (fs *FS) Populate(d Dir, raws [][11]byte) error {
 	written := 0
-	var failure error
 	fs.forEachSlot(NullAccess{}, d, func(addr mem.Addr, idx int) bool {
-		if written >= count {
+		if written == len(raws) {
 			return false
 		}
-		raw, err := EncodeName(namer(written))
-		if err != nil {
-			failure = err
-			return false
-		}
-		fs.writeEntry(NullAccess{}, addr, raw, attrArchive, 0, 0)
+		fs.writeEntry(NullAccess{}, addr, raws[written], attrArchive, 0, 0)
 		written++
 		return true
 	})
-	if failure != nil {
-		return failure
-	}
-	if written < count {
-		return fmt.Errorf("fatfs: directory holds %d of %d entries", written, count)
+	if written < len(raws) {
+		return fmt.Errorf("fatfs: directory holds %d of %d entries", written, len(raws))
 	}
 	return nil
 }
@@ -437,7 +429,7 @@ func (fs *FS) ReadDir(acc Access, d Dir) []Entry {
 	var out []Entry
 	fs.forEachSlot(acc, d, func(addr mem.Addr, idx int) bool {
 		acc.Load(addr, DirEntrySize)
-		b := fs.img.Bytes(addr, 1)[0]
+		b := fs.vol.read(addr, 1)[0]
 		if b == 0x00 {
 			return false
 		}
@@ -472,7 +464,8 @@ func (fs *FS) ReadAll(acc Access, e Entry) ([]byte, error) {
 		}
 		a := fs.clusterAddr(cl)
 		acc.Load(a, n)
-		out = append(out, fs.img.ReadAt(a, n)...)
+		out = out[:len(out)+n]
+		fs.vol.readAt(out[len(out)-n:], a)
 		remaining -= n
 		if remaining == 0 {
 			break
@@ -485,7 +478,8 @@ func (fs *FS) ReadAll(acc Access, e Entry) ([]byte, error) {
 }
 
 // WriteFile replaces the contents of the file entry e with data,
-// reallocating its chain.
+// reallocating its chain. If the volume has no room for data, the file is
+// left empty and the error returned.
 func (fs *FS) WriteFile(acc Access, e *Entry, data []byte) error {
 	if e.IsDir() {
 		return fmt.Errorf("fatfs: %q is a directory", e.Name)
@@ -494,19 +488,20 @@ func (fs *FS) WriteFile(acc Access, e *Entry, data []byte) error {
 		fs.freeChain(acc, e.FirstCluster)
 	}
 	first := 0
+	var err error
 	if len(data) > 0 {
-		var err error
 		first, err = fs.writeNewChain(acc, data)
-		if err != nil {
-			return err
-		}
 	}
-	e.FirstCluster = first
-	e.Size = uint32(len(data))
+	e.FirstCluster, e.Size = first, uint32(len(data))
+	if err != nil {
+		// The old chain is gone; leave an empty file, not an entry
+		// pointing at freed clusters.
+		e.Size = 0
+	}
 	var raw [11]byte
-	copy(raw[:], fs.img.Bytes(e.Addr, 11))
-	fs.writeEntry(acc, e.Addr, raw, e.Attr, first, e.Size)
-	return nil
+	copy(raw[:], fs.vol.read(e.Addr, 11))
+	fs.writeEntry(acc, e.Addr, raw, e.Attr, e.FirstCluster, e.Size)
+	return err
 }
 
 // Unlink removes the named file or (empty) directory from d.
@@ -525,7 +520,7 @@ func (fs *FS) Unlink(acc Access, d Dir, name string) error {
 		fs.freeChain(acc, e.FirstCluster)
 	}
 	acc.Store(e.Addr, 1)
-	fs.img.Bytes(e.Addr, 1)[0] = 0xE5
+	fs.vol.write(e.Addr, 1)[0] = 0xE5
 	return nil
 }
 
@@ -536,26 +531,27 @@ func (fs *FS) Extent(d Dir) (mem.Span, error) {
 	if d.IsRoot() {
 		return mem.Span{Base: fs.rootBase, Size: uint64(fs.cfg.RootEntries * DirEntrySize)}, nil
 	}
-	clusters, err := fs.chain(NullAccess{}, d.firstCluster)
-	if err != nil {
-		return mem.Span{}, err
-	}
-	for i := 1; i < len(clusters); i++ {
-		if clusters[i] != clusters[i-1]+1 {
-			return mem.Span{}, fmt.Errorf("fatfs: directory chain not contiguous at cluster %d", clusters[i])
+	// Walk the chain in place: each hop must be to the next cluster, so
+	// the walk is strictly increasing and cannot cycle.
+	first, n := d.firstCluster, 1
+	for cl := first; ; cl++ {
+		next := fs.fat(cl)
+		if next >= fatEndOfFile {
+			break
 		}
+		if int(next) != cl+1 {
+			return mem.Span{}, fmt.Errorf("fatfs: directory chain not contiguous at cluster %d", next)
+		}
+		n++
 	}
-	return mem.Span{
-		Base: fs.clusterAddr(clusters[0]),
-		Size: uint64(len(clusters) * fs.clusterBytes),
-	}, nil
+	return mem.Span{Base: fs.clusterAddr(first), Size: uint64(n * fs.clusterBytes)}, nil
 }
 
 // FreeClusters counts free FAT cells (host-side, uncharged).
 func (fs *FS) FreeClusters() int {
 	n := 0
 	for i := minCluster; i < fs.nclusters+minCluster; i++ {
-		if fs.img.Read16(fs.fatAddr(i)) == fatFree {
+		if fs.fat(i) == fatFree {
 			n++
 		}
 	}
@@ -563,8 +559,9 @@ func (fs *FS) FreeClusters() int {
 }
 
 // CheckConsistency validates the volume like a small fsck: every reachable
-// chain is acyclic and terminated, no cluster belongs to two chains, and
-// file sizes fit their chains. It returns the first problem found.
+// chain is acyclic and terminated, no cluster belongs to two chains, file
+// sizes fit their chains, and every FAT cell in use belongs to a reachable
+// chain (no leaks). It returns the first problem found.
 func (fs *FS) CheckConsistency() error {
 	owner := make(map[int]string)
 	var walk func(d Dir, path string) error
@@ -604,5 +601,13 @@ func (fs *FS) CheckConsistency() error {
 		}
 		return nil
 	}
-	return walk(fs.Root(), "")
+	if err := walk(fs.Root(), ""); err != nil {
+		return err
+	}
+	for cl := minCluster; cl < fs.nclusters+minCluster; cl++ {
+		if _, reached := owner[cl]; !reached && fs.fat(cl) != fatFree {
+			return fmt.Errorf("fatfs: cluster %d is in use but no chain reaches it", cl)
+		}
+	}
+	return nil
 }

@@ -80,17 +80,8 @@ type Machine struct {
 	invWords    []uint64
 }
 
-// New builds a machine from cfg with memBytes of simulated DRAM.
-func New(cfg topology.Config, memBytes int) (*Machine, error) {
-	return NewWithMemLimit(cfg, memBytes, memBytes)
-}
-
-// NewWithMemLimit builds a machine whose memory image starts at memBytes
-// and grows on demand up to memLimit. Sweep cells start images at the
-// workload's exact requirement (zeroing the backing array is a real cost
-// when thousands of short-lived machines are built) while keeping the
-// allocation headroom of the larger limit.
-func NewWithMemLimit(cfg topology.Config, memBytes, memLimit int) (*Machine, error) {
+// New builds a machine from cfg with a memLimit-byte address space.
+func New(cfg topology.Config, memLimit int) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -110,7 +101,7 @@ func NewWithMemLimit(cfg topology.Config, memBytes, memLimit int) (*Machine, err
 	}
 	m := &Machine{
 		cfg:      cfg,
-		img:      mem.NewImageWithLimit(memBytes, memLimit),
+		img:      mem.NewImage(memLimit),
 		l1:       make([]*cache.Cache, n),
 		l2:       make([]*cache.Cache, n),
 		l3:       make([]*cache.Cache, cfg.Chips),
@@ -165,8 +156,8 @@ func NewWithMemLimit(cfg topology.Config, memBytes, memLimit int) (*Machine, err
 }
 
 // MustNew is New for configurations known valid at compile time (presets).
-func MustNew(cfg topology.Config, memBytes int) *Machine {
-	m, err := New(cfg, memBytes)
+func MustNew(cfg topology.Config, memLimit int) *Machine {
+	m, err := New(cfg, memLimit)
 	if err != nil {
 		panic(err)
 	}
@@ -176,7 +167,7 @@ func MustNew(cfg topology.Config, memBytes int) *Machine {
 // Config returns the machine's topology.
 func (m *Machine) Config() topology.Config { return m.cfg }
 
-// Image returns the simulated physical memory.
+// Image returns the simulated physical address space.
 func (m *Machine) Image() *mem.Image { return m.img }
 
 // Counters returns the per-core event counters.
@@ -298,7 +289,7 @@ func (m *Machine) l1HitTail(core int, l cache.Line, idx cache.Index, write bool,
 	m.l2[core].LookupAt(l, idx)
 	lat := m.cfg.Lat.L1Hit
 	if write {
-		lat += m.acquireOwnership(core, l, c)
+		lat += m.acquireOwnership(core, l, idx, c)
 	}
 	return lat
 }
@@ -311,7 +302,7 @@ func (m *Machine) missLine(core int, l cache.Line, idx cache.Index, write bool, 
 		lat = m.fetchMiss(core, l, idx, at, c)
 	}
 	if write {
-		lat += m.acquireOwnership(core, l, c)
+		lat += m.acquireOwnership(core, l, idx, c)
 	}
 	return lat
 }
@@ -454,13 +445,14 @@ func (m *Machine) dramQueue(chip int, at sim.Time) sim.Cycles {
 }
 
 // acquireOwnership makes core the sole holder after a write, invalidating
-// remote copies and marking the local line dirty. Returns the added cost.
+// remote copies and marking the local line dirty; idx is the line's set
+// Index. Returns the added cost.
 // The directory work is one fused acquire-exclusive probe; the
 // invalidation set comes back as a bitmask (narrow) or as words written
 // into machine-owned scratch (wide), so no store ever allocates.
 //
 //o2:hotpath
-func (m *Machine) acquireOwnership(core int, l cache.Line, c *perfctr.Counters) sim.Cycles {
+func (m *Machine) acquireOwnership(core int, l cache.Line, idx cache.Index, c *perfctr.Counters) sim.Cycles {
 	node := m.coreNode(core)
 	var extra sim.Cycles
 	if m.invWords == nil {
@@ -479,8 +471,8 @@ func (m *Machine) acquireOwnership(core int, l cache.Line, c *perfctr.Counters) 
 			m.invalidateWord(inv, w*64, l)
 		}
 	}
-	m.l1[core].MarkDirty(l)
-	m.l2[core].MarkDirty(l)
+	m.l1[core].MarkDirtyAt(l, idx)
+	m.l2[core].MarkDirtyAt(l, idx)
 	return extra
 }
 

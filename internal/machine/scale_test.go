@@ -36,11 +36,11 @@ func TestNewRejectsOverwideMachine(t *testing.T) {
 func TestNewRejectsMemoryBeyondLineRange(t *testing.T) {
 	cfg := topology.Tiny8()
 	ls := cfg.L1.LineSize
-	if _, err := NewWithMemLimit(cfg, 1<<20, (cache.MaxLines+1)*ls); err == nil ||
+	if _, err := New(cfg, (cache.MaxLines+1)*ls); err == nil ||
 		!strings.Contains(err.Error(), "cache way") {
 		t.Fatalf("a %d-line memory limit was not refused: %v", cache.MaxLines+1, err)
 	}
-	if _, err := NewWithMemLimit(cfg, 1<<20, cache.MaxLines*ls); err != nil {
+	if _, err := New(cfg, cache.MaxLines*ls); err != nil {
 		t.Fatalf("a %d-line memory limit was refused: %v", cache.MaxLines, err)
 	}
 }

@@ -1,10 +1,10 @@
-// Package mem provides the simulated physical address space: a flat byte
-// image with a bump allocator and a registry of named object spans.
+// Package mem provides the simulated physical address space: a bump
+// allocator and a registry of named object spans.
 //
-// The image holds real bytes — the FAT file system stores genuine directory
-// entries in it — but reading and writing the image carries no simulated
-// cost. Timing is charged separately by the machine model
-// (internal/machine), which consults the same addresses.
+// An Image holds addresses only, no bytes. Timing is charged by the
+// machine model (internal/machine), which consults the same addresses;
+// the one structure with real contents, the FAT volume, keeps its bytes
+// in its own store (internal/fatfs) at the addresses it allocated here.
 package mem
 
 import (
@@ -36,41 +36,24 @@ type Object struct {
 	Name string
 }
 
-// Image is a simulated physical memory: backing bytes, a bump allocator,
-// and the object registry.
+// Image is a simulated physical address space: a bump allocator and the
+// object registry. It holds no bytes.
 type Image struct {
-	data    []byte
-	limit   int // capacity ceiling; len(data) grows toward it on demand
+	limit   int // address-space size; Alloc never hands out past it
 	next    Addr
 	objects []*Object // sorted by Base
 }
 
-// NewImage creates an image of size bytes with a fixed capacity.
-// Allocations start at address 64 so that address 0 can serve as a "nil"
-// sentinel.
+// NewImage creates an address space of size bytes. Allocations start at
+// address 64 so that address 0 can serve as a "nil" sentinel.
 func NewImage(size int) *Image {
-	return NewImageWithLimit(size, size)
-}
-
-// NewImageWithLimit creates an image whose backing starts at size bytes
-// and grows on demand up to limit. Zeroing the backing array is a real
-// cost for callers that build thousands of short-lived machines (the
-// sweep engine), so they start images at the workload's stated
-// requirement while keeping the allocation headroom of a larger limit.
-//
-// Growth reallocates the backing array: slices returned by Bytes must not
-// be held across an Alloc.
-func NewImageWithLimit(size, limit int) *Image {
 	if size <= 0 {
 		panic("mem: image size must be positive")
 	}
-	if limit < size {
-		limit = size
-	}
-	return &Image{data: make([]byte, size), limit: limit, next: 64}
+	return &Image{limit: size, next: 64}
 }
 
-// Size returns the image capacity in bytes (the growth limit).
+// Size returns the address-space size in bytes.
 func (im *Image) Size() int { return im.limit }
 
 // Used returns the number of bytes handed out so far.
@@ -89,30 +72,12 @@ func (im *Image) Alloc(size uint64, align uint64) (Addr, error) {
 		return 0, fmt.Errorf("mem: zero-size allocation")
 	}
 	base := (uint64(im.next) + align - 1) &^ (align - 1)
-	if base+size > uint64(len(im.data)) {
-		if base+size > uint64(im.limit) {
-			return 0, fmt.Errorf("mem: out of memory: need %d bytes at %#x, image is %d bytes",
-				size, base, im.limit)
-		}
-		im.growTo(base + size)
+	if base+size > uint64(im.limit) {
+		return 0, fmt.Errorf("mem: out of memory: need %d bytes at %#x, image is %d bytes",
+			size, base, im.limit)
 	}
 	im.next = Addr(base + size)
 	return Addr(base), nil
-}
-
-// growTo extends the backing array to at least need bytes, doubling to
-// amortize and clamping at the limit.
-func (im *Image) growTo(need uint64) {
-	newLen := uint64(len(im.data)) * 2
-	if newLen < need {
-		newLen = need
-	}
-	if newLen > uint64(im.limit) {
-		newLen = uint64(im.limit)
-	}
-	data := make([]byte, newLen)
-	copy(data, im.data)
-	im.data = data
 }
 
 // ImageMark is a point in an image's allocation history, taken with Mark
@@ -125,25 +90,19 @@ type ImageMark struct {
 // Mark captures the allocator's current position so ResetTo can roll the
 // image back to it. The sweep engine marks an image after the shared
 // machine build and resets to the mark between repeats, reusing the build
-// instead of re-zeroing and re-populating megabytes per repeat.
+// instead of re-populating it per repeat.
 func (im *Image) Mark() ImageMark {
 	return ImageMark{next: im.next, objects: len(im.objects)}
 }
 
 // ResetTo rolls the bump allocator back to a mark taken on this image.
-// Ownership rules (the arena contract, DESIGN.md §12):
-//
-//   - Objects registered after the mark must describe memory allocated
-//     after the mark; ResetTo drops every object based at or past the
-//     mark's allocation frontier and panics if the registry still holds
-//     more objects than the mark recorded (a post-mark registration
-//     inside pre-mark memory cannot be rolled back).
-//   - Bytes written after the mark are not re-zeroed; callers that
-//     re-allocate the freed region must not read bytes they did not
-//     write. (The execution substrate's context buffers qualify: they are
-//     charged, never read.)
-//   - Backing-array growth is retained — addresses are stable, so a
-//     grown image behaves identically to a fresh one of the grown size.
+// Objects registered after the mark must describe memory allocated after
+// the mark (the arena contract, DESIGN.md §12): ResetTo drops every object
+// based at or past the mark's allocation frontier and panics if the
+// registry still holds more objects than the mark recorded (a post-mark
+// registration inside pre-mark memory cannot be rolled back). The image
+// owns no bytes, so nothing else is rolled back; whoever stores bytes at
+// these addresses (the FAT volume) keeps them across the reset.
 func (im *Image) ResetTo(m ImageMark) {
 	keep := len(im.objects)
 	for keep > 0 && im.objects[keep-1].Base >= m.next {
@@ -176,7 +135,7 @@ func (im *Image) RegisterObject(name string, span Span) (*Object, error) {
 	if span.Size == 0 {
 		return nil, fmt.Errorf("mem: zero-size object %q", name)
 	}
-	if span.End() > Addr(len(im.data)) {
+	if span.End() > Addr(im.limit) {
 		return nil, fmt.Errorf("mem: object %q span [%#x,%#x) outside image", name, span.Base, span.End())
 	}
 	obj := &Object{Span: span, Name: name}
@@ -212,60 +171,3 @@ func (im *Image) ObjectAt(a Addr) *Object {
 // Objects returns all registered objects in address order. The caller must
 // not mutate the slice.
 func (im *Image) Objects() []*Object { return im.objects }
-
-// Bytes returns the backing slice for [a, a+n). It panics on out-of-range
-// access: a simulated program touching unmapped memory is a bug in the
-// simulation, not a recoverable condition.
-func (im *Image) Bytes(a Addr, n int) []byte {
-	if int(a)+n > len(im.data) || n < 0 {
-		panic(fmt.Sprintf("mem: access [%#x,%#x) outside image of %d bytes", a, int(a)+n, len(im.data)))
-	}
-	return im.data[a : int(a)+n]
-}
-
-// ReadAt copies n bytes starting at a.
-func (im *Image) ReadAt(a Addr, n int) []byte {
-	out := make([]byte, n)
-	copy(out, im.Bytes(a, n))
-	return out
-}
-
-// WriteAt copies b into the image at a.
-func (im *Image) WriteAt(a Addr, b []byte) {
-	copy(im.Bytes(a, len(b)), b)
-}
-
-// Read16 reads a little-endian uint16 at a.
-func (im *Image) Read16(a Addr) uint16 {
-	b := im.Bytes(a, 2)
-	return uint16(b[0]) | uint16(b[1])<<8
-}
-
-// Write16 writes a little-endian uint16 at a.
-func (im *Image) Write16(a Addr, v uint16) {
-	b := im.Bytes(a, 2)
-	b[0], b[1] = byte(v), byte(v>>8)
-}
-
-// Read32 reads a little-endian uint32 at a.
-func (im *Image) Read32(a Addr) uint32 {
-	b := im.Bytes(a, 4)
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-// Write32 writes a little-endian uint32 at a.
-func (im *Image) Write32(a Addr, v uint32) {
-	b := im.Bytes(a, 4)
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-// Read64 reads a little-endian uint64 at a.
-func (im *Image) Read64(a Addr) uint64 {
-	return uint64(im.Read32(a)) | uint64(im.Read32(a+4))<<32
-}
-
-// Write64 writes a little-endian uint64 at a.
-func (im *Image) Write64(a Addr, v uint64) {
-	im.Write32(a, uint32(v))
-	im.Write32(a+4, uint32(v>>32))
-}

@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -134,47 +133,6 @@ func TestObjectsNeverOverlap(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestReadWriteRoundTrip(t *testing.T) {
-	im := NewImage(4096)
-	a, _ := im.Alloc(256, 8)
-	payload := []byte("the quick brown fox")
-	im.WriteAt(a, payload)
-	if got := im.ReadAt(a, len(payload)); !bytes.Equal(got, payload) {
-		t.Errorf("round trip = %q, want %q", got, payload)
-	}
-}
-
-func TestScalarAccessors(t *testing.T) {
-	im := NewImage(4096)
-	a, _ := im.Alloc(64, 8)
-	im.Write16(a, 0xBEEF)
-	if got := im.Read16(a); got != 0xBEEF {
-		t.Errorf("Read16 = %#x", got)
-	}
-	im.Write32(a+8, 0xDEADBEEF)
-	if got := im.Read32(a + 8); got != 0xDEADBEEF {
-		t.Errorf("Read32 = %#x", got)
-	}
-	im.Write64(a+16, 0x0123456789ABCDEF)
-	if got := im.Read64(a + 16); got != 0x0123456789ABCDEF {
-		t.Errorf("Read64 = %#x", got)
-	}
-	// Little-endian layout check.
-	if im.Bytes(a, 1)[0] != 0xEF {
-		t.Error("Write16 is not little-endian")
-	}
-}
-
-func TestOutOfRangePanics(t *testing.T) {
-	im := NewImage(128)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range access did not panic")
-		}
-	}()
-	im.Bytes(120, 16)
 }
 
 func TestAddressZeroReserved(t *testing.T) {

@@ -100,9 +100,11 @@ func BuildPathEnvOn(sys *exec.System, spec PathSpec) (*PathEnv, error) {
 	for s := 0; s < spec.SubsPerTop; s++ {
 		env.SubNames = append(env.SubNames, fmt.Sprintf("SUB%04d", s))
 	}
-	for f := 0; f < spec.FilesPerSub; f++ {
-		env.FileNames = append(env.FileNames, fmt.Sprintf("F%07d", f))
+	names, raws, err := nameTable(spec.FilesPerSub)
+	if err != nil {
+		return nil, err
 	}
+	env.FileNames = names
 
 	null := fatfs.NullAccess{}
 	for ti := 0; ti < spec.TopDirs; ti++ {
@@ -123,9 +125,7 @@ func BuildPathEnvOn(sys *exec.System, spec PathSpec) (*PathEnv, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := fs.Populate(subDir, spec.FilesPerSub, func(f int) string {
-				return env.FileNames[f]
-			}); err != nil {
+			if err := fs.Populate(subDir, raws); err != nil {
 				return nil, err
 			}
 			node, err := env.node(subDir, fmt.Sprintf("%s/%s", topName, env.SubNames[si]))

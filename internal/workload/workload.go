@@ -41,9 +41,11 @@ func (d DirSpec) ImageBytes() int { return d.VolumeBytes() + (4 << 20) }
 
 // DirHandle bundles everything the drivers need per directory.
 type DirHandle struct {
-	Dir   fatfs.Dir
-	Obj   *mem.Object
-	Lock  *exec.SpinLock
+	Dir  fatfs.Dir
+	Obj  *mem.Object
+	Lock *exec.SpinLock
+	// Names are the directory's file names, one table shared by every
+	// directory of the tree; callers must not modify it.
 	Names []string
 }
 
@@ -92,6 +94,12 @@ func BuildEnvOn(sys *exec.System, spec DirSpec) (*Env, error) {
 		return nil, err
 	}
 
+	// Every directory holds the same names: build and encode them once,
+	// and let all directories share the table.
+	names, raws, err := nameTable(spec.EntriesPerDir)
+	if err != nil {
+		return nil, err
+	}
 	env := &Env{Eng: eng, Mach: m, Sys: sys, FS: fs, Spec: spec}
 	null := fatfs.NullAccess{}
 	for i := 0; i < spec.Dirs; i++ {
@@ -100,18 +108,14 @@ func BuildEnvOn(sys *exec.System, spec DirSpec) (*Env, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: mkdir %s: %w", dirName, err)
 		}
-		names := make([]string, spec.EntriesPerDir)
-		for j := range names {
-			names[j] = fileName(j)
-		}
-		if err := fs.Populate(d, spec.EntriesPerDir, func(j int) string { return names[j] }); err != nil {
+		if err := fs.Populate(d, raws); err != nil {
 			return nil, fmt.Errorf("workload: populate %s: %w", dirName, err)
 		}
 		span, err := fs.Extent(d)
 		if err != nil {
 			return nil, err
 		}
-		obj, err := registerSpan(m.Image(), dirName, span)
+		obj, err := m.Image().RegisterObject(dirName, span)
 		if err != nil {
 			return nil, err
 		}
@@ -123,6 +127,22 @@ func BuildEnvOn(sys *exec.System, spec DirSpec) (*Env, error) {
 		})
 	}
 	return env, nil
+}
+
+// nameTable returns the n benchmark file names "F%07d" and their on-disk
+// encodings, built once per tree.
+func nameTable(n int) ([]string, [][11]byte, error) {
+	names := make([]string, n)
+	raws := make([][11]byte, n)
+	for j := range names {
+		names[j] = fileName(j)
+		raw, err := fatfs.EncodeName(names[j])
+		if err != nil {
+			return nil, nil, fmt.Errorf("workload: file name %s: %w", names[j], err)
+		}
+		raws[j] = raw
+	}
+	return names, raws, nil
 }
 
 // fileName formats the benchmark file name "F%07d" without fmt's
@@ -153,13 +173,6 @@ func rootEntriesFor(n int) int {
 		entries += perSector - r
 	}
 	return entries
-}
-
-// registerSpan registers an existing span as a named object. The image's
-// object registry normally allocates; here the bytes already exist inside
-// the FAT volume, so we register the span directly.
-func registerSpan(img *mem.Image, name string, span mem.Span) (*mem.Object, error) {
-	return img.RegisterObject(name, span)
 }
 
 // Popularity selects which directories a lookup may target.

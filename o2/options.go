@@ -14,7 +14,7 @@ type settings struct {
 	topo     Topology
 	sched    Scheduler
 	seed     uint64
-	memBytes int // machine memory image size; 0 = auto
+	memBytes int // machine address-space size; 0 = auto
 	exec     exec.Options
 	ct       core.Options
 	traceCap int
@@ -70,9 +70,11 @@ func WithSeed(seed uint64) Option {
 	return func(s *settings) { s.seed = seed }
 }
 
-// WithMemory sets the machine's memory image size in bytes. The default
-// sizes the image automatically: 64 MB, grown to fit any workload tree the
-// Runtime is asked to build before its machine materializes.
+// WithMemory sets the size in bytes of the machine's simulated address
+// space, the range its objects, locks and workload trees are allocated
+// from. It reserves addresses, not host memory. The default sizes it
+// automatically: 64 MB, raised to fit any workload tree the Runtime is
+// asked to build before its machine materializes.
 func WithMemory(bytes int) Option {
 	return func(s *settings) {
 		if bytes <= 0 {

@@ -13,8 +13,8 @@ import (
 	"repro/internal/trace"
 )
 
-// defaultImageBytes sizes the machine memory image when the caller neither
-// passed WithMemory nor built a workload tree before first use.
+// defaultImageBytes sizes the machine address space when the caller
+// neither passed WithMemory nor built a workload tree before first use.
 const defaultImageBytes = 64 << 20
 
 // Runtime is a built O2 system: one simulated machine, its execution
@@ -60,15 +60,10 @@ func MustNew(opts ...Option) *Runtime {
 }
 
 // ensure materializes the engine, machine, substrate, and scheduler. A
-// workload builder passes the image size it needs; zero means "no
-// requirement" and falls back to WithMemory or the 64 MB default. When the
-// workload does state its requirement and the caller set no explicit
-// WithMemory, the image *starts* at exactly that requirement and grows on
-// demand up to the default: every sweep cell builds (and the allocator
-// zeroes) its own image, so a 64 MB up-front default under a
-// kilobyte-scale tree used to dominate the cell's wall-clock, while
-// growth keeps the old headroom for façade programs that allocate more
-// objects after building a tree.
+// workload builder passes the address space it needs; zero means "no
+// requirement". The machine's address space is WithMemory's size, or the
+// 64 MB default, raised to that requirement. It holds no bytes, so its
+// size costs no host memory.
 func (rt *Runtime) ensure(minImage int) error {
 	if rt.sys != nil {
 		return nil
@@ -80,11 +75,7 @@ func (rt *Runtime) ensure(minImage int) error {
 	if minImage > bytes {
 		bytes = minImage
 	}
-	start := bytes
-	if rt.set.memBytes == 0 && minImage > 0 {
-		start = minImage
-	}
-	m, err := machine.NewWithMemLimit(rt.set.topo.cfg, start, bytes)
+	m, err := machine.New(rt.set.topo.cfg, bytes)
 	if err != nil {
 		return err
 	}
