@@ -38,6 +38,7 @@ func fig4BenchCell() o2.Sweep {
 // BenchmarkFig4CellArena measures the steady-state sweep unit: one
 // Figure-4 repeat on an arena-reused runtime (engine reset, image rolled
 // back to the post-build mark, caches flushed) instead of a fresh build.
+// It reports host ns per dispatched event and per line access.
 func BenchmarkFig4CellArena(b *testing.B) {
 	s := fig4BenchCell()
 	s.Repeats = b.N
@@ -50,10 +51,23 @@ func BenchmarkFig4CellArena(b *testing.B) {
 	if res.Cells[0].Mean("kres_per_sec") <= 0 {
 		b.Fatal("benchmark produced no resolutions")
 	}
+	dir := s.Base.Scenario.(o2.DirLookupScenario)
+	events, accesses := replayCounts(b, s, res, "kres_per_sec", func(rt *o2.Runtime, seed uint64) (float64, error) {
+		tree, err := rt.NewDirTree(dir.Tree)
+		if err != nil {
+			return 0, err
+		}
+		p := dir.Params
+		p.Seed = seed
+		return tree.Run(p).KResPerSec, nil
+	})
+	reportRates(b, events, accesses, 0)
 }
 
 // BenchmarkWebCellArena measures the WebService steady state the same
-// way: one open-loop run per repeat on an arena-reused runtime.
+// way: one open-loop run per repeat on an arena-reused runtime. It
+// reports host ns per dispatched event, per line access and per offered
+// request.
 func BenchmarkWebCellArena(b *testing.B) {
 	s := o2.Sweep{
 		Name: "bench-web",
@@ -78,13 +92,81 @@ func BenchmarkWebCellArena(b *testing.B) {
 	if res.Cells[0].Mean("achieved_krps") <= 0 {
 		b.Fatal("benchmark served nothing")
 	}
+	web := s.Base.Scenario.(o2.WebScenario)
+	events, accesses := replayCounts(b, s, res, "achieved_krps", func(rt *o2.Runtime, seed uint64) (float64, error) {
+		svc, err := rt.NewWebService(web.Spec)
+		if err != nil {
+			return 0, err
+		}
+		load := web.Load
+		load.Seed = seed
+		r, err := svc.Run(load)
+		return r.AchievedKRPS, err
+	})
+	reportRates(b, events, accesses, b.N*web.Load.Requests)
+}
+
+// replayCounts returns the events dispatched and the line accesses (loads
+// plus stores) of every repeat of s's one cell, which the timer did not
+// see. A repeat is a pure function of its seed, arena or not, so each is
+// replayed on a fresh runtime by run, off the clock; run returns the
+// repeat's value of metric, which must equal the timed repeat's.
+func replayCounts(b *testing.B, s o2.Sweep, res *o2.SweepResult, metric string,
+	run func(rt *o2.Runtime, seed uint64) (float64, error)) (events, accesses float64) {
+	b.StopTimer()
+	c := res.Cells[0]
+	for i, seed := range c.Seeds {
+		rt, err := o2.New(o2.WithTopology(s.Base.Machine), o2.WithSeed(seed), o2.WithScheduler(s.Base.Scheduler))
+		if err != nil {
+			b.Fatal(err)
+		}
+		got, err := run(rt, seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if want := c.Runs[i][metric]; got != want {
+			b.Fatalf("repeat %d replayed %s = %v, timed run measured %v", i, metric, got, want)
+		}
+		e, a := runtimeCounts(rt)
+		events += e
+		accesses += a
+	}
+	return events, accesses
+}
+
+// runtimeCounts reads rt's events dispatched and line accesses so far.
+func runtimeCounts(rt *o2.Runtime) (events, accesses float64) {
+	for _, m := range rt.Metrics() {
+		switch m.Name {
+		case "engine.events_dispatched":
+			events = m.Value
+		case "machine.loads", "machine.stores":
+			accesses += m.Value
+		}
+	}
+	return events, accesses
+}
+
+// reportRates reports the timed host ns per dispatched event, per line
+// access, and, when requests > 0, per request.
+func reportRates(b *testing.B, events, accesses float64, requests int) {
+	if events == 0 || accesses == 0 {
+		b.Fatal("benchmark dispatched no events or made no accesses")
+	}
+	ns := float64(b.Elapsed().Nanoseconds())
+	b.ReportMetric(ns/events, "ns/event")
+	b.ReportMetric(ns/accesses, "ns/access")
+	if requests > 0 {
+		b.ReportMetric(ns/float64(requests), "ns/request")
+	}
 }
 
 // soakDrive is the shared body of the SoakDrive benchmarks: the
 // direct-handoff drive per request — the unit cost behind `o2bench
 // soak`, where a million requests flow through one chained arrival event
 // and a parked-worker wait list. Extra options select the telemetry
-// variants.
+// variants. It reports host ns per dispatched event, per line access and
+// per request.
 func soakDrive(b *testing.B, opts ...o2.Option) {
 	rt := o2.MustNew(append([]o2.Option{o2.WithTopology(o2.Tiny8), o2.WithSeed(7)}, opts...)...)
 	svc, err := rt.NewWebService(o2.WebSpec{DocRoots: 24, FilesPerRoot: 128})
@@ -98,15 +180,19 @@ func soakDrive(b *testing.B, opts ...o2.Option) {
 		Seed:          7,
 		DirectHandoff: true,
 	}
+	events0, accesses0 := runtimeCounts(rt)
 	b.ReportAllocs()
 	b.ResetTimer()
 	res, err := svc.Run(load)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.StopTimer()
 	if res.Completed == 0 {
 		b.Fatal("benchmark served nothing")
 	}
+	events, accesses := runtimeCounts(rt)
+	reportRates(b, events-events0, accesses-accesses0, b.N)
 }
 
 // BenchmarkSoakDrive is the telemetry-off baseline: 0 allocs/request

@@ -21,14 +21,15 @@
 // probes it and every store acquires ownership through it — so its state
 // is indexed directly by line number, through a page table. A page is one
 // simulated 4 KB page (cache.PageLines lines); the first time any of its
-// lines gains a holder, the page is mapped to a chunk: the page's holder
-// sets stored back to back, plus one owner field per line. A lookup is two
-// array reads with no probing, consecutive lines sit in consecutive words
-// (the full-shard scans of the sharded workloads walk memory in order),
-// and storage grows with the pages a run touches, not with the image.
-// Chunks are never unmapped. The zero set and zero owner mean "untracked,
-// no owner", so a line is tracked exactly while its set is non-empty and
-// Reset is a clear that keeps every page mapped.
+// lines gains a holder, the page gets one allocation of its own: the
+// page's holder sets stored back to back, then its owner fields packed
+// four to a word. A lookup is two array reads with no probing, consecutive
+// lines sit in consecutive words (the full-shard scans of the sharded
+// workloads walk memory in order), and storage grows with the pages a run
+// touches, not with the image. A page is never moved, grown or unmapped.
+// The zero set and zero owner mean "untracked, no owner", so a line is
+// tracked exactly while its set is non-empty and Reset is a clear that
+// keeps every page mapped.
 //
 // # Sharer-set width
 //
@@ -65,19 +66,21 @@ const MaxNodes = 512
 // pageLines is the page table's page size in lines.
 const pageLines = cache.PageLines
 
+// ownerWords is the number of words a page spends on its lines' owner
+// fields, 16 bits each: owner+1 is at most MaxNodes, which fits.
+const ownerWords = pageLines / 4
+
 // Directory tracks holders of every cached line in the machine.
 //
-// Line l lives in page l/pageLines. A mapped page's chunk c gives l the
-// slot s = c*pageLines + l%pageLines: its holder set is
-// sets[s*nwords : (s+1)*nwords] and its dirty owner is owner[s].
+// Line l lives in page pg = page[l/pageLines] at index i = l%pageLines:
+// its holder set is pg[i*nwords : (i+1)*nwords], and its dirty owner is a
+// 16-bit field in the ownerWords words that end pg (see ownerOf).
 type Directory struct {
 	nodes  int
 	nwords int // 64-bit words per holder set
 	count  int // lines with a non-empty holder set
 
-	page  []int32  // page → chunk+1; 0 means never mapped
-	sets  []uint64 // holder sets, pageLines*nwords words per chunk
-	owner []int16  // dirty owner+1 per slot; 0 means no dirty copy
+	page [][]uint64 // page → its holder sets and owners; nil means never mapped
 }
 
 // NewDirectory creates a directory for a machine with the given total
@@ -105,8 +108,9 @@ func (d *Directory) TrackedLines() int { return d.count }
 // machine flushed between benchmark phases or reused across sweep repeats
 // allocates nothing to track the same lines again.
 func (d *Directory) Reset() {
-	clear(d.sets)
-	clear(d.owner)
+	for _, pg := range d.page {
+		clear(pg)
+	}
 	d.count = 0
 }
 
@@ -122,48 +126,44 @@ func panicNarrowOnly(op string) {
 	panic("coherence: " + op + " is single-word; use the *Words API on a >64-node directory")
 }
 
-// slot returns l's slot, or -1 when l's page has never been mapped (and
-// so l has no holders).
+// lookup returns l's page and l's index in it. The page is nil when it
+// has never been mapped (and so l has no holders).
 //
 //o2:hotpath
-func (d *Directory) slot(l cache.Line) int {
+func (d *Directory) lookup(l cache.Line) ([]uint64, int) {
 	p := uint64(l) / pageLines
+	i := int(uint64(l) % pageLines)
 	if p >= uint64(len(d.page)) {
-		return -1
+		return nil, i
 	}
-	c := int(d.page[p])
-	if c == 0 {
-		return -1
-	}
-	return (c-1)*pageLines + int(uint64(l)%pageLines)
+	return d.page[p], i
 }
 
-// ensureSlot returns l's slot, mapping its page first if needed.
+// ensurePage returns l's page and index, mapping the page first if needed.
 //
 //o2:hotpath
-func (d *Directory) ensureSlot(l cache.Line) int {
-	if s := d.slot(l); s >= 0 {
-		return s
+func (d *Directory) ensurePage(l cache.Line) ([]uint64, int) {
+	if pg, i := d.lookup(l); pg != nil {
+		return pg, i
 	}
 	return d.mapPage(l)
 }
 
-// mapPage gives l's page a fresh, zeroed chunk and returns l's slot in it.
-func (d *Directory) mapPage(l cache.Line) int {
+// mapPage gives l's page its zeroed allocation and returns it with l's
+// index.
+func (d *Directory) mapPage(l cache.Line) ([]uint64, int) {
 	p := int(uint64(l) / pageLines)
 	if p >= len(d.page) {
 		d.page = extend(d.page, p+1)
 	}
-	c := len(d.owner) / pageLines
-	d.owner = extend(d.owner, (c+1)*pageLines)
-	d.sets = extend(d.sets, (c+1)*pageLines*d.nwords)
-	d.page[p] = int32(c + 1)
-	return c*pageLines + int(uint64(l)%pageLines)
+	pg := make([]uint64, pageLines*d.nwords+ownerWords)
+	d.page[p] = pg
+	return pg, int(uint64(l) % pageLines)
 }
 
 // extend returns s lengthened to n elements; the new ones are zero. A
 // reallocation at least doubles the capacity: append grows large slices
-// by ~1.25x, which allocates and copies a growing pool about five times
+// by ~1.25x, which allocates and copies a growing table about five times
 // over on its way up, against twice with doubling.
 func extend[T any](s []T, n int) []T {
 	if n > cap(s) {
@@ -175,11 +175,24 @@ func extend[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// set returns slot s's holder words.
+// set returns line i's holder words in page pg.
 //
 //o2:hotpath
-func (d *Directory) set(s int) []uint64 {
-	return d.sets[s*d.nwords : (s+1)*d.nwords]
+func (d *Directory) set(pg []uint64, i int) []uint64 {
+	return pg[i*d.nwords : (i+1)*d.nwords]
+}
+
+// ownerOf returns the dirty owner of line i in page pg, or NoOwner.
+func ownerOf(pg []uint64, i int) Node {
+	return Node(pg[len(pg)-ownerWords+i>>2]>>(uint(i&3)*16)&0xFFFF) - 1
+}
+
+// setOwnerOf records n (NoOwner clears it) as the dirty owner of line i in
+// page pg.
+func setOwnerOf(pg []uint64, i int, n Node) {
+	w := &pg[len(pg)-ownerWords+i>>2]
+	sh := uint(i&3) * 16
+	*w = *w&^(0xFFFF<<sh) | uint64(n+1)<<sh
 }
 
 // empty reports whether a holder set has no bits.
@@ -197,10 +210,10 @@ func wordBit(n Node) (w int, bit uint64) {
 	return int(n) >> 6, 1 << (uint(n) & 63)
 }
 
-// addBit sets node n's bit in slot s's holder set, counting the line as
-// tracked if the set was empty.
-func (d *Directory) addBit(s int, n Node) {
-	set := d.set(s)
+// addBit sets node n's bit in line i's holder set in page pg, counting the
+// line as tracked if the set was empty.
+func (d *Directory) addBit(pg []uint64, i int, n Node) {
+	set := d.set(pg, i)
 	if empty(set) {
 		d.count++
 	}
@@ -211,16 +224,17 @@ func (d *Directory) addBit(s int, n Node) {
 // AddSharer records that node now holds a clean copy of line.
 func (d *Directory) AddSharer(l cache.Line, n Node) {
 	d.checkNode(n)
-	d.addBit(d.ensureSlot(l), n)
+	pg, i := d.ensurePage(l)
+	d.addBit(pg, i, n)
 }
 
 // SetOwner records that node holds line dirty (Modified). Any previous
 // owner mark is replaced; the node is also recorded as a holder.
 func (d *Directory) SetOwner(l cache.Line, n Node) {
 	d.checkNode(n)
-	s := d.ensureSlot(l)
-	d.addBit(s, n)
-	d.owner[s] = int16(n) + 1
+	pg, i := d.ensurePage(l)
+	d.addBit(pg, i, n)
+	setOwnerOf(pg, i, n)
 }
 
 // RemoveSharer records that node no longer holds line (eviction or
@@ -228,18 +242,18 @@ func (d *Directory) SetOwner(l cache.Line, n Node) {
 // it lives only in DRAM.
 func (d *Directory) RemoveSharer(l cache.Line, n Node) {
 	d.checkNode(n)
-	s := d.slot(l)
-	if s < 0 {
+	pg, i := d.lookup(l)
+	if pg == nil {
 		return
 	}
-	set := d.set(s)
+	set := d.set(pg, i)
 	w, bit := wordBit(n)
 	if set[w]&bit == 0 {
 		return
 	}
 	set[w] &^= bit
-	if d.owner[s] == int16(n)+1 {
-		d.owner[s] = 0
+	if ownerOf(pg, i) == n {
+		setOwnerOf(pg, i, NoOwner)
 	}
 	if empty(set) {
 		d.count--
@@ -251,20 +265,20 @@ func (d *Directory) RemoveSharer(l cache.Line, n Node) {
 func (d *Directory) MoveSharer(l cache.Line, from, to Node) {
 	d.checkNode(from)
 	d.checkNode(to)
-	s := d.slot(l)
+	pg, i := d.lookup(l)
 	fw, fbit := wordBit(from)
-	if s < 0 || d.set(s)[fw]&fbit == 0 {
+	if pg == nil || d.set(pg, i)[fw]&fbit == 0 {
 		// Nothing to move; treat as a plain add so callers need not
 		// special-case races between eviction paths.
 		d.AddSharer(l, to)
 		return
 	}
-	set := d.set(s)
+	set := d.set(pg, i)
 	tw, tbit := wordBit(to)
 	set[fw] &^= fbit
 	set[tw] |= tbit
-	if d.owner[s] == int16(from)+1 {
-		d.owner[s] = int16(to) + 1
+	if ownerOf(pg, i) == from {
+		setOwnerOf(pg, i, to)
 	}
 }
 
@@ -277,7 +291,7 @@ func (d *Directory) Holders(l cache.Line) []Node {
 		return nil
 	}
 	out := make([]Node, 0, n)
-	for w, x := range d.set(d.slot(l)) {
+	for w, x := range d.set(d.lookup(l)) {
 		out = appendWord(out, x, w*64)
 	}
 	return out
@@ -302,11 +316,11 @@ func (d *Directory) HolderMask(l cache.Line) uint64 {
 	if d.nwords != 1 {
 		panicNarrowOnly("HolderMask")
 	}
-	s := d.slot(l)
-	if s < 0 {
+	pg, i := d.lookup(l)
+	if pg == nil {
 		return 0
 	}
-	return d.sets[s]
+	return pg[i]
 }
 
 // CopyHolderWords copies line's holder set into dst, which must have at
@@ -318,12 +332,12 @@ func (d *Directory) HolderMask(l cache.Line) uint64 {
 //o2:hotpath
 func (d *Directory) CopyHolderWords(l cache.Line, dst []uint64) bool {
 	dst = dst[:d.nwords]
-	s := d.slot(l)
-	if s < 0 {
+	pg, i := d.lookup(l)
+	if pg == nil {
 		clear(dst)
 		return false
 	}
-	copy(dst, d.set(s))
+	copy(dst, d.set(pg, i))
 	return !empty(dst)
 }
 
@@ -332,25 +346,25 @@ func (d *Directory) CopyHolderWords(l cache.Line, dst []uint64) bool {
 //
 //o2:hotpath
 func (d *Directory) HasHolders(l cache.Line) bool {
-	s := d.slot(l)
-	return s >= 0 && !empty(d.set(s))
+	pg, i := d.lookup(l)
+	return pg != nil && !empty(d.set(pg, i))
 }
 
 // Holds reports whether node holds line.
 func (d *Directory) Holds(l cache.Line, n Node) bool {
 	d.checkNode(n)
-	s := d.slot(l)
+	pg, i := d.lookup(l)
 	w, bit := wordBit(n)
-	return s >= 0 && d.set(s)[w]&bit != 0
+	return pg != nil && d.set(pg, i)[w]&bit != 0
 }
 
 // Owner returns the node holding line dirty, or NoOwner.
 func (d *Directory) Owner(l cache.Line) Node {
-	s := d.slot(l)
-	if s < 0 {
+	pg, i := d.lookup(l)
+	if pg == nil {
 		return NoOwner
 	}
-	return Node(d.owner[s]) - 1
+	return ownerOf(pg, i)
 }
 
 // AcquireExclusive makes keep the sole holder and dirty owner of line in a
@@ -365,15 +379,15 @@ func (d *Directory) AcquireExclusive(l cache.Line, keep Node) (invalidated uint6
 		panicNarrowOnly("AcquireExclusive")
 	}
 	d.checkNode(keep)
-	s := d.ensureSlot(l)
-	h := &d.sets[s]
+	pg, i := d.ensurePage(l)
+	h := &pg[i]
 	if *h == 0 {
 		d.count++
 	}
 	bit := uint64(1) << uint(keep)
 	invalidated = *h &^ bit
 	*h = bit
-	d.owner[s] = int16(keep) + 1
+	setOwnerOf(pg, i, keep)
 	return invalidated
 }
 
@@ -386,8 +400,8 @@ func (d *Directory) AcquireExclusive(l cache.Line, keep Node) (invalidated uint6
 //o2:hotpath
 func (d *Directory) AcquireExclusiveWords(l cache.Line, keep Node, inv []uint64) bool {
 	d.checkNode(keep)
-	s := d.ensureSlot(l)
-	set := d.set(s)
+	pg, i := d.ensurePage(l)
+	set := d.set(pg, i)
 	inv = inv[:len(set)]
 	kw, kbit := wordBit(keep)
 	copy(inv, set)
@@ -397,7 +411,7 @@ func (d *Directory) AcquireExclusiveWords(l cache.Line, keep Node, inv []uint64)
 	clear(set)
 	set[kw] = kbit
 	inv[kw] &^= kbit
-	d.owner[s] = int16(keep) + 1
+	setOwnerOf(pg, i, keep)
 	return !empty(inv)
 }
 
@@ -406,11 +420,11 @@ func (d *Directory) AcquireExclusiveWords(l cache.Line, keep Node, inv []uint64)
 // write path: a store must make the writer the sole holder.
 func (d *Directory) InvalidateExcept(l cache.Line, keep Node) []Node {
 	d.checkNode(keep)
-	s := d.slot(l)
-	if s < 0 {
+	pg, i := d.lookup(l)
+	if pg == nil {
 		return nil
 	}
-	set := d.set(s)
+	set := d.set(pg, i)
 	kw, kbit := wordBit(keep)
 	kept := set[kw] & kbit
 	var out []Node
@@ -422,8 +436,8 @@ func (d *Directory) InvalidateExcept(l cache.Line, keep Node) []Node {
 		set[w] = 0
 	}
 	set[kw] = kept
-	if d.owner[s] != int16(keep)+1 {
-		d.owner[s] = 0
+	if ownerOf(pg, i) != keep {
+		setOwnerOf(pg, i, NoOwner)
 	}
 	if kept == 0 && len(out) > 0 {
 		d.count--
@@ -433,12 +447,12 @@ func (d *Directory) InvalidateExcept(l cache.Line, keep Node) []Node {
 
 // SharerCount returns the number of holders of line.
 func (d *Directory) SharerCount(l cache.Line) int {
-	s := d.slot(l)
-	if s < 0 {
+	pg, i := d.lookup(l)
+	if pg == nil {
 		return 0
 	}
 	n := 0
-	for _, x := range d.set(s) {
+	for _, x := range d.set(pg, i) {
 		n += bits.OnesCount64(x)
 	}
 	return n

@@ -21,7 +21,9 @@ const fuzzOpBytes = 6
 // each to the directory and to a map-based reference model, and after
 // every operation compares the touched line's holders, owner and sharer
 // count, the directory's tracked-line count, and every value the
-// operation returned. The seed corpus lives in testdata/fuzz/FuzzDirectory.
+// operation returned. A Reset empties the model too, after which every
+// line of every fuzzed page must read untracked with no owner. The seed
+// corpus lives in testdata/fuzz/FuzzDirectory.
 func FuzzDirectory(f *testing.F) {
 	f.Add(false, []byte{0, 0x3F, 0, 3, 0, 0, 0, 0x40, 0, 3, 0, 0, 3, 0x3F, 0, 3, 0, 4})
 	f.Add(true, []byte{1, 0xC0, 0, 200, 0, 0, 5, 0xC0, 0, 70, 0, 0, 2, 0xC0, 0, 200, 0, 0})
@@ -51,7 +53,7 @@ func FuzzDirectory(f *testing.F) {
 			l := fuzzPages[sel>>6&3]*pageLines + cache.Line(sel&63)
 			n := Node((int(ops[2])<<8 | int(ops[3])) % nodes)
 			to := Node((int(ops[4])<<8 | int(ops[5])) % nodes)
-			switch ops[0] % 8 {
+			switch ops[0] % 9 {
 			case 0:
 				d.AddSharer(l, n)
 				get(l).holders[n] = true
@@ -83,7 +85,7 @@ func FuzzDirectory(f *testing.F) {
 			case 4, 5:
 				want := fuzzAcquire(get(l), n)
 				var got []Node
-				if wide || ops[0]%8 == 5 {
+				if wide || ops[0]%9 == 5 {
 					any := d.AcquireExclusiveWords(l, n, inv)
 					got = nodesOf(inv)
 					if any != (len(got) > 0) {
@@ -105,18 +107,28 @@ func FuzzDirectory(f *testing.F) {
 				if !slices.Equal(got, want) {
 					t.Fatalf("InvalidateExcept(%d, %d) = %v, want %v", l, n, got, want)
 				}
+			case 8:
+				d.Reset()
+				clear(model)
+				fuzzCheckPages(t, d, model)
 			}
 			fuzzCheckLine(t, d, model[l], l)
 			if d.TrackedLines() != len(model) {
 				t.Fatalf("TrackedLines = %d, model tracks %d", d.TrackedLines(), len(model))
 			}
 		}
-		for _, p := range fuzzPages {
-			for l := p * pageLines; l < (p+1)*pageLines; l++ {
-				fuzzCheckLine(t, d, model[l], l)
-			}
-		}
+		fuzzCheckPages(t, d, model)
 	})
+}
+
+// fuzzCheckPages compares every line of every fuzzed page with the model.
+func fuzzCheckPages(t *testing.T, d *Directory, model map[cache.Line]*wideRef) {
+	t.Helper()
+	for _, p := range fuzzPages {
+		for l := p * pageLines; l < (p+1)*pageLines; l++ {
+			fuzzCheckLine(t, d, model[l], l)
+		}
+	}
 }
 
 // fuzzAcquire applies AcquireExclusive to a model line and returns the

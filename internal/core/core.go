@@ -117,7 +117,9 @@ type Runtime struct {
 	inflight map[int][]*opCtx
 
 	// process weights for the fairness extension; nil means unweighted.
+	// procTotal is their sum, taken in ascending process id.
 	procWeights map[int]float64
+	procTotal   float64
 
 	clusterSeq int
 	mon        monitorState
@@ -214,6 +216,7 @@ func (rt *Runtime) Reset() {
 	}
 	clear(rt.inflight)
 	rt.procWeights = nil
+	rt.procTotal = 0
 	rt.clusterSeq = 0
 	// Empty (not zero) the monitor's snapshot history: the first pass
 	// after Reset must re-baseline exactly like a fresh runtime's first
@@ -470,6 +473,23 @@ func (rt *Runtime) SetProcessWeight(pid int, w float64) {
 		rt.procWeights = make(map[int]float64)
 	}
 	rt.procWeights[pid] = w
+	rt.procTotal = weightTotal(rt.procWeights)
+}
+
+// weightTotal sums weights in ascending process id. Float addition does
+// not associate, so a sum in map order could differ by an ulp from one
+// run to the next once three or more processes are weighted.
+func weightTotal(weights map[int]float64) float64 {
+	pids := make([]int, 0, len(weights))
+	for pid := range weights {
+		pids = append(pids, pid)
+	}
+	sort.Ints(pids)
+	var total float64
+	for _, pid := range pids {
+		total += weights[pid]
+	}
+	return total
 }
 
 // processBudget returns the per-core byte budget available to pid.
@@ -477,15 +497,11 @@ func (rt *Runtime) processBudget(pid int) int64 {
 	if rt.procWeights == nil {
 		return rt.budget
 	}
-	var total float64
-	for _, w := range rt.procWeights {
-		total += w
-	}
 	w, ok := rt.procWeights[pid]
-	if !ok || total == 0 {
+	if !ok || rt.procTotal == 0 {
 		return rt.budget
 	}
-	return int64(float64(rt.budget) * w / total)
+	return int64(float64(rt.budget) * w / rt.procTotal)
 }
 
 // processLoad returns the bytes pid has placed on core.

@@ -653,6 +653,30 @@ func TestWriteCollapsesReplicas(t *testing.T) {
 	}
 }
 
+// TestProcessBudgetSumsWeightsInPidOrder: with three weights the total
+// depends on the order they are added in ((0.1+0.2)+0.3 and (0.2+0.3)+0.1
+// differ by an ulp), and a 1 MiB budget shows it as one byte of share. The
+// total must come out the same on every call, summed in ascending process
+// id, never in map order.
+func TestProcessBudgetSumsWeightsInPidOrder(t *testing.T) {
+	h := newHarness(t, noRebalance())
+	const budget = 1 << 20
+	weights := []float64{0.1, 0.2, 0.3} // variables: constant arithmetic is exact
+	want := int64(float64(budget) * weights[2] / ((weights[0] + weights[1]) + weights[2]))
+	for i := 0; i < 200; i++ {
+		h.rt.Reset()
+		h.rt.budget = budget
+		for pid, w := range weights {
+			h.rt.SetProcessWeight(pid, w)
+		}
+		for j := 0; j < 5; j++ {
+			if got := h.rt.processBudget(2); got != want {
+				t.Fatalf("try %d.%d: processBudget = %d, want %d", i, j, got, want)
+			}
+		}
+	}
+}
+
 func TestProcessBudgetFairness(t *testing.T) {
 	opts := noRebalance()
 	h := newHarness(t, opts)
