@@ -5,7 +5,8 @@
 // resolutions per second of simulated time — and speedup ratios).
 //
 // These use reduced sweeps so the whole suite completes in minutes; the
-// full-resolution tables come from `go run ./cmd/o2bench all`.
+// full-resolution tables come from `go run ./cmd/o2bench all`. The Fig. 4
+// benchmarks live beside the presets, in o2/bench_pkg_test.go.
 package repro_test
 
 import (
@@ -14,48 +15,6 @@ import (
 
 	"repro/o2"
 )
-
-// benchFig4Config is a three-point sweep through the regions that define
-// Figure 4's shape: lock-bound left edge, CoreTime's sweet spot, and the
-// over-capacity right edge.
-func benchFig4Config() o2.Fig4Config {
-	cfg := o2.QuickFig4Config()
-	cfg.DirCounts = []int{8, 224, 640}
-	return cfg
-}
-
-// BenchmarkFig4aUniform regenerates Figure 4(a): file system throughput
-// under uniform directory popularity, with and without CoreTime.
-func BenchmarkFig4aUniform(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := o2.Fig4a(benchFig4Config())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.BaseKRes, "kres_base_"+kbLabel(r.DataKB))
-			b.ReportMetric(r.CTKRes, "kres_ct_"+kbLabel(r.DataKB))
-		}
-		// The paper's headline: 2–3× in the mid range.
-		b.ReportMetric(rows[1].Speedup, "speedup_mid")
-	}
-}
-
-// BenchmarkFig4bOscillate regenerates Figure 4(b): oscillating directory
-// popularity, exercising the monitor's rebalancing.
-func BenchmarkFig4bOscillate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := benchFig4Config()
-		cfg.DirCounts = []int{224}
-		rows, err := o2.Fig4b(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].BaseKRes, "kres_base")
-		b.ReportMetric(rows[0].CTKRes, "kres_ct")
-		b.ReportMetric(rows[0].Speedup, "speedup")
-	}
-}
 
 // BenchmarkFig2CacheContents regenerates Figure 2: cache duplication under
 // thread scheduling versus O2 scheduling.
@@ -105,7 +64,7 @@ func BenchmarkMigrationCost(b *testing.B) {
 func BenchmarkAblations(b *testing.B) {
 	for _, a := range o2.Ablations() {
 		b.Run(a.Name, func(b *testing.B) {
-			sw := a.Sweep
+			_, sw := a.Build(false)
 			sw.Seed = 1
 			for i := 0; i < b.N; i++ {
 				res, err := sw.Run()
@@ -154,17 +113,6 @@ func benchDirLookup(b *testing.B, scheduler o2.Scheduler) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.KResPerSec, "kres/s")
-	}
-}
-
-func kbLabel(kb float64) string {
-	switch {
-	case kb < 1024:
-		return "small"
-	case kb < 10240:
-		return "mid"
-	default:
-		return "large"
 	}
 }
 

@@ -5,14 +5,14 @@
 // over the public repro/o2 package; `o2bench help` lists every command
 // and its flags.
 //
-// The sweep commands (fig4a, fig4b, kv, web, soak, scale) and the
-// ablations (`ablation -exp=NAME`) run on the o2.Sweep engine and share
+// The sweep commands are the presets of o2.Presets (fig4a, fig4b, kv,
+// web, soak, scale) and o2.Ablations (`ablation -exp=NAME`). They share
 // one set of flags: -quick selects the reduced configuration, -seed the
 // base seed, -workers bounds the worker pool (default: all host CPUs),
 // -repeats measures every grid cell that many times with distinct
 // derived seeds and reports mean±stddev, and -json or -csv replace the
-// aligned table (both pinned by the golden tests in this package). No
-// output depends on -workers.
+// aligned table (both pinned by the golden tests under
+// o2/testdata/presets). No output depends on -workers.
 //
 // The global -cpuprofile and -memprofile flags (before the command) write
 // pprof profiles covering the whole run; see DESIGN.md, "Profiling the
@@ -30,18 +30,19 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"repro/o2"
 )
 
 func main() {
 	global := flag.NewFlagSet("o2bench", flag.ExitOnError)
-	global.Usage = usage
+	global.Usage = func() { usage(os.Stderr) }
 	cpuprofile := global.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := global.String("memprofile", "", "write a heap profile to this file on exit")
 	// Parse stops at the first non-flag argument: the command.
 	if err := global.Parse(os.Args[1:]); err != nil || global.NArg() < 1 {
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
 	cmd, args := global.Arg(0), global.Args()[1:]
@@ -110,8 +111,10 @@ func parse(fs *flag.FlagSet, args []string) error {
 
 // run dispatches one command; profiling brackets it in main.
 func run(cmd string, args []string) error {
-	if sc := findSweep(cmd); sc != nil {
-		return runSweep(sc, args)
+	for _, p := range o2.Presets() {
+		if p.Name == cmd {
+			return runPreset(p, args)
+		}
 	}
 	switch cmd {
 	case "fig2", "cachemap":
@@ -127,22 +130,21 @@ func run(cmd string, args []string) error {
 	case "all":
 		return runAll(args)
 	case "help":
-		usage()
+		usage(os.Stderr)
 		return nil
 	}
-	usage()
+	usage(os.Stderr)
 	return fmt.Errorf("%w: unknown command %q", errUsage, cmd)
 }
 
-func usage() {
-	w := os.Stderr
+func usage(w io.Writer) {
 	fmt.Fprint(w, "o2bench — reproduce the paper's evaluation\n\n",
 		"  o2bench [-cpuprofile FILE] [-memprofile FILE] COMMAND [flags]\n\n")
-	for _, sc := range sweeps {
+	for _, p := range o2.Presets() {
 		fmt.Fprintf(w, "  o2bench %s [-quick] [-seed N] [-workers N] [-repeats N] [-json|-csv]\n%37s%s\n",
-			sc.name, "", sc.usage)
+			p.Name, "", p.Usage)
 	}
-	fmt.Fprint(w, `  o2bench fig2 [-dirs N] [-entries N] [-threads N] [-seed N]
+	fmt.Fprintf(w, `  o2bench fig2 [-dirs N] [-entries N] [-threads N] [-seed N]
                                      Figure 2: cache-contents maps
   o2bench trace [-quick] [-seed N] [-interval C] [-out FILE]
                                      telemetry timeline: one open-loop NUMA256 cell under
@@ -151,10 +153,10 @@ func usage() {
   o2bench latency                    hardware latency table (§5)
   o2bench migration [-trials N]      migration cost microbenchmark (§5)
   o2bench ablation -exp=NAME [-quick] [-seed N] [-workers N] [-repeats N] [-json|-csv]
-                                     §6 ablations, NAME one of clustering|replication|replacement|
-                                     migcost|hetero|paths|single|all (default all)
+                                     §6 ablations, NAME one of
+                                     %s (default all)
   o2bench all [sweep flags]          latency, migration, fig2, every sweep above, and the ablations
-`)
+`, ablationNames())
 }
 
 // outFormat selects how a sweep command renders its results.
@@ -165,113 +167,6 @@ const (
 	formatCSV
 	formatJSON
 )
-
-// sweepCmd is one sweep command, or one ablation. All of them parse their
-// flags with parseSweepFlags and print through emit; they differ only in
-// what they build and how they render it.
-type sweepCmd struct {
-	name  string
-	usage string // description for `o2bench help`
-	// build returns the report title and the sweep to run, reduced when
-	// quick is set; sweepFlags.configure sets its seed, workers, and
-	// repeats.
-	build func(quick bool) (string, o2.Sweep)
-	// render writes a completed sweep as an aligned table, or as CSV.
-	render func(w io.Writer, title string, sw o2.Sweep, res *o2.SweepResult, csv bool) error
-}
-
-var sweeps = []sweepCmd{
-	{"fig4a", "Figure 4(a): uniform directory popularity", func(quick bool) (string, o2.Sweep) {
-		return "Figure 4(a): file system results, uniform directory popularity",
-			o2.Fig4aSweep(choose(quick, o2.DefaultFig4Config, o2.QuickFig4Config))
-	}, renderFig4},
-	{"fig4b", "Figure 4(b): oscillating popularity", func(quick bool) (string, o2.Sweep) {
-		return "Figure 4(b): file system results, oscillated directory popularity",
-			o2.Fig4bSweep(choose(quick, o2.DefaultFig4Config, o2.QuickFig4Config))
-	}, renderFig4},
-	{"kv", "KVService scenario: placement policies on a sharded store", func(quick bool) (string, o2.Sweep) {
-		return kvSweep(choose(quick, o2.DefaultKVConfig, o2.QuickKVConfig))
-	}, columns(o2.KVColumns)},
-	{"web", "WebService scenario: open-loop latency tails under background compaction", func(quick bool) (string, o2.Sweep) {
-		return webSweep(choose(quick, o2.DefaultWebConfig, o2.QuickWebConfig))
-	}, columns(o2.WebColumns)},
-	{"soak", "engine endurance: one million direct-handoff requests per cell", func(quick bool) (string, o2.Sweep) {
-		return soakSweep(choose(quick, o2.SoakWebConfig, o2.QuickSoakWebConfig))
-	}, columns(o2.WebColumns)},
-	{"scale", "big-machine sweep: 16-256 cores x service x policy, saturating NUMA bandwidth", func(quick bool) (string, o2.Sweep) {
-		return scaleSweep(choose(quick, o2.DefaultScaleConfig, o2.QuickScaleConfig))
-	}, columns(o2.ScaleColumns)},
-}
-
-func findSweep(name string) *sweepCmd {
-	for i := range sweeps {
-		if sweeps[i].name == name {
-			return &sweeps[i]
-		}
-	}
-	return nil
-}
-
-// choose returns the reduced configuration under -quick, else the full one.
-func choose[C any](quick bool, full, reduced func() C) C {
-	if quick {
-		return reduced()
-	}
-	return full()
-}
-
-func kvSweep(cfg o2.KVConfig) (string, o2.Sweep) {
-	cfg, sw := o2.KVSweep(cfg)
-	return fmt.Sprintf("KVService: sharded key-value store on %s (%d shards × %d KB, %d keys)",
-		cfg.Machine.Name(), cfg.Spec.Shards, cfg.Spec.ShardBytes()/1024, cfg.Spec.Keys), sw
-}
-
-func webSweep(cfg o2.WebConfig) (string, o2.Sweep) {
-	cfg, sw := o2.WebSweep(cfg)
-	return fmt.Sprintf("WebService: open-loop name resolution on %s (%d vhosts × %d files, %d KB of metadata)",
-		cfg.Machine.Name(), cfg.Spec.DocRoots, cfg.Spec.FilesPerRoot, cfg.Spec.MetadataBytes()/1024), sw
-}
-
-func soakSweep(cfg o2.WebConfig) (string, o2.Sweep) {
-	cfg, sw := o2.WebSweep(cfg)
-	sw.Name = "soak"
-	return fmt.Sprintf("Soak: %d direct-handoff requests per cell on %s (%d vhosts × %d files)",
-		cfg.Load.Requests, cfg.Machine.Name(), cfg.Spec.DocRoots, cfg.Spec.FilesPerRoot), sw
-}
-
-func scaleSweep(cfg o2.ScaleConfig) (string, o2.Sweep) {
-	cfg, sw := o2.ScaleSweep(cfg)
-	last := cfg.Machines[len(cfg.Machines)-1]
-	return fmt.Sprintf("Scale: %d machines up to %s (%d cores), per-core working sets",
-		len(cfg.Machines), last.Name(), last.NumCores()), sw
-}
-
-// columns renders one row per cell through o2's generic sweep writers.
-func columns(cols []o2.Column) func(io.Writer, string, o2.Sweep, *o2.SweepResult, bool) error {
-	return func(w io.Writer, title string, _ o2.Sweep, res *o2.SweepResult, csv bool) error {
-		if csv {
-			res.WriteCSV(w, cols)
-		} else {
-			res.WriteTable(w, title, cols)
-		}
-		return nil
-	}
-}
-
-// renderFig4 renders one row per directory count, pairing its two
-// schedulers as the paper's figure does.
-func renderFig4(w io.Writer, title string, sw o2.Sweep, res *o2.SweepResult, csv bool) error {
-	rows, err := o2.Fig4Rows(sw, res)
-	if err != nil {
-		return err
-	}
-	if csv {
-		o2.WriteFig4CSV(w, rows)
-	} else {
-		o2.WriteFig4Table(w, title, rows)
-	}
-	return nil
-}
 
 // sweepFlags are the flags every sweep command shares.
 type sweepFlags struct {
@@ -311,9 +206,9 @@ func (f sweepFlags) configure(sw *o2.Sweep) {
 	sw.Seed, sw.Workers, sw.Repeats, sw.Progress = f.seed, f.workers, f.repeats, os.Stderr
 }
 
-// emit runs sw and writes its result to w: JSON for every sweep, else the
-// command's own table or CSV rendering.
-func emit(w io.Writer, sc *sweepCmd, title string, sw o2.Sweep, format outFormat) error {
+// emit runs sw, which p built, and writes its result to w: JSON for every
+// preset, else the preset's own table or CSV rendering.
+func emit(w io.Writer, p o2.Preset, title string, sw o2.Sweep, format outFormat) error {
 	res, err := sw.Run()
 	if err != nil {
 		return err
@@ -321,17 +216,24 @@ func emit(w io.Writer, sc *sweepCmd, title string, sw o2.Sweep, format outFormat
 	if format == formatJSON {
 		return res.WriteJSON(w)
 	}
-	return sc.render(w, title, sw, res, format == formatCSV)
+	return p.Render(w, title, sw, res, format == formatCSV)
 }
 
-func runSweep(sc *sweepCmd, args []string) error {
-	f, err := parseSweepFlags(flag.NewFlagSet(sc.name, flag.ContinueOnError), args)
+// runPreset runs p under the shared sweep flags, to stdout.
+func runPreset(p o2.Preset, args []string) error {
+	f, err := parseSweepFlags(flag.NewFlagSet(p.Name, flag.ContinueOnError), args)
 	if err != nil {
 		return err
 	}
-	title, sw := sc.build(f.quick)
+	return f.run(os.Stdout, p)
+}
+
+// run builds p, reduced under -quick, configures it from the flags, and
+// emits it to w.
+func (f sweepFlags) run(w io.Writer, p o2.Preset) error {
+	title, sw := p.Build(f.quick)
 	f.configure(&sw)
-	return emit(os.Stdout, sc, title, sw, f.format)
+	return emit(w, p, title, sw, f.format)
 }
 
 func runFig2(w io.Writer, args []string) error {
@@ -379,50 +281,45 @@ func runMigration(w io.Writer, args []string) error {
 	return nil
 }
 
-// ablationCmds are the ablations of o2.Ablations as sweep commands. They
-// are CI-sized already, so -quick selects the same sweeps.
-func ablationCmds() []sweepCmd {
-	var cmds []sweepCmd
+// ablationNames lists the values of -exp: every ablation, then all.
+func ablationNames() string {
+	var names []string
 	for _, a := range o2.Ablations() {
-		cmds = append(cmds, sweepCmd{a.Name, a.Title, func(bool) (string, o2.Sweep) { return a.Title, a.Sweep },
-			columns(o2.AblationColumns)})
+		names = append(names, a.Name)
 	}
-	return cmds
+	return strings.Join(append(names, "all"), "|")
 }
 
 // runAblation runs the ablation -exp names, or all of them, each through
 // emit with the shared sweep flags; a blank line separates their outputs.
 func runAblation(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("ablation", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "clustering|replication|replacement|migcost|hetero|paths|single|all")
+	exp := fs.String("exp", "all", ablationNames())
 	f, err := parseSweepFlags(fs, args)
 	if err != nil {
 		return err
 	}
-	var selected []sweepCmd
-	for _, sc := range ablationCmds() {
-		if *exp == "all" || *exp == sc.name {
-			selected = append(selected, sc)
+	var selected []o2.Preset
+	for _, a := range o2.Ablations() {
+		if *exp == "all" || *exp == a.Name {
+			selected = append(selected, a)
 		}
 	}
 	if len(selected) == 0 {
 		return fmt.Errorf("%w: unknown ablation %q", errUsage, *exp)
 	}
-	for i := range selected {
-		sc := &selected[i]
+	for i, a := range selected {
 		if i > 0 {
 			fmt.Fprintln(w)
 		}
-		title, sw := sc.build(f.quick)
-		f.configure(&sw)
-		if err := emit(w, sc, title, sw, f.format); err != nil {
-			return fmt.Errorf("%s: %w", sc.name, err)
+		if err := f.run(w, a); err != nil {
+			return fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
 	return nil
 }
 
-// runAll runs every command but trace, passing args to each sweep.
+// runAll runs every command but trace, passing args to each preset.
 func runAll(args []string) error {
 	if err := runLatency(os.Stdout); err != nil {
 		return err
@@ -436,8 +333,8 @@ func runAll(args []string) error {
 		return err
 	}
 	fmt.Println()
-	for i := range sweeps {
-		if err := runSweep(&sweeps[i], args); err != nil {
+	for _, p := range o2.Presets() {
+		if err := runPreset(p, args); err != nil {
 			return err
 		}
 		fmt.Println()

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/o2"
@@ -15,129 +17,142 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files from current output")
 
-// goldenCase is a reduced, fully deterministic configuration of one sweep
-// command. It exists to pin the command's -json and -csv output and the
-// determinism contract, not to reproduce full-scale numbers. Every case
-// runs with seed 7 and two repeats; its goldens are taken at 4 workers.
+// goldenCase runs one preset through the command line's flag parser and
+// emit path against the preset's golden output in o2/testdata/presets,
+// which o2's own table-driven test pins and regenerates. Every case runs
+// with -seed 7 -repeats 2 and its goldens are taken at -workers 4.
 type goldenCase struct {
-	sc     *sweepCmd                 // sweep command whose emit path renders the case
-	golden string                    // testdata/<golden>_tiny.{json,csv}
-	build  func() (string, o2.Sweep) // title and sweep of the reduced configuration
-	table  []string                  // substrings the aligned table must contain
+	preset o2.Preset
+	// narrow reduces the preset's -quick sweep to the golden's fixture
+	// through the sweep's exported fields; nil when -quick is the
+	// fixture.
+	narrow func(*o2.Sweep)
+	table  []string // substrings the aligned table must contain
 }
 
 var goldenCases = map[string]goldenCase{
-	"fig4": {findSweep("fig4a"), "fig4", func() (string, o2.Sweep) { return "Figure 4(a)", o2.Fig4aSweep(goldenFig4Config()) },
-		[]string{"without-CT", "±"}},
-	"kv": {findSweep("kv"), "kv", func() (string, o2.Sweep) { return kvSweep(goldenKVConfig()) },
-		[]string{"policy", "kops/sec", "coretime+repl", "±"}},
-	"web": {findSweep("web"), "web", func() (string, o2.Sweep) { return webSweep(goldenWebConfig()) },
+	"fig4": {findPreset("fig4a"), narrowFig4, []string{"without-CT", "±"}},
+	"kv":   {findPreset("kv"), narrowKV, []string{"policy", "kops/sec", "coretime+repl", "±"}},
+	"web": {findPreset("web"), narrowWeb,
 		[]string{"rps", "compaction", "policy", "p99 (cycles)", "coretime+repl", "±"}},
-	"scale": {findSweep("scale"), "scale", func() (string, o2.Sweep) { return scaleSweep(goldenScaleConfig()) },
+	"scale": {findPreset("scale"), narrowScale,
 		[]string{"machine", "service", "policy", "kops/sec/core", "numa256", "dirlookup", "±"}},
-	"soak": {findSweep("soak"), "soak", func() (string, o2.Sweep) { return soakSweep(o2.QuickSoakWebConfig()) },
-		[]string{"Soak", "rps", "p99 (cycles)", "coretime", "±"}},
+	"soak": {findPreset("soak"), nil, []string{"Soak", "rps", "p99 (cycles)", "coretime", "±"}},
 }
 
 // The ablations are CI-sized already: each golden case is the ablation's
-// own sweep, named after its command, ablation_<name>.
+// own sweep, ablation_<name>.
 func init() {
-	for _, sc := range ablationCmds() {
-		goldenCases["ablation_"+sc.name] = goldenCase{&sc, "ablation_" + sc.name,
-			func() (string, o2.Sweep) { return sc.build(false) },
-			[]string{"# " + sc.usage, "kops/sec", "migrations", "±"}}
+	for _, a := range o2.Ablations() {
+		title, _ := a.Build(true)
+		goldenCases["ablation_"+a.Name] = goldenCase{a, nil, []string{"# " + title, "kops/sec", "migrations", "±"}}
 	}
 }
 
-// goldenFig4Config is a reduced Figure-4 sweep: small machine, two grid
+func findPreset(name string) o2.Preset {
+	for _, p := range o2.Presets() {
+		if p.Name == name {
+			return p
+		}
+	}
+	panic("no preset " + name)
+}
+
+// narrowFig4 is o2's reduced Figure-4 fixture: small machine, two grid
 // points.
-func goldenFig4Config() o2.Fig4Config {
+func narrowFig4(sw *o2.Sweep) {
 	p := o2.DefaultRunParams()
-	p.Threads = 4
-	p.Warmup = 200_000
-	p.Measure = 400_000
-	return o2.Fig4Config{Machine: o2.Tiny8, DirCounts: []int{2, 6}, EntriesPerDir: 128, Params: p}
+	p.Threads, p.Warmup, p.Measure = 4, 200_000, 400_000
+	sw.Base = o2.Cell{Machine: o2.Tiny8, Scenario: o2.DirLookupScenario{Params: p}}
+	sw.Axes[0] = o2.DirCountAxis(128, 2, 6)
 }
 
-// goldenKVConfig is a reduced KVService sweep: Tiny8 machine, a
-// kilobyte-scale store, two mixes × two skews × every placement policy.
-func goldenKVConfig() o2.KVConfig {
-	cfg := o2.QuickKVConfig()
-	cfg.Spec = o2.KVSpec{Shards: 8, SlotsPerShard: 64, SlotBytes: 64, Keys: 1 << 12}
-	cfg.Load = o2.KVLoad{Clients: 8, OpsPerClient: 150}
-	cfg.Skews = []float64{0, 0.99}
-	return cfg
+// narrowKV is o2's reduced kv fixture: a kilobyte-scale store and eight
+// clients.
+func narrowKV(sw *o2.Sweep) {
+	sw.Base.Scenario = o2.KVScenario{
+		Spec: o2.KVSpec{Shards: 8, SlotsPerShard: 64, SlotBytes: 64, Keys: 1 << 12},
+		Load: o2.KVLoad{Clients: 8, OpsPerClient: 150},
+	}
 }
 
-// goldenWebConfig is a reduced WebService sweep: Tiny8 machine, a small
-// document tree, two arrival rates (one under and one past saturation) ×
-// two compaction shares × every placement policy. Arrival schedules,
-// queue/drop accounting, and merged latency histograms must all be a
-// pure function of the grid.
-func goldenWebConfig() o2.WebConfig {
-	cfg := o2.QuickWebConfig()
-	cfg.Spec = o2.WebSpec{DocRoots: 8, FilesPerRoot: 64}
-	cfg.Load.Requests = 200
-	cfg.Rates = []float64{500_000, 4_000_000}
-	cfg.CompactionShares = []float64{0, 0.5}
-	return cfg
+// narrowWeb is o2's reduced web fixture: a small document tree, 200
+// requests per cell, and one arrival rate under and one past saturation.
+func narrowWeb(sw *o2.Sweep) {
+	sc := sw.Base.Scenario.(o2.WebScenario)
+	sc.Spec = o2.WebSpec{DocRoots: 8, FilesPerRoot: 64}
+	sc.Load.Requests = 200
+	sw.Base.Scenario = sc
+	sw.Axes[0] = o2.ArrivalRateAxis(500_000, 4_000_000)
 }
 
-// goldenScaleConfig is a reduced scale sweep that still spans the
-// extremes: the 8-core Tiny8 machine and the 256-core NUMA256 machine —
-// the latter exercising the multi-word sharer bitset and the saturating
-// bandwidth meters under the sweep engine — across both services and
-// every scale policy.
-func goldenScaleConfig() o2.ScaleConfig {
-	cfg := o2.QuickScaleConfig()
-	cfg.Machines = []o2.Topology{o2.Tiny8, o2.NUMA256}
-	cfg.DirsPerCore = 2
-	cfg.EntriesPerDir = 64
-	cfg.Params.Warmup = 100_000
-	cfg.Params.Measure = 200_000
-	cfg.ShardsPerCore = 1
-	cfg.SlotsPerShard = 32
-	cfg.Load.OpsPerClient = 30
-	return cfg
+// narrowScale is o2's reduced scale fixture: the Tiny8 and NUMA256
+// machines, each service's per-core working set shrunk after the service
+// axis sizes it.
+func narrowScale(sw *o2.Sweep) {
+	sw.Axes[0] = o2.TopologyAxis(o2.Tiny8, o2.NUMA256)
+	services := sw.Axes[1].Values
+	for i := range services {
+		apply := services[i].Apply
+		services[i].Apply = func(c *o2.Cell) {
+			apply(c)
+			cores := c.Machine.NumCores()
+			switch s := c.Scenario.(type) {
+			case o2.KVScenario:
+				s.Spec.Shards, s.Spec.SlotsPerShard, s.Load.OpsPerClient = cores, 32, 30
+				c.Scenario = s
+			case o2.DirLookupScenario:
+				s.Tree = o2.DirSpec{Dirs: 2 * cores, EntriesPerDir: 64}
+				s.Params.Warmup, s.Params.Measure = 100_000, 200_000
+				c.Scenario = s
+			}
+		}
+	}
 }
 
-// output runs a golden case at the given worker count and renders it
-// through the sweep commands' one emit path.
-func output(t *testing.T, gc goldenCase, workers int, format outFormat) []byte {
+// output runs a golden case at the given worker count through the
+// shared sweep flags and the one emit path.
+func output(t *testing.T, gc goldenCase, workers int, format string) []byte {
 	t.Helper()
-	title, sw := gc.build()
-	sw.Seed, sw.Repeats, sw.Workers = 7, 2, workers
+	args := []string{"-quick", "-seed", "7", "-repeats", "2", "-workers", strconv.Itoa(workers)}
+	if format != "" {
+		args = append(args, format)
+	}
+	f, err := parseSweepFlags(flag.NewFlagSet(gc.preset.Name, flag.ContinueOnError), args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	title, sw := gc.preset.Build(f.quick)
+	if gc.narrow != nil {
+		gc.narrow(&sw)
+	}
+	f.configure(&sw)
+	sw.Progress = nil
 	var buf bytes.Buffer
-	if err := emit(&buf, gc.sc, title, sw, format); err != nil {
+	if err := emit(&buf, gc.preset, title, sw, f.format); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// checkGolden pins a case's -json and -csv bytes: field names, nesting,
-// metric keys, and the simulation's values. If the schema or the
-// simulation changes intentionally, regenerate with `go test
-// ./cmd/o2bench -update` and review the diff.
+// golden is the preset's golden output with extension ext.
+func golden(gc goldenCase, ext string) string {
+	return filepath.Join("..", "..", "o2", "testdata", "presets", gc.preset.Name+"_tiny"+ext)
+}
+
+// checkGolden pins a case's -json and -csv bytes to the preset's goldens.
+// Regenerate them with `go test ./o2 -run PresetJSONGolden -update`.
 func checkGolden(t *testing.T, name string) {
 	gc := goldenCases[name]
-	for _, f := range []struct {
-		ext    string
-		format outFormat
-	}{{".json", formatJSON}, {".csv", formatCSV}} {
-		got := output(t, gc, 4, f.format)
-		golden := filepath.Join("testdata", gc.golden+"_tiny"+f.ext)
-		if *update {
-			if err := os.WriteFile(golden, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := os.ReadFile(golden)
+	for _, f := range []struct{ flag, ext string }{{"-json", ".json"}, {"-csv", ".csv"}} {
+		got := output(t, gc, 4, f.flag)
+		want, err := os.ReadFile(golden(gc, f.ext))
 		if err != nil {
-			t.Fatalf("reading golden file (regenerate with -update): %v", err)
+			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("o2bench %s output drifted from %s.\nGot:\n%s\nWant:\n%s\nIf intentional, rerun with -update and review.",
-				gc.sc.name, golden, got, want)
+			t.Errorf("o2bench %s %s output drifted from %s.\nGot:\n%s\nWant:\n%s",
+				gc.preset.Name, f.flag, golden(gc, f.ext), got, want)
 		}
 	}
 }
@@ -147,12 +162,12 @@ func checkGolden(t *testing.T, name string) {
 // are a pure function of the grid, never of the host.
 func checkWorkerInvariance(t *testing.T, name string) {
 	gc := goldenCases[name]
-	want, err := os.ReadFile(filepath.Join("testdata", gc.golden+"_tiny.json"))
+	want, err := os.ReadFile(golden(gc, ".json"))
 	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update): %v", err)
+		t.Fatal(err)
 	}
 	for _, workers := range []int{1, runtime.NumCPU()} {
-		if !bytes.Equal(output(t, gc, workers, formatJSON), want) {
+		if !bytes.Equal(output(t, gc, workers, "-json"), want) {
 			t.Errorf("-workers=%d JSON differs from the golden (-workers=4) output", workers)
 		}
 	}
@@ -162,10 +177,10 @@ func checkWorkerInvariance(t *testing.T, name string) {
 // and repeat stddevs.
 func checkTable(t *testing.T, name string) {
 	gc := goldenCases[name]
-	table := output(t, gc, 4, formatTable)
+	table := output(t, gc, 4, "")
 	for _, want := range gc.table {
 		if !bytes.Contains(table, []byte(want)) {
-			t.Errorf("o2bench %s table missing %q:\n%s", gc.sc.name, want, table)
+			t.Errorf("o2bench %s table missing %q:\n%s", gc.preset.Name, want, table)
 		}
 	}
 }
@@ -232,20 +247,43 @@ func TestFig2Golden(t *testing.T) {
 }
 
 // TestSweepFlagsConfigureSweep checks that the shared flags land on the
-// sweep of every sweep command and ablation, and that each sweep carries
-// its command's name into the results.
+// sweep of every preset and ablation, and that each sweep carries its
+// preset's name into the results.
 func TestSweepFlagsConfigureSweep(t *testing.T) {
-	for _, sc := range append(append([]sweepCmd(nil), sweeps...), ablationCmds()...) {
-		f, err := parseSweepFlags(flag.NewFlagSet(sc.name, flag.ContinueOnError),
+	for _, p := range append(o2.Presets(), o2.Ablations()...) {
+		f, err := parseSweepFlags(flag.NewFlagSet(p.Name, flag.ContinueOnError),
 			[]string{"-quick", "-seed", "9", "-workers", "3", "-repeats", "2", "-csv"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, sw := sc.build(f.quick)
+		_, sw := p.Build(f.quick)
 		f.configure(&sw)
-		if sw.Name != sc.name || sw.Seed != 9 || sw.Workers != 3 || sw.Repeats != 2 || f.format != formatCSV {
-			t.Errorf("%s: sweep %q seed %d workers %d repeats %d format %d", sc.name, sw.Name, sw.Seed, sw.Workers, sw.Repeats, f.format)
+		if sw.Name != p.Name || sw.Seed != 9 || sw.Workers != 3 || sw.Repeats != 2 || f.format != formatCSV {
+			t.Errorf("%s: sweep %q seed %d workers %d repeats %d format %d", p.Name, sw.Name, sw.Seed, sw.Workers, sw.Repeats, f.format)
 		}
+	}
+}
+
+// TestHelpListsPresets checks that `o2bench help` names every preset and
+// every ablation, and that -exp's help lists exactly the ablations, then
+// all.
+func TestHelpListsPresets(t *testing.T) {
+	var help bytes.Buffer
+	usage(&help)
+	for _, p := range o2.Presets() {
+		if !strings.Contains(help.String(), "o2bench "+p.Name+" [") {
+			t.Errorf("help does not list preset %q:\n%s", p.Name, help.String())
+		}
+	}
+	var names []string
+	for _, a := range o2.Ablations() {
+		names = append(names, a.Name)
+		if !strings.Contains(help.String(), a.Name+"|") {
+			t.Errorf("help does not list ablation %q:\n%s", a.Name, help.String())
+		}
+	}
+	if got, want := ablationNames(), strings.Join(append(names, "all"), "|"); got != want {
+		t.Errorf("-exp help lists %q, want %q", got, want)
 	}
 }
 

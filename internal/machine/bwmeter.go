@@ -75,16 +75,17 @@ func (b *bwMeter) reserve(at sim.Time) sim.Cycles {
 		return 0
 	}
 	w := uint64(at) / uint64(b.window)
-	if b.carry && b.headSet && w > b.headWin && w-b.headWin >= uint64(len(b.ring)) {
-		// A future-dated access ≥64 windows past the head would alias a
+	if b.carry && b.headSet && max(w, b.headWin)-min(w, b.headWin) >= uint64(len(b.ring)) {
+		// An access ≥64 windows past or behind the head would alias a
 		// ring slot that may still hold the live head window's demand —
 		// materializing it would evict that count before its excess was
-		// ever carried, silently dropping backlog, and would teleport
-		// headWin so far forward that present-time accesses in the still-
-		// live window restart from zero. Charge the far access against the
-		// drained backlog without touching the ring or the head: at that
-		// horizon the carry has almost always drained to zero anyway, and
-		// the one approximation — same-far-window accesses not seeing each
+		// ever carried, silently dropping backlog, and a future-dated one
+		// would teleport headWin so far forward that present-time
+		// accesses in the still-live window restart from zero. Charge the
+		// far access against the drained backlog (none behind the head)
+		// without touching the ring or the head: at that horizon the
+		// carry has almost always drained to zero anyway, and the one
+		// approximation — same-far-window accesses not seeing each
 		// other's demand — is harmless next to losing the live backlog.
 		cnt := b.carryInto(w) + 1
 		if cnt <= b.capacity {

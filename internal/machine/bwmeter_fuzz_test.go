@@ -8,9 +8,9 @@ import (
 
 // refMeter is the naive reference for bwMeter: an unbounded map of
 // per-window demand, with the deficit carry computed from the head (the
-// highest window accounted so far) as the meter documents it. A
-// reservation 64 or more windows past the head is charged against the
-// drained backlog without being accounted.
+// highest window accounted so far) as the meter documents it. In carry
+// mode a reservation 64 or more windows past or behind the head is
+// charged against the drained backlog without being accounted.
 type refMeter struct {
 	service  sim.Cycles
 	capacity uint32
@@ -58,7 +58,7 @@ func (r *refMeter) reserve(at sim.Time) sim.Cycles {
 		return 0
 	}
 	w := uint64(at) / bwWindow
-	if r.carry && r.headSet && w >= r.head+64 {
+	if r.carry && r.headSet && (w >= r.head+64 || w+64 <= r.head) {
 		return r.delay(r.backlog(w) + 1)
 	}
 	c, ok := r.count[w]
@@ -83,14 +83,18 @@ func (r *refMeter) reserve(at sim.Time) sim.Cycles {
 //	   once evicted the live head window's demand
 //	3  reset
 //	4  a burst of v%32+1 reservations in the head window
+//	5  in carry mode, a window 64+v%64 behind the head, when there is
+//	   one: the far-past class whose handling once evicted the live head
+//	   window's demand
 //
-// Outside far-future reservations, every window stays within 63 of the
-// highest one accounted, inside the meter's 64-slot ring, where its
-// demand is exact.
+// Outside far reservations, every window stays within 63 of the highest
+// one accounted, inside the meter's 64-slot ring, where its demand is
+// exact.
 func FuzzBWMeter(f *testing.F) {
 	f.Add(true, uint8(112), []byte{4, 0, 31, 1, 0, 1, 4, 0, 31, 2, 0, 0, 1, 0, 2, 0, 0, 0})
 	f.Add(false, uint8(112), []byte{4, 0, 31, 2, 0, 5, 4, 0, 31, 0, 0, 70, 3, 0, 0, 4, 0, 3})
 	f.Add(true, uint8(0), []byte{4, 0, 20, 2, 1, 0, 1, 0, 63, 0, 0, 63, 4, 0, 9})
+	f.Add(true, uint8(16), []byte{1, 0, 63, 1, 0, 37, 4, 0, 11, 5, 0, 0, 1, 0, 1, 5, 0, 30, 4, 0, 2})
 	f.Fuzz(func(t *testing.T, carry bool, svc uint8, ops []byte) {
 		// Services 512..8672 cycles: capacities 8 down to 0 per window.
 		service := sim.Cycles(512 + 32*int(svc))
@@ -111,7 +115,7 @@ func FuzzBWMeter(f *testing.F) {
 		}
 		for ; len(ops) >= 3; ops = ops[3:] {
 			v := uint64(ops[1])<<8 | uint64(ops[2])
-			switch ops[0] % 5 {
+			switch ops[0] % 6 {
 			case 0:
 				check(ref.head - min(v%64, ref.head))
 			case 1:
@@ -124,6 +128,10 @@ func FuzzBWMeter(f *testing.F) {
 			case 4:
 				for range v%32 + 1 {
 					check(ref.head)
+				}
+			case 5:
+				if back := 64 + v%64; carry && ref.head >= back {
+					check(ref.head - back)
 				}
 			}
 		}

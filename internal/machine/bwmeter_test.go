@@ -199,6 +199,29 @@ func TestBWMeterCarryFarFutureChargedAgainstBacklog(t *testing.T) {
 	}
 }
 
+func TestBWMeterCarryFarPastCannotEvictLiveHead(t *testing.T) {
+	// Regression, the mirror of the far-future case: an access ≥64
+	// windows behind the head aliases the head window's ring slot.
+	// Materializing it used to overwrite the head's count, so the next
+	// window inherited no backlog. Capacity 4/window: 12 transfers leave
+	// an excess of 8, which window H+1 must start from.
+	const h = 100
+	m := newSaturatingBWMeter(1024)
+	for i := 0; i < 12; i++ {
+		m.reserve(sim.Time(h * bwWindow))
+	}
+	// H-64 ≡ H (mod 64). Behind the head it carries no backlog: a lone
+	// transfer, free at capacity 4.
+	if d := m.reserve(sim.Time((h - 64) * bwWindow)); d != 0 {
+		t.Fatalf("far-past access delayed %d", d)
+	}
+	// Window H+1 starts at 8 and its first transfer is the 9th:
+	// (9-4)*1024 = 5120 cycles.
+	if d, want := m.reserve(sim.Time((h+1)*bwWindow)), sim.Cycles(9-4)*1024; d != want {
+		t.Fatalf("carry after far-past alias = %d, want %d", d, want)
+	}
+}
+
 func TestBWMeterLegacyModeHasNoCarry(t *testing.T) {
 	// The default meter must keep window-local semantics: saturation in
 	// window 0 never leaks into window 1. This is what keeps the pre-NUMA

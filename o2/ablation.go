@@ -2,28 +2,12 @@ package o2
 
 import "fmt"
 
-// Ablation names one ablation of the §6 design extensions: a sweep over
-// one scenario, reported through AblationColumns. Seed, repeats, and
-// workers are set on Sweep by the caller.
-type Ablation struct {
-	Name  string
-	Title string
-	Sweep Sweep
-}
-
-// AblationColumns report an ablation sweep: throughput (±stddev when the
+// ablationColumns report an ablation sweep: throughput (±stddev when the
 // sweep carried repeats) and migrations in the measured window. The
 // directory and path scenarios count resolutions as their operations.
-var AblationColumns = []Column{
-	{name: "kops_per_sec", head: "kops/sec", width: 12, csv: 1, spread: "kops_stddev", value: ablationKOps},
+var ablationColumns = []Column{
+	{name: "kops_per_sec", head: "kops/sec", width: 12, csv: 1, spread: "kops_stddev", value: throughput},
 	{name: "migrations", head: "migrations", width: 11},
-}
-
-func ablationKOps(c *CellResult) Aggregate {
-	if a, ok := c.Stats["kops_per_sec"]; ok {
-		return a
-	}
-	return c.Stats["kres_per_sec"]
 }
 
 const (
@@ -46,9 +30,11 @@ func optionValue(label string, opt Option) AxisValue {
 	return AxisValue{Label: label, Apply: func(c *Cell) { c.Options = append(c.Options, opt) }}
 }
 
-// Ablations returns the full ablation registry in report order. DESIGN.md
-// §4 reads the results.
-func Ablations() []Ablation {
+// Ablations returns the ablations of the §6 design extensions as presets,
+// in report order: each is one sweep over one scenario, named after the
+// ablation and titled by its usage line. They are CI-sized already, so
+// Build ignores quick. DESIGN.md §4 reads the results.
+func Ablations() []Preset {
 	threadScheduler := SchedulerAxis(Baseline).Values[0] // the reference cell
 
 	// A3's adversarial schedule: uniform traffic during warmup fills the
@@ -66,18 +52,16 @@ func Ablations() []Ablation {
 		migCost.Values = append(migCost.Values, optionValue(fmt.Sprint(c), WithMigrationCost(c)))
 	}
 
-	return []Ablation{
-		{"clustering", "A1: object clustering (§6.2)", Sweep{
-			Name: "clustering",
+	return []Preset{
+		ablation("clustering", "A1: object clustering (§6.2)", Sweep{
 			// Every operation uses a pair of objects, one nested in the
 			// other: the co-use pattern clustering targets.
 			Base: Cell{Machine: Tiny8, Scenario: objectScenario{objects: 12, size: 8 << 10, threads: 8, group: 2, perByte: 0.05}},
 			Axes: []Axis{{Name: "clustering", Values: []AxisValue{
 				optionValue("off", WithClustering(false)), optionValue("on", WithClustering(true)),
 			}}},
-		}},
-		{"replication", "A2: read-only replication (§6.2)", Sweep{
-			Name: "replication",
+		}),
+		ablation("replication", "A2: read-only replication (§6.2)", Sweep{
 			// One hot read-only object serializes every operation on one
 			// core unless it is replicated per chip.
 			Base: Cell{Machine: Tiny8, Options: []Option{WithReplicationThreshold(32, 0.95)},
@@ -85,9 +69,8 @@ func Ablations() []Ablation {
 			Axes: []Axis{{Name: "replication", Values: []AxisValue{
 				optionValue("off", WithReplication(false)), optionValue("on", WithReplication(true)),
 			}}},
-		}},
-		{"replacement", "A3: over-capacity replacement policy (§6.2)", Sweep{
-			Name: "replacement",
+		}),
+		ablation("replacement", "A3: over-capacity replacement policy (§6.2)", Sweep{
 			// 512 KB of directories on a 256 KB machine. Decay and the
 			// DRAM-ineffectiveness unplacer would eventually free the
 			// budget on their own; both are off to isolate replacement.
@@ -96,36 +79,40 @@ func Ablations() []Ablation {
 			Axes: []Axis{{Name: "replacement", Values: []AxisValue{
 				optionValue("first-fit", WithReplacement(FirstFit)), optionValue("frequency", WithReplacement(Frequency)),
 			}}},
-		}},
-		{"migcost", "A4: migration-cost sensitivity (§6.1)", Sweep{
-			Name: "migcost",
+		}),
+		ablation("migcost", "A4: migration-cost sensitivity (§6.1)", Sweep{
 			Base: Cell{Machine: Tiny8, Scenario: DirLookupScenario{Tree: DirSpec{Dirs: 8, EntriesPerDir: 512}, Params: ablParams()}},
 			Axes: []Axis{migCost},
-		}},
-		{"hetero", "A5: heterogeneous cores (§6.1)", Sweep{
-			Name: "hetero",
+		}),
+		ablation("hetero", "A5: heterogeneous cores (§6.1)", Sweep{
 			// Odd cores run at half speed.
 			Base: Cell{Machine: Tiny8.WithCoreSpeeds(1, 2, 1, 2, 1, 2, 1, 2),
 				Scenario: DirLookupScenario{Tree: DirSpec{Dirs: 8, EntriesPerDir: 512}, Params: ablParams()}},
 			Axes: []Axis{SchedulerAxis(Baseline, CoreTime)},
-		}},
-		{"paths", "A6: clustering on hierarchical path resolution (§6.2)", Sweep{
-			Name: "paths",
+		}),
+		ablation("paths", "A6: clustering on hierarchical path resolution (§6.2)", Sweep{
 			// Subdirectory scans are small, hence the lower placement
 			// threshold.
 			Base: Cell{Machine: Tiny8, Options: []Option{WithMissThreshold(4)}, Scenario: pathScenario{}},
 			Axes: []Axis{{Name: "clustering", Values: []AxisValue{
 				threadScheduler, optionValue("off", WithClustering(false)), optionValue("on", WithClustering(true)),
 			}}},
-		}},
-		{"single", "A7: single-threaded application using the whole chip's caches (§1)", Sweep{
-			Name: "single",
+		}),
+		ablation("single", "A7: single-threaded application using the whole chip's caches (§1)", Sweep{
 			// 12 × 16 KB = 192 KB: far beyond one Tiny8 core's ~29 KB
 			// budget (L2 + L3 share), inside the machine's 256 KB total.
 			Base: Cell{Machine: Tiny8, Scenario: objectScenario{objects: 12, size: 16 << 10, threads: 1, group: 1, perByte: 0.05}},
 			Axes: []Axis{SchedulerAxis(Baseline, CoreTime)},
-		}},
+		}),
 	}
+}
+
+// ablation is the preset of one ablation: sw under name, reported through
+// ablationColumns under title whether or not quick is set.
+func ablation(name, title string, sw Sweep) Preset {
+	sw.Name = name
+	return Preset{Name: name, Usage: title, build: func(bool) (string, Sweep) { return title, sw },
+		render: columns(ablationColumns)}
 }
 
 // objectScenario is the raw-object workload of the clustering,

@@ -52,7 +52,7 @@ func TestFig4SmokeTiny(t *testing.T) {
 	// A reduced sweep on the Tiny8 machine: validates the end-to-end
 	// harness and the headline shape (CoreTime wins once data exceeds a
 	// chip's caches) without AMD16 simulation cost.
-	cfg := Fig4Config{
+	cfg := fig4Config{
 		Machine:       Tiny8,
 		DirCounts:     []int{2, 8, 16},
 		EntriesPerDir: 512, // 16 KB per dir
@@ -62,7 +62,12 @@ func TestFig4SmokeTiny(t *testing.T) {
 	cfg.Params.Warmup = 800_000
 	cfg.Params.Measure = 1_600_000
 
-	rows, err := Fig4a(cfg)
+	_, sw := fig4aSweep(cfg)
+	res, err := sw.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := fig4Rows(sw, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +88,8 @@ func TestFig4SmokeTiny(t *testing.T) {
 		t.Error("CoreTime never migrated at the mid point")
 	}
 	var sb strings.Builder
-	WriteFig4Table(&sb, "fig4a tiny", rows)
-	if !strings.Contains(sb.String(), "without-CT") {
-		t.Error("table formatting broken")
+	if err := renderFig4(&sb, "fig4a tiny", sw, res, false); err != nil || !strings.Contains(sb.String(), "without-CT") {
+		t.Errorf("table formatting broken (%v):\n%s", err, sb.String())
 	}
 }
 
@@ -167,7 +171,7 @@ func runAblation(t *testing.T, name string) *SweepResult {
 	t.Helper()
 	for _, a := range Ablations() {
 		if a.Name == name {
-			sw := a.Sweep
+			_, sw := a.Build(false)
 			sw.Seed = 1
 			res, err := sw.Run()
 			if err != nil {
@@ -188,7 +192,7 @@ func ablationKOpsOf(t *testing.T, res *SweepResult, labels ...string) float64 {
 	if c == nil {
 		t.Fatalf("ablation %s has no cell %v", res.Name, labels)
 	}
-	return ablationKOps(c).Mean
+	return throughput(c).Mean
 }
 
 func TestAblationClustering(t *testing.T) {
@@ -222,7 +226,7 @@ func TestAblationReplacement(t *testing.T) {
 func TestAblationMigrationCostMonotone(t *testing.T) {
 	res := runAblation(t, "migcost")
 	for i := range res.Cells {
-		t.Logf("%-16s %8.0f kres/s", res.Cells[i].Labels[0], ablationKOps(&res.Cells[i]).Mean)
+		t.Logf("%-16s %8.0f kres/s", res.Cells[i].Labels[0], throughput(&res.Cells[i]).Mean)
 	}
 	// Throughput must not increase with migration cost (allowing noise).
 	first, last := ablationKOpsOf(t, res, "0"), ablationKOpsOf(t, res, "8000")
@@ -261,5 +265,68 @@ func TestAblationHeterogeneous(t *testing.T) {
 	t.Logf("hetero: thread scheduler %.0f, coretime %.0f kres/s (%.2fx)", base, ct, ct/base)
 	if base <= 0 || ct <= 0 {
 		t.Fatal("degenerate heterogeneous results")
+	}
+}
+
+// benchFig4Config is a three-point sweep through the regions that define
+// Figure 4's shape: lock-bound left edge, CoreTime's sweet spot, and the
+// over-capacity right edge.
+func benchFig4Config() fig4Config {
+	cfg := quickFig4Config()
+	cfg.DirCounts = []int{8, 224, 640}
+	return cfg
+}
+
+// runFig4 runs a Fig. 4 sweep and folds it into the figure's rows.
+func runFig4(b *testing.B, sw Sweep) []fig4Row {
+	b.Helper()
+	res, err := sw.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows, err := fig4Rows(sw, res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rows
+}
+
+// BenchmarkFig4aUniform regenerates Figure 4(a): file system throughput
+// under uniform directory popularity, with and without CoreTime.
+func BenchmarkFig4aUniform(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		_, sw := fig4aSweep(benchFig4Config())
+		rows := runFig4(b, sw)
+		for _, r := range rows {
+			b.ReportMetric(r.BaseKRes, "kres_base_"+kbLabel(r.DataKB))
+			b.ReportMetric(r.CTKRes, "kres_ct_"+kbLabel(r.DataKB))
+		}
+		// The paper's headline: 2–3× in the mid range.
+		b.ReportMetric(rows[1].Speedup, "speedup_mid")
+	}
+}
+
+// BenchmarkFig4bOscillate regenerates Figure 4(b): oscillating directory
+// popularity, exercising the monitor's rebalancing.
+func BenchmarkFig4bOscillate(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		cfg := benchFig4Config()
+		cfg.DirCounts = []int{224}
+		_, sw := fig4bSweep(cfg)
+		rows := runFig4(b, sw)
+		b.ReportMetric(rows[0].BaseKRes, "kres_base")
+		b.ReportMetric(rows[0].CTKRes, "kres_ct")
+		b.ReportMetric(rows[0].Speedup, "speedup")
+	}
+}
+
+func kbLabel(kb float64) string {
+	switch {
+	case kb < 1024:
+		return "small"
+	case kb < 10240:
+		return "mid"
+	default:
+		return "large"
 	}
 }

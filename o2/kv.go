@@ -4,7 +4,7 @@ package o2
 // store built on a Runtime, the first o2 scenario beyond the paper's file
 // system workloads. Its siblings are kvload.go (the deterministic Zipf
 // load generator and closed-loop driver) and kvsweep.go (placement
-// policies, sweep axes, and the o2bench kv entry points).
+// policies, sweep axes, and the kv preset).
 //
 // The store models the data plane of a real service: keys hash to shards,
 // each shard is one schedulable object (a contiguous slot table), and

@@ -200,7 +200,7 @@ func TestKVRunDeterminism(t *testing.T) {
 // many workers: the SweepResults must be deeply identical, the KV
 // instance of the engine's determinism guarantee.
 func TestKVSweepWorkerInvariance(t *testing.T) {
-	cfg := QuickKVConfig()
+	cfg := quickKVConfig()
 	cfg.Spec = KVSpec{Shards: 8, SlotsPerShard: 64, SlotBytes: 64, Keys: 1 << 12}
 	cfg.Load = KVLoad{Clients: 8, OpsPerClient: 120}
 	cfg.Mixes = []KVMix{DefaultKVMix()}
@@ -208,7 +208,7 @@ func TestKVSweepWorkerInvariance(t *testing.T) {
 	cfg.Policies = []KVPolicy{KVThreadScheduler, KVCoreTime}
 
 	run := func(workers int) *SweepResult {
-		_, sweep := KVSweep(cfg)
+		_, sweep := kvSweep(cfg)
 		sweep.Seed, sweep.Workers = 5, workers
 		res, err := sweep.Run()
 		if err != nil {

@@ -4,7 +4,7 @@ package o2
 // through the same SplitMix64 scheme as everything else in the
 // repository.
 //
-// Determinism contract (pinned by the o2bench kv golden test): one run is
+// Determinism contract (pinned by the kv preset golden test): one run is
 // a pure function of (topology, options, KVSpec, KVLoad, seed). The
 // generator owns no global state — a master RNG seeded from KVLoad.Seed
 // (or derived from the runtime seed) splits one private stream per

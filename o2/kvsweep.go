@@ -2,7 +2,7 @@ package o2
 
 // Sweep integration for the KVService scenario: shard-placement policies
 // as option bundles, the Mix/Skew/Policy axes, the KVScenario cell
-// workload, and the configured sweep behind `o2bench kv`.
+// workload, and the kv preset's configuration and sweep.
 
 import (
 	"fmt"
@@ -154,7 +154,7 @@ func SkewAxis(skews ...float64) Axis {
 // Spec is built once per cell and driven by Load. The cell seed reaches
 // both the runtime (every internal stream) and the load generator, so
 // results are a pure function of the grid position — the worker-count
-// invariance the o2bench kv golden test pins.
+// invariance the kv preset golden test pins.
 type KVScenario struct {
 	Spec KVSpec
 	Load KVLoad
@@ -180,27 +180,27 @@ func (s KVScenario) measure(c Cell) (Metrics, error) {
 	}, nil
 }
 
-// KVConfig drives the `o2bench kv` sweep: the cross product of Mixes ×
-// Skews × Policies on one machine and store shape. Seed, repeats, and
-// workers are set on the Sweep that KVSweep returns.
-type KVConfig struct {
+// kvConfig drives the kv preset: the cross product of Mixes × Skews ×
+// Policies on one machine and store shape. Seed, repeats, and workers are
+// set on the Sweep that kvSweep returns.
+type kvConfig struct {
 	Machine Topology
 	// Spec shapes the store.
 	Spec KVSpec
 	// Load is the per-cell load template; Mixes and Skews sweep its mix
-	// and skew.
-	Load  KVLoad
-	Mixes []KVMix
-	Skews []float64
-	// Policies are the placement policies to compare (default: all).
+	// and skew. Its zero fields resolve per cell against the machine's
+	// core count.
+	Load     KVLoad
+	Mixes    []KVMix
+	Skews    []float64
 	Policies []KVPolicy
 }
 
-// DefaultKVConfig returns the full-scale configuration: the AMD16 machine
+// defaultKVConfig returns the full-scale configuration: the AMD16 machine
 // serving a million-key store under read-heavy and scan-heavy mixes at
-// uniform and classic-Zipf skew, across all four placement policies.
-func DefaultKVConfig() KVConfig {
-	return KVConfig{
+// uniform and classic-Zipf skew, across all placement policies.
+func defaultKVConfig() kvConfig {
+	return kvConfig{
 		Machine: AMD16,
 		Spec:    KVSpec{Shards: 64, SlotsPerShard: 1024, SlotBytes: 64, Keys: 1 << 20},
 		Load:    KVLoad{OpsPerClient: 2000},
@@ -213,43 +213,30 @@ func DefaultKVConfig() KVConfig {
 	}
 }
 
-// QuickKVConfig returns a reduced sweep for smoke tests: the Tiny8
+// quickKVConfig returns a reduced sweep for smoke tests: the Tiny8
 // machine and a kilobyte-scale store, same axes.
-func QuickKVConfig() KVConfig {
-	cfg := DefaultKVConfig()
+func quickKVConfig() kvConfig {
+	cfg := defaultKVConfig()
 	cfg.Machine = Tiny8
 	cfg.Spec = KVSpec{Shards: 16, SlotsPerShard: 128, SlotBytes: 64, Keys: 1 << 16}
 	cfg.Load.OpsPerClient = 500
 	return cfg
 }
 
-// KVSweep resolves cfg — zero Machine becomes AMD16, zero Spec fields
-// take their defaults, empty axes their standard values — and returns it
-// with the Sweep that measures it, so the returned cfg describes exactly
-// what the cells run. KVLoad's zero fields resolve per cell against the
-// machine's core count.
-func KVSweep(cfg KVConfig) (KVConfig, Sweep) {
-	cfg.Machine = cfg.Machine.orDefault()
-	cfg.Spec = cfg.Spec.WithDefaults()
-	if len(cfg.Mixes) == 0 {
-		cfg.Mixes = []KVMix{DefaultKVMix()}
-	}
-	if len(cfg.Skews) == 0 {
-		cfg.Skews = []float64{0.99}
-	}
-	if len(cfg.Policies) == 0 {
-		cfg.Policies = KVPolicies()
-	}
-	return cfg, Sweep{
+// kvSweep returns the report title and the Sweep that measures cfg.
+func kvSweep(cfg kvConfig) (string, Sweep) {
+	title := fmt.Sprintf("KVService: sharded key-value store on %s (%d shards × %d KB, %d keys)",
+		cfg.Machine.Name(), cfg.Spec.Shards, cfg.Spec.ShardBytes()/1024, cfg.Spec.Keys)
+	return title, Sweep{
 		Name: "kv",
 		Base: Cell{Machine: cfg.Machine, Scenario: KVScenario{Spec: cfg.Spec, Load: cfg.Load}},
 		Axes: []Axis{MixAxis(cfg.Mixes...), SkewAxis(cfg.Skews...), PolicyAxis(cfg.Policies...)},
 	}
 }
 
-// KVColumns report a KV sweep: throughput (±stddev when the sweep carried
+// kvColumns report a KV sweep: throughput (±stddev when the sweep carried
 // repeats), per-op latency, on-chip cache-hit rate, and migrations.
-var KVColumns = []Column{
+var kvColumns = []Column{
 	{name: "kops_per_sec", head: "kops/sec", width: 12, csv: 1, spread: "kops_stddev"},
 	{name: "cycles_per_op", head: "cycles/op", width: 12, csv: 1},
 	{name: "cache_hit_rate", head: "hit%", width: 8, prec: 1, csv: 4, pct: true},

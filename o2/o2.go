@@ -28,9 +28,9 @@
 // The package also carries the evaluation layer: Experiment compares
 // schedulers on the directory-lookup workload in a few lines, Sweep
 // executes declarative parameter grids on a bounded worker pool with
-// deterministic per-cell seeds and repeat statistics, the Fig4a/Fig4b/
-// Fig2 entry points and the Ablations' sweeps regenerate the paper's
-// figures and §6 ablations on that engine, and LatencyTable and
+// deterministic per-cell seeds and repeat statistics, the Presets, Fig2
+// and the Ablations regenerate the paper's figures, its §6 ablations,
+// and the scenarios built on them on that engine, and LatencyTable and
 // MigrationCost probe the machine directly (cmd/o2bench is a thin
 // wrapper). Everything under internal/ is free to
 // evolve behind this façade; new scenarios should build on this package

@@ -9,11 +9,11 @@ import "testing"
 // comparison isolates the policy from sweep-layout seed noise.
 func scaleBWCell(t *testing.T, m Topology, policy KVPolicy) float64 {
 	t.Helper()
-	cfg := QuickScaleConfig()
+	cfg := quickScaleConfig()
 	cfg.Machines = []Topology{m}
-	cfg.Services = []ScaleService{ScaleDirLookup}
+	cfg.Services = []scaleService{scaleDirLookup}
 	cfg.Policies = []KVPolicy{policy}
-	_, sweep := ScaleSweep(cfg)
+	_, sweep := scaleSweep(cfg)
 	res, err := sweep.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package o2
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -16,18 +17,18 @@ func TestScaleSweepDivergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	cfg := QuickScaleConfig()
-	cfg.Services = []ScaleService{ScaleDirLookup}
-	cfg, sweep := ScaleSweep(cfg)
+	cfg := quickScaleConfig()
+	cfg.Services = []scaleService{scaleDirLookup}
+	_, sweep := scaleSweep(cfg)
 	res, err := sweep.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := ScaleSpeedup(res, "amd16", "dirlookup")
+	small, err := scaleSpeedup(res, "amd16", "dirlookup")
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := ScaleSpeedup(res, "numa64", "dirlookup")
+	big, err := scaleSpeedup(res, "numa64", "dirlookup")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,16 +113,34 @@ func TestScaleArenaRepeatsMatchFreshRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	cfg := QuickScaleConfig()
+	cfg := quickScaleConfig()
 	cfg.Machines = []Topology{NUMA64}
 	cfg.Policies = []KVPolicy{KVCoreTime}
 	cfg.Params.Warmup = 300_000
 	cfg.Params.Measure = 300_000
 	cfg.Load.OpsPerClient = 60
 
-	_, sweep := ScaleSweep(cfg)
+	_, sweep := scaleSweep(cfg)
 	sweep.Repeats = 3
 	sweep.Workers = 1
 	sweep.Seed = 23
 	checkRepeatsMatchFresh(t, sweep)
+}
+
+// scaleSpeedup returns the CoreTime-over-thread-scheduler throughput
+// ratio at one machine × service point of a completed scale sweep. The
+// big-machine claim is this ratio growing with the machine: bandwidth
+// saturation punishes the thread scheduler at 64+ cores by a margin that
+// does not exist at 16.
+func scaleSpeedup(res *SweepResult, machine, service string) (float64, error) {
+	base := res.Cell(machine, service, KVThreadScheduler.String())
+	ct := res.Cell(machine, service, KVCoreTime.String())
+	if base == nil || ct == nil {
+		return 0, fmt.Errorf("o2: scale sweep has no %s/%s policy pair", machine, service)
+	}
+	b := throughput(base).Mean
+	if b == 0 {
+		return 0, fmt.Errorf("o2: scale sweep %s/%s thread-scheduler cell measured zero throughput", machine, service)
+	}
+	return throughput(ct).Mean / b, nil
 }

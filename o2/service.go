@@ -5,7 +5,7 @@ package o2
 // first-class open-loop service subsystem. Its siblings are serviceload.go
 // (the seeded arrival process, bounded request queue, open-loop driver, and
 // tail-latency recorder) and servicesweep.go (sweep axes, the WebScenario
-// cell workload, and the o2bench web entry points).
+// cell workload, and the web and soak presets).
 //
 // Where KVService measures closed-loop throughput — clients issue the next
 // operation the moment the previous one returns, so the system can never

@@ -366,7 +366,7 @@ func TestWebServiceDefaultsAndValidation(t *testing.T) {
 // instance of the engine's determinism guarantee, now covering latency
 // quantiles.
 func TestWebSweepWorkerInvariance(t *testing.T) {
-	cfg := QuickWebConfig()
+	cfg := quickWebConfig()
 	cfg.Spec = WebSpec{DocRoots: 8, FilesPerRoot: 64}
 	cfg.Load.Requests = 150
 	cfg.Rates = []float64{400_000, 1_600_000}
@@ -374,7 +374,7 @@ func TestWebSweepWorkerInvariance(t *testing.T) {
 	cfg.Policies = []KVPolicy{KVThreadScheduler, KVCoreTime}
 
 	run := func(workers int) *SweepResult {
-		_, sweep := WebSweep(cfg)
+		_, sweep := webSweep(cfg)
 		sweep.Seed, sweep.Workers = 5, workers
 		res, err := sweep.Run()
 		if err != nil {
@@ -401,7 +401,9 @@ func TestWebSweepWorkerInvariance(t *testing.T) {
 // TestWebSweepAxisLabels pins the axis labels service cells are addressed
 // by in results and JSON.
 func TestWebSweepAxisLabels(t *testing.T) {
-	_, sweep := WebSweep(WebConfig{Rates: []float64{250_000}, CompactionShares: []float64{0, 0.25}})
+	cfg := defaultWebConfig()
+	cfg.Rates, cfg.CompactionShares = []float64{250_000}, []float64{0, 0.25}
+	_, sweep := webSweep(cfg)
 	names := []string{sweep.Axes[0].Name, sweep.Axes[1].Name, sweep.Axes[2].Name}
 	if names[0] != "rps" || names[1] != "compaction" || names[2] != "policy" {
 		t.Errorf("axis names drifted: %v", names)

@@ -9,7 +9,7 @@ package o2
 // with a single chained arrival event waking them — the constant-space
 // form a million-request soak run needs.
 //
-// Determinism contract (pinned by the o2bench web golden test): one run is
+// Determinism contract (pinned by the web preset golden test): one run is
 // a pure function of (topology, options, WebSpec, ServiceLoad, seed).
 // Arrival instants, request targets, and compaction victims are all drawn
 // from split RNG streams derived from ServiceLoad.Seed (or the runtime
@@ -137,7 +137,7 @@ type ServiceLoad struct {
 // DefaultServiceLoad returns the standard load shape — one worker per
 // core, 4000 Poisson requests, hot-vhost skew, no compaction — with the
 // arrival rate left for the caller: pick one against the machine (see
-// DefaultWebConfig for the paper-machine rates).
+// the web preset for the paper-machine rates).
 func DefaultServiceLoad() ServiceLoad {
 	return ServiceLoad{Requests: defaultWebRequests, Skew: 0.99}
 }

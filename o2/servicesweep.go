@@ -3,7 +3,7 @@ package o2
 // Sweep integration for the WebService scenario: the ArrivalRate and
 // Compaction axes (placement policies reuse PolicyAxis — the KVPolicy
 // bundles are scheduler configurations, not KV-specific), the WebScenario
-// cell workload, and the configured sweep behind `o2bench web`.
+// cell workload, and the web and soak presets' configurations and sweeps.
 
 import (
 	"fmt"
@@ -41,7 +41,7 @@ func CompactionAxis(shares ...float64) Axis {
 // service Spec is built once per cell and offered the open-loop Load. The
 // cell seed reaches both the runtime and the load generator, so results
 // are a pure function of the grid position — the worker-count invariance
-// the o2bench web golden test pins.
+// the web preset golden test pins.
 type WebScenario struct {
 	Spec WebSpec
 	Load ServiceLoad
@@ -72,30 +72,29 @@ func (s WebScenario) measure(c Cell) (Metrics, error) {
 	}, nil
 }
 
-// WebConfig drives the `o2bench web` and `o2bench soak` sweeps: the cross
-// product of Rates × CompactionShares × Policies on one machine and
-// document tree. Seed, repeats, and workers are set on the Sweep that
-// WebSweep returns.
-type WebConfig struct {
+// webConfig drives the web and soak presets: the cross product of Rates
+// × CompactionShares × Policies on one machine and document tree. Seed,
+// repeats, and workers are set on the Sweep that webSweep returns.
+type webConfig struct {
 	Machine Topology
 	// Spec shapes the document tree.
 	Spec WebSpec
 	// Load is the per-cell load template; Rates and CompactionShares
-	// sweep its arrival rate and compaction duty cycle.
+	// sweep its arrival rate and compaction duty cycle. Its zero fields
+	// resolve per cell against the machine's core count.
 	Load             ServiceLoad
 	Rates            []float64
 	CompactionShares []float64
-	// Policies are the placement policies to compare (default: all).
-	Policies []KVPolicy
+	Policies         []KVPolicy
 }
 
-// DefaultWebConfig returns the full-scale configuration: the AMD16 machine
+// defaultWebConfig returns the full-scale configuration: the AMD16 machine
 // resolving names against a 224-vhost tree (the Fig. 4 regime where the
 // working set exceeds one chip but fits the aggregate cache) at arrival
 // rates walking toward the thread scheduler's saturation point, with and
 // without a half-duty background compactor, across all placement policies.
-func DefaultWebConfig() WebConfig {
-	return WebConfig{
+func defaultWebConfig() webConfig {
+	return webConfig{
 		Machine:          AMD16,
 		Spec:             WebSpec{DocRoots: 224, FilesPerRoot: 1000},
 		Load:             DefaultServiceLoad(),
@@ -105,10 +104,10 @@ func DefaultWebConfig() WebConfig {
 	}
 }
 
-// QuickWebConfig returns a reduced sweep for smoke tests: the Tiny8
+// quickWebConfig returns a reduced sweep for smoke tests: the Tiny8
 // machine and a kilobyte-scale tree, same axes.
-func QuickWebConfig() WebConfig {
-	cfg := DefaultWebConfig()
+func quickWebConfig() webConfig {
+	cfg := defaultWebConfig()
 	cfg.Machine = Tiny8
 	cfg.Spec = WebSpec{DocRoots: 24, FilesPerRoot: 128}
 	cfg.Load.Requests = 800
@@ -116,15 +115,15 @@ func QuickWebConfig() WebConfig {
 	return cfg
 }
 
-// SoakWebConfig returns the endurance configuration behind `o2bench
-// soak`: one million requests per cell through the direct-handoff drive
+// soakWebConfig returns the endurance configuration behind the soak
+// preset: one million requests per cell through the direct-handoff drive
 // (parked workers, one chained arrival event) against the AMD16 machine,
 // baseline vs CoreTime. The point is engine throughput at scale — the
 // run must finish in seconds, in constant queue space, with exact
 // accounting across a million requests — rather than a new comparison
 // axis.
-func SoakWebConfig() WebConfig {
-	cfg := DefaultWebConfig()
+func soakWebConfig() webConfig {
+	cfg := defaultWebConfig()
 	cfg.Spec = WebSpec{DocRoots: 64, FilesPerRoot: 256}
 	cfg.Load.Requests = 1_000_000
 	cfg.Load.DirectHandoff = true
@@ -134,10 +133,10 @@ func SoakWebConfig() WebConfig {
 	return cfg
 }
 
-// QuickSoakWebConfig returns the CI-scale soak: the Tiny8 machine and
+// quickSoakWebConfig returns the CI-scale soak: the Tiny8 machine and
 // 50k requests per cell, same drive and axes.
-func QuickSoakWebConfig() WebConfig {
-	cfg := SoakWebConfig()
+func quickSoakWebConfig() webConfig {
+	cfg := soakWebConfig()
 	cfg.Machine = Tiny8
 	cfg.Spec = WebSpec{DocRoots: 24, FilesPerRoot: 128}
 	cfg.Load.Requests = 50_000
@@ -145,39 +144,33 @@ func QuickSoakWebConfig() WebConfig {
 	return cfg
 }
 
-// WebSweep resolves cfg — zero Machine becomes AMD16, zero Spec fields
-// take their defaults, empty axes their standard values — and returns it
-// with the Sweep that measures it, so the returned cfg describes exactly
-// what the cells run. ServiceLoad's zero fields resolve per cell against
-// the machine's core count.
-func WebSweep(cfg WebConfig) (WebConfig, Sweep) {
-	cfg.Machine = cfg.Machine.orDefault()
-	cfg.Spec = cfg.Spec.WithDefaults()
-	if len(cfg.Rates) == 0 {
-		cfg.Rates = DefaultWebConfig().Rates
-	}
-	if len(cfg.CompactionShares) == 0 {
-		cfg.CompactionShares = DefaultWebConfig().CompactionShares
-	}
-	if len(cfg.Policies) == 0 {
-		cfg.Policies = KVPolicies()
-	}
-	axes := []Axis{
-		ArrivalRateAxis(cfg.Rates...),
-		CompactionAxis(cfg.CompactionShares...),
-		PolicyAxis(cfg.Policies...),
-	}
-	return cfg, Sweep{
+// webSweep returns the report title and the Sweep that measures cfg.
+func webSweep(cfg webConfig) (string, Sweep) {
+	title := fmt.Sprintf("WebService: open-loop name resolution on %s (%d vhosts × %d files, %d KB of metadata)",
+		cfg.Machine.Name(), cfg.Spec.DocRoots, cfg.Spec.FilesPerRoot, cfg.Spec.MetadataBytes()/1024)
+	return title, Sweep{
 		Name: "web",
 		Base: Cell{Machine: cfg.Machine, Scenario: WebScenario{Spec: cfg.Spec, Load: cfg.Load}},
-		Axes: axes,
+		Axes: []Axis{
+			ArrivalRateAxis(cfg.Rates...),
+			CompactionAxis(cfg.CompactionShares...),
+			PolicyAxis(cfg.Policies...),
+		},
 	}
 }
 
-// WebColumns report a web or soak sweep: offered vs achieved throughput,
+// soakSweep is webSweep under the soak preset's name and title.
+func soakSweep(cfg webConfig) (string, Sweep) {
+	_, sw := webSweep(cfg)
+	sw.Name = "soak"
+	return fmt.Sprintf("Soak: %d direct-handoff requests per cell on %s (%d vhosts × %d files)",
+		cfg.Load.Requests, cfg.Machine.Name(), cfg.Spec.DocRoots, cfg.Spec.FilesPerRoot), sw
+}
+
+// webColumns report a web or soak sweep: offered vs achieved throughput,
 // the drop rate, and the latency quantiles (p99 ±stddev when the sweep
 // carried repeats). Mean latency and migrations appear in the CSV only.
-var WebColumns = []Column{
+var webColumns = []Column{
 	{name: "offered_krps", head: "off krps", width: 10, csv: 1},
 	{name: "achieved_krps", head: "ach krps", width: 10, csv: 1},
 	{name: "drop_rate", head: "drop%", width: 6, prec: 1, csv: 4, pct: true},

@@ -299,8 +299,7 @@ func (r *SweepResult) WriteJSON(w io.Writer) error {
 }
 
 // Column is how WriteTable and WriteCSV render one metric of every cell.
-// Each scenario declares its report as a column list: KVColumns,
-// WebColumns, ScaleColumns.
+// Each preset declares its report as a column list (see preset.go).
 type Column struct {
 	name  string // CSV header, and the metric read unless value is set
 	head  string // table header; "" keeps the column out of the table

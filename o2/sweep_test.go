@@ -207,7 +207,7 @@ func TestSweepWithoutRunnerFails(t *testing.T) {
 // does not edit fails the sweep, naming the axis and the scenario type,
 // instead of measuring unchanged cells under the axis's labels.
 func TestSweepAxisScenarioMismatchFails(t *testing.T) {
-	_, web := WebSweep(QuickWebConfig())
+	_, web := webSweep(quickWebConfig())
 	web.Axes = append(web.Axes, MixAxis(KVMix{Gets: 1}, KVMix{Scans: 1}))
 	bare := Sweep{Name: "bare", Axes: []Axis{DirCountAxis(64, 2)}}
 	for _, tc := range []struct {
