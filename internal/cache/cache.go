@@ -197,6 +197,26 @@ func (c *Cache) LookupAt(l Line, idx Index) bool {
 	return true
 }
 
+// HoldsMRU reports whether l is the most recently used line of the set
+// idx selects, which must be IndexOf(l): the one-compare probe that lets
+// the machine model finish an L1 hit on the MRU way without refreshing
+// anything. It changes no state and is small enough to inline.
+func (c *Cache) HoldsMRU(l Line, idx Index) bool {
+	return uint64(c.ways[int(uint64(idx)&c.mask)*c.assoc+c.assoc-1]&^entryDirty) == key(l)
+}
+
+// AppendMRU appends the most recently used line of every non-empty set to
+// dst, in set order, and returns the extended slice (for the machine's
+// invariant checks).
+func (c *Cache) AppendMRU(dst []Line) []Line {
+	for s := c.assoc - 1; s < len(c.ways); s += c.assoc {
+		if e := c.ways[s]; e != 0 {
+			dst = append(dst, e.line())
+		}
+	}
+	return dst
+}
+
 // Contains reports residency without disturbing LRU order.
 func (c *Cache) Contains(l Line) bool { return find(c.set(IndexOf(l)), l) >= 0 }
 

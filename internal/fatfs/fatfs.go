@@ -57,6 +57,8 @@ const (
 	SectorSize   = 512
 	DirEntrySize = 32
 
+	slotsPerSector = SectorSize / DirEntrySize
+
 	attrReadOnly  = 0x01
 	attrDirectory = 0x10
 	attrArchive   = 0x20

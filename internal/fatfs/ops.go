@@ -200,12 +200,15 @@ func isCanonicalName(name string, raw *[11]byte) bool {
 }
 
 // scanRegion scans nslots contiguous directory slots starting at base for
-// the encoded name raw, charging one sector load per boundary crossed and
-// counting every visited slot (including the 0x00 end-of-directory slot)
-// into *compared. idx0 is the directory-wide index of the first slot; name
-// is the decoded form of raw, stored on the matched entry. It returns the
-// matched entry, whether a match was found, and whether the
-// end-of-directory marker stopped the scan.
+// the encoded name raw, a whole sector at a time: one sector load and one
+// fixed-size view of its bytes per sector, then its 16 slots at a fixed
+// stride. Every visited slot, including the 0x00 end-of-directory slot,
+// counts into *compared. base is sector aligned and nslots a whole number
+// of sectors' slots, as the root directory and every cluster are. idx0 is
+// the directory-wide index of the first slot; name is the decoded form of
+// raw, stored on the matched entry. It returns the matched entry, whether
+// a match was found, and whether the end-of-directory marker stopped the
+// scan.
 //
 //o2:hotpath
 func (fs *FS) scanRegion(acc Access, base mem.Addr, nslots, idx0 int, raw *[11]byte, name string, compared *int) (Entry, bool, bool) {
@@ -214,37 +217,35 @@ func (fs *FS) scanRegion(acc Access, base mem.Addr, nslots, idx0 int, raw *[11]b
 	// which is harmless.
 	raw8 := binary.LittleEndian.Uint64(raw[0:8])
 	raw4 := binary.LittleEndian.Uint32(raw[7:11])
-	var sector []byte
 	n := *compared
-	for s := 0; s < nslots; s++ {
+	for s := 0; s < nslots; s += slotsPerSector {
 		addr := base + mem.Addr(s*DirEntrySize)
-		off := int(addr % SectorSize)
-		if off == 0 {
-			acc.Load(addr, SectorSize)
-			sector = fs.vol.read(addr, SectorSize)
-		}
-		n++
-		b := sector[off : off+DirEntrySize]
-		switch b[0] {
-		case 0x00: // end-of-directory marker
+		acc.Load(addr, SectorSize)
+		sector := (*[SectorSize]byte)(fs.vol.read(addr, SectorSize))
+		for off := 0; off <= SectorSize-DirEntrySize; off += DirEntrySize {
+			b := (*[DirEntrySize]byte)(sector[off:])
+			n++
+			switch b[0] {
+			case 0x00: // end-of-directory marker
+				*compared = n
+				return Entry{}, false, true
+			case 0xE5: // deleted
+				continue
+			}
+			if binary.LittleEndian.Uint64(b[0:8]) != raw8 ||
+				binary.LittleEndian.Uint32(b[7:11]) != raw4 {
+				continue
+			}
 			*compared = n
-			return Entry{}, false, true
-		case 0xE5: // deleted
-			continue
+			return Entry{
+				Name:         name,
+				Attr:         b[11],
+				FirstCluster: int(uint16(b[26]) | uint16(b[27])<<8),
+				Size:         uint32(b[28]) | uint32(b[29])<<8 | uint32(b[30])<<16 | uint32(b[31])<<24,
+				Index:        idx0 + s + off/DirEntrySize,
+				Addr:         addr + mem.Addr(off),
+			}, true, false
 		}
-		if binary.LittleEndian.Uint64(b[0:8]) != raw8 ||
-			binary.LittleEndian.Uint32(b[7:11]) != raw4 {
-			continue
-		}
-		*compared = n
-		return Entry{
-			Name:         name,
-			Attr:         b[11],
-			FirstCluster: int(uint16(b[26]) | uint16(b[27])<<8),
-			Size:         uint32(b[28]) | uint32(b[29])<<8 | uint32(b[30])<<16 | uint32(b[31])<<24,
-			Index:        idx0 + s,
-			Addr:         addr,
-		}, true, false
 	}
 	*compared = n
 	return Entry{}, false, false

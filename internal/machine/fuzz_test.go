@@ -319,6 +319,16 @@ func wideFuzzConfig() topology.Config {
 	return cfg
 }
 
+// equalSetsFuzzConfig is Tiny8 with an L2 of as many sets as its L1 (8
+// each), the shape AMD16 and the NUMA presets have at full size: every
+// L1 set then shares its L2 set with no other L1 set, so the L2 recency
+// order is the L1's plus the lines L1 has dropped.
+func equalSetsFuzzConfig() topology.Config {
+	cfg := topology.Tiny8()
+	cfg.L2 = topology.CacheGeom{Size: 4 << 10, LineSize: 64, Assoc: 8}
+	return cfg
+}
+
 // machineOpBytes is the size of one encoded operation: core, line
 // selector (page in the high nibble, offset in the low), flags (bit 0
 // write, bit 3 single-line Access, bits 1-2 line count), time advance.
@@ -331,10 +341,8 @@ const (
 )
 
 // FuzzMachine steps a Machine and refMachine through the same accesses,
-// on Tiny8 or on wideFuzzConfig, and after every access compares the
-// latency and every core's counters and runs CheckInvariants; at the end
-// it compares every cache's contents and every touched line's holders.
-// The seed corpus lives in testdata/fuzz/FuzzMachine.
+// on Tiny8 or on wideFuzzConfig (see stepMachine). The seed corpus lives
+// in testdata/fuzz/FuzzMachine.
 func FuzzMachine(f *testing.F) {
 	// Nine lines through core 0's one L2 set push the first into the L3,
 	// which the tenth access hits; core 2 then reads it from another chip
@@ -352,47 +360,77 @@ func FuzzMachine(f *testing.F) {
 		if wide {
 			cfg = wideFuzzConfig()
 		}
-		m, err := New(cfg, 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := newRefMachine(cfg)
-		ops = ops[:min(len(ops), machineMaxOps*machineOpBytes)]
-		touched := make(map[cache.Line]bool)
-		var at sim.Time
-		for step := 0; len(ops) >= machineOpBytes; ops, step = ops[machineOpBytes:], step+1 {
-			core := int(ops[0]) % cfg.NumCores()
-			l := fuzzMachinePages[ops[1]>>4]*cache.PageLines + fuzzMachineOffsets[ops[1]&15]
-			write := ops[2]&1 != 0
-			n := 1 + int(ops[2]>>1&3)%3
-			at += sim.Time(ops[3]&0x3F) << (4 * (ops[3] >> 6))
-			addr := mem.Addr(l) * mem.Addr(cfg.L1.LineSize)
-			var got sim.Cycles
-			if n == 1 && ops[2]&8 != 0 {
-				got = m.Access(core, addr, write, at)
-			} else {
-				got = m.AccessRange(core, addr, n*cfg.L1.LineSize, write, at)
-			}
-			var want sim.Cycles
-			for i := 0; i < n; i++ {
-				touched[l+cache.Line(i)] = true
-				want += ref.access(core, l+cache.Line(i), write, at+want)
-			}
-			if got != want {
-				t.Fatalf("step %d: core %d %d lines from %d write=%v at %d: latency %d, reference %d",
-					step, core, n, l, write, at, got, want)
-			}
-			for i := range ref.ctr {
-				if c := *m.Counters().Core(i); c != ref.ctr[i] {
-					t.Fatalf("step %d: core %d counters\n got %+v\nwant %+v", step, i, c, ref.ctr[i])
-				}
-			}
-			if err := m.CheckInvariants(); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-		}
-		compareContents(t, m, ref, touched)
+		stepMachine(t, cfg, ops)
 	})
+}
+
+// FuzzMachineEqualSets is FuzzMachine on equalSetsFuzzConfig, the
+// geometry under which the machine's L1 hit on an MRU way skips the L2
+// refresh; the reference refreshes the L2 on every L1 hit, so it is the
+// oracle for that skip. The seed corpus lives in
+// testdata/fuzz/FuzzMachineEqualSets.
+func FuzzMachineEqualSets(f *testing.F) {
+	// Core 0 loads lines A and B of one L1 set, then hits A on the L1's
+	// less recent way, which must move A to the top of its L2 set. Seven
+	// more lines of the set then fill the 8-way L2 set and evict one
+	// line: B if the L2 order is right, A if the hit skipped the refresh.
+	// A's next load hits the L2, and B's store the L3.
+	lruHitThenEvict := []byte{0, 0x00, 0, 1, 0, 0x10, 0, 1, 0, 0x00, 8, 1}
+	for p := byte(2); p < 9; p++ {
+		lruHitThenEvict = append(lruHitThenEvict, 0, p<<4, 0, 1)
+	}
+	lruHitThenEvict = append(lruHitThenEvict, 0, 0x00, 0, 1, 0, 0x10, 1, 1)
+	f.Add(lruHitThenEvict)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		stepMachine(t, equalSetsFuzzConfig(), ops)
+	})
+}
+
+// stepMachine steps a Machine and refMachine on cfg through the accesses
+// ops encodes, and after every access compares the latency and every
+// core's counters and runs CheckInvariants; at the end it compares every
+// cache's contents and every touched line's holders.
+func stepMachine(t *testing.T, cfg topology.Config, ops []byte) {
+	m, err := New(cfg, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefMachine(cfg)
+	ops = ops[:min(len(ops), machineMaxOps*machineOpBytes)]
+	touched := make(map[cache.Line]bool)
+	var at sim.Time
+	for step := 0; len(ops) >= machineOpBytes; ops, step = ops[machineOpBytes:], step+1 {
+		core := int(ops[0]) % cfg.NumCores()
+		l := fuzzMachinePages[ops[1]>>4]*cache.PageLines + fuzzMachineOffsets[ops[1]&15]
+		write := ops[2]&1 != 0
+		n := 1 + int(ops[2]>>1&3)%3
+		at += sim.Time(ops[3]&0x3F) << (4 * (ops[3] >> 6))
+		addr := mem.Addr(l) * mem.Addr(cfg.L1.LineSize)
+		var got sim.Cycles
+		if n == 1 && ops[2]&8 != 0 {
+			got = m.Access(core, addr, write, at)
+		} else {
+			got = m.AccessRange(core, addr, n*cfg.L1.LineSize, write, at)
+		}
+		var want sim.Cycles
+		for i := 0; i < n; i++ {
+			touched[l+cache.Line(i)] = true
+			want += ref.access(core, l+cache.Line(i), write, at+want)
+		}
+		if got != want {
+			t.Fatalf("step %d: core %d %d lines from %d write=%v at %d: latency %d, reference %d",
+				step, core, n, l, write, at, got, want)
+		}
+		for i := range ref.ctr {
+			if c := *m.Counters().Core(i); c != ref.ctr[i] {
+				t.Fatalf("step %d: core %d counters\n got %+v\nwant %+v", step, i, c, ref.ctr[i])
+			}
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	compareContents(t, m, ref, touched)
 }
 
 // compareContents checks every cache's resident lines and every touched

@@ -213,8 +213,7 @@ func (m *Machine) homeChip(l cache.Line) int { return int(uint64(l) % uint64(m.c
 // returns its latency. `at` is the simulated time the access issues;
 // callers performing batched scans pass at + (latency accumulated so far).
 func (m *Machine) Access(core int, addr mem.Addr, write bool, at sim.Time) sim.Cycles {
-	l := cache.LineOf(addr, m.lineSize)
-	return m.lineAccess(core, l, cache.IndexOf(l), write, at, m.ctr.Core(core), m.l1[core])
+	return m.AccessRange(core, addr, 1, write, at)
 }
 
 // Load charges a read of [addr, addr+size) and returns its total latency.
@@ -229,11 +228,18 @@ func (m *Machine) Store(core int, addr mem.Addr, size int, at sim.Time) sim.Cycl
 }
 
 // AccessRange charges an access to every line overlapping
-// [addr, addr+size), serialized, and returns the total latency. This is
-// the line-batched entry point the execution substrate's cost batches
-// drive: per-core state (counters, L1) is resolved once per range and
-// the set-index page hash once per page, not once per line, and the whole
-// common case allocates nothing.
+// [addr, addr+size), serialized, and returns the total latency. It is the
+// heart of the model and its only per-line loop: per-core state (counters,
+// L1) is resolved once per range, the set-index page hash once per page,
+// and the issue and stall counters are added once per range.
+//
+// An L1 hit on the set's most recently used way finishes with no L2
+// call: an L2 has at least as many sets as its L1 (topology.Config.Validate),
+// so an L1 set's MRU line is also the MRU line of its L2 set
+// (CheckInvariants) and the L2 refresh would change nothing. Any other L1
+// hit refreshes L2 recency (inclusive hierarchy), and a miss drops into
+// missLine, the out-of-line slow path. A store then acquires exclusive
+// ownership. The common case allocates nothing.
 //
 //o2:hotpath
 func (m *Machine) AccessRange(core int, addr mem.Addr, size int, write bool, at sim.Time) sim.Cycles {
@@ -250,61 +256,39 @@ func (m *Machine) AccessRange(core int, addr mem.Addr, size int, write bool, at 
 		if l%cache.PageLines == 0 {
 			page = cache.PageIndex(l)
 		}
-		total += m.lineAccess(core, l, page|cache.Index(l%cache.PageLines), write, at+total, c, l1)
+		idx := page | cache.Index(l%cache.PageLines)
+		var lat sim.Cycles
+		switch {
+		case l1.HoldsMRU(l, idx):
+			lat = m.cfg.Lat.L1Hit
+		case l1.LookupAt(l, idx):
+			m.l2[core].LookupAt(l, idx)
+			lat = m.cfg.Lat.L1Hit
+		default:
+			c.L1Miss++
+			lat = m.missLine(core, l, idx, at+total, c)
+		}
+		if write {
+			lat += m.acquireOwnership(core, l, idx, c)
+		}
+		total += lat
 	}
+	if n := uint64(last - first + 1); write {
+		c.Stores += n
+	} else {
+		c.Loads += n
+	}
+	c.StallCycles += uint64(total)
 	return total
 }
 
-// lineAccess is the heart of the model: one core touching one line, with
-// the line's set Index, the core's counter file and L1 already resolved
-// (AccessRange hoists them out of its per-line loop). Every L1 and L2
-// probe and install below reuses idx. The common case — an L1 hit —
-// completes here without touching the directory (loads) or allocating
-// (loads and stores); everything else drops into missLine, the
-// out-of-line slow path.
-//
-//o2:hotpath
-func (m *Machine) lineAccess(core int, l cache.Line, idx cache.Index, write bool, at sim.Time, c *perfctr.Counters, l1 *cache.Cache) sim.Cycles {
-	if write {
-		c.Stores++
-	} else {
-		c.Loads++
-	}
-	var lat sim.Cycles
-	if l1.LookupAt(l, idx) {
-		lat = m.l1HitTail(core, l, idx, write, c)
-	} else {
-		c.L1Miss++
-		lat = m.missLine(core, l, idx, write, at, c)
-	}
-	c.StallCycles += uint64(lat)
-	return lat
-}
-
-// l1HitTail finishes an access whose line hit L1: refresh L2 recency
-// (inclusive hierarchy) and, for stores, acquire exclusive ownership.
-//
-//o2:hotpath
-func (m *Machine) l1HitTail(core int, l cache.Line, idx cache.Index, write bool, c *perfctr.Counters) sim.Cycles {
-	m.l2[core].LookupAt(l, idx)
-	lat := m.cfg.Lat.L1Hit
-	if write {
-		lat += m.acquireOwnership(core, l, idx, c)
-	}
-	return lat
-}
-
 // missLine services an access that missed L1: the rest of the local
-// hierarchy, then remote caches or DRAM, then write ownership.
-func (m *Machine) missLine(core int, l cache.Line, idx cache.Index, write bool, at sim.Time, c *perfctr.Counters) sim.Cycles {
-	lat, ok := m.lookupShared(core, l, idx, c)
-	if !ok {
-		lat = m.fetchMiss(core, l, idx, at, c)
+// hierarchy, then remote caches or DRAM.
+func (m *Machine) missLine(core int, l cache.Line, idx cache.Index, at sim.Time, c *perfctr.Counters) sim.Cycles {
+	if lat, ok := m.lookupShared(core, l, idx, c); ok {
+		return lat
 	}
-	if write {
-		lat += m.acquireOwnership(core, l, idx, c)
-	}
-	return lat
+	return m.fetchMiss(core, l, idx, at, c)
 }
 
 // lookupShared checks the core's L2 and the chip's shared L3 after an L1
@@ -357,7 +341,7 @@ func (m *Machine) fetchMiss(core int, l cache.Line, idx cache.Index, at sim.Time
 		}
 	} else {
 		home := m.homeChip(l)
-		q := m.dramQueue(home, at)
+		q := m.dram[home].reserve(at)
 		lat = m.dramLat[myChip][home] + q
 		c.DRAMLoads++
 		c.DRAMQueueCycles += uint64(q)
@@ -436,12 +420,6 @@ func (m *Machine) nearestInWord(core int, mask uint64, base int) (chip int) {
 		}
 	}
 	return best
-}
-
-// dramQueue accounts one line transfer at chip's memory controller and
-// returns the queueing delay beyond the raw access latency.
-func (m *Machine) dramQueue(chip int, at sim.Time) sim.Cycles {
-	return m.dram[chip].reserve(at)
 }
 
 // acquireOwnership makes core the sole holder after a write, invalidating
@@ -581,16 +559,33 @@ func (m *Machine) Reset() {
 //  2. inclusion: every L1 line is also in the same core's L2;
 //  3. owner validity: a line's dirty owner is one of its holders;
 //  4. count conservation: the directory tracks exactly the distinct
-//     resident lines.
+//     resident lines;
+//  5. MRU agreement: every L1 set's most recently used line is the most
+//     recently used line of its L2 set, which lets AccessRange skip the
+//     L2 refresh on such a hit;
+//  6. counter conservation, per core: every L1 miss is an L2 load or an
+//     L2 miss, every L2 miss an L3 load or an L3 miss, every L3 miss a
+//     remote fetch or a DRAM load, and no more lines missed L1 than were
+//     accessed.
 //
 // It is called from tests after simulations; it is not on the hot path.
 func (m *Machine) CheckInvariants() error {
 	ncores := m.cfg.NumCores()
 	for core := 0; core < ncores; core++ {
+		if c := m.ctr.Core(core); c.L1Miss != c.L2Loads+c.L2Miss || c.L2Miss != c.L3Loads+c.L3Miss ||
+			c.L3Miss != c.RemoteFetches+c.DRAMLoads || c.L1Miss > c.Loads+c.Stores {
+			return fmt.Errorf("machine: core %d counters break miss conservation: %+v", core, *c)
+		}
 		m.scratchLines = m.l1[core].AppendLines(m.scratchLines[:0])
 		for _, l := range m.scratchLines {
 			if !m.l2[core].Contains(l) {
 				return fmt.Errorf("machine: core %d L1 line %d violates inclusion", core, l)
+			}
+		}
+		m.scratchLines = m.l1[core].AppendMRU(m.scratchLines[:0])
+		for _, l := range m.scratchLines {
+			if !m.l2[core].HoldsMRU(l, cache.IndexOf(l)) {
+				return fmt.Errorf("machine: core %d L1 MRU line %d is not the MRU line of its L2 set", core, l)
 			}
 		}
 		node := m.coreNode(core)

@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -66,6 +67,54 @@ func BenchmarkAccessRangeScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		at += m.AccessRange(0, base, 512, false, at)
+	}
+}
+
+// conflictingSectors returns n page-aligned 512-byte sectors whose lines
+// share core 0's L1 sets (and so, at AMD16's equal set counts, its L2
+// sets) line for line.
+func conflictingSectors(m *Machine, n int) []mem.Addr {
+	mask := cache.Index(m.L1(0).Geom().Sets() - 1)
+	sets := func(page cache.Line) cache.Index { return cache.PageIndex(page*cache.PageLines) & mask }
+	var out []mem.Addr
+	for p := cache.Line(1); len(out) < n; p++ {
+		if sets(p) == sets(1) {
+			out = append(out, mem.Addr(p*cache.PageLines)*mem.Addr(m.LineSize()))
+		}
+	}
+	return out
+}
+
+// BenchmarkAccessRangeAMD16 measures one 512-byte sector load at AMD16's
+// geometry on each side of the L1-hit split, reporting host ns per line:
+//   - mru-hit re-reads one sector, so every line hits its L1 set's most
+//     recently used way and finishes without an L2 call;
+//   - lru-hit alternates two sectors of the same L1 sets, so every line
+//     hits the 2-way L1's less recent way and refreshes the L2;
+//   - l2-hit cycles three such sectors, so each thrashes the others out
+//     of the L1 and every line misses L1 and hits L2.
+//
+// Each case must report 0 allocs/op.
+func BenchmarkAccessRangeAMD16(b *testing.B) {
+	const sector = 512
+	for _, tc := range []struct {
+		name    string
+		sectors int
+	}{{"mru-hit", 1}, {"lru-hit", 2}, {"l2-hit", 3}} {
+		b.Run(tc.name, func(b *testing.B) {
+			m := MustNew(topology.AMD16(), 1<<24)
+			addrs := conflictingSectors(m, tc.sectors)
+			var at sim.Time
+			for _, a := range addrs {
+				at += m.AccessRange(0, a, sector, false, at) // prime
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at += m.AccessRange(0, addrs[i%len(addrs)], sector, false, at)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sector/m.LineSize()), "ns/line")
+		})
 	}
 }
 

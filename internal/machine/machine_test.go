@@ -1,11 +1,13 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cache"
 	"repro/internal/mem"
+	"repro/internal/perfctr"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -324,5 +326,53 @@ func TestInvalidConfigRejected(t *testing.T) {
 	cfg.GridW = 5
 	if _, err := New(cfg, 1<<20); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+}
+
+// TestCheckInvariantsCatchesMRUDisagreement reorders one L2 set behind the
+// machine's back: lines 0 and 32 share a Tiny8 L1 set and an L2 set, and
+// an L2 lookup of the older one leaves the L1's MRU line below the L2's.
+func TestCheckInvariantsCatchesMRUDisagreement(t *testing.T) {
+	m := MustNew(topology.Tiny8(), 1<<20)
+	var at sim.Time
+	for _, l := range []cache.Line{0, 32} {
+		at += m.Access(0, mem.Addr(l)*mem.Addr(m.LineSize()), false, at)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	m.L2(0).Lookup(0)
+	err := m.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "MRU") {
+		t.Fatalf("CheckInvariants = %v, want an MRU disagreement", err)
+	}
+}
+
+// TestCheckInvariantsCatchesCounterDrift breaks each miss-conservation
+// law in turn on a machine whose counters hold every kind of event.
+func TestCheckInvariantsCatchesCounterDrift(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		drift func(c *perfctr.Counters)
+	}{
+		{"L1 miss without an L2 outcome", func(c *perfctr.Counters) { c.L1Miss++ }},
+		{"L2 miss without an L3 outcome", func(c *perfctr.Counters) { c.L3Loads++ }},
+		{"L3 miss without a source", func(c *perfctr.Counters) { c.RemoteFetches++ }},
+		{"more L1 misses than accesses", func(c *perfctr.Counters) { c.Loads, c.Stores = 0, 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newAMD(t)
+			var at sim.Time
+			at += m.Access(0, 4096, true, at)
+			at += m.Access(1, 4096, false, at)
+			m.Access(0, 8192, false, at)
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			tc.drift(m.Counters().Core(0))
+			if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "conservation") {
+				t.Fatalf("CheckInvariants = %v, want a conservation failure", err)
+			}
+		})
 	}
 }

@@ -349,6 +349,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("topology: cache levels must share a line size (got %d/%d/%d)",
 			c.L1.LineSize, c.L2.LineSize, c.L3.LineSize)
 	}
+	if c.L2.Sets() < c.L1.Sets() {
+		// With at least as many L2 sets, an L1 set's most recently used
+		// line is also the most recently used line of its L2 set, which
+		// the machine model's L1-hit path relies on.
+		return fmt.Errorf("topology: L2 must have at least as many sets as L1 (got %d < %d)",
+			c.L2.Sets(), c.L1.Sets())
+	}
 	if len(c.CoreSpeed) != 0 && len(c.CoreSpeed) != c.NumCores() {
 		return fmt.Errorf("topology: CoreSpeed has %d entries for %d cores",
 			len(c.CoreSpeed), c.NumCores())

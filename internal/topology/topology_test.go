@@ -25,6 +25,16 @@ func TestSmallValid(t *testing.T) {
 	}
 }
 
+// TestPresetsValid checks every preset against Validate, including its
+// rule that an L2 has at least as many sets as the L1 above it.
+func TestPresetsValid(t *testing.T) {
+	for _, c := range []Config{AMD16(), Tiny8(), Small(), NUMA64(), NUMA128(), NUMA256()} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s invalid: %v", c.Name, err)
+		}
+	}
+}
+
 func TestPaperLatencies(t *testing.T) {
 	c := AMD16()
 	if c.Lat.L1Hit != 3 || c.Lat.L2Hit != 14 || c.Lat.L3Hit != 75 {
@@ -142,6 +152,12 @@ func TestConfigValidateCatchesMistakes(t *testing.T) {
 	c.L1.LineSize = 128
 	if err := c.Validate(); err == nil {
 		t.Error("mismatched line sizes accepted")
+	}
+
+	c = AMD16()
+	c.L2.Assoc = 32 // 256 sets under the L1's 512
+	if err := c.Validate(); err == nil {
+		t.Error("L2 with fewer sets than L1 accepted")
 	}
 
 	c = AMD16()

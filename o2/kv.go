@@ -99,6 +99,7 @@ type KVService struct {
 	rt     *Runtime
 	spec   KVSpec
 	shards []*Object
+	zipf   zipfTable // reused across Runs
 }
 
 // NewKVService allocates the store's shards in the runtime's memory image

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/workload"
 )
 
 // kvTestSpec is the Tiny8-scale store the tests measure: 16 shards of
@@ -193,6 +195,34 @@ func TestKVRunDeterminism(t *testing.T) {
 	}
 	if a == c {
 		t.Error("different seeds produced identical results; seed is not reaching the run")
+	}
+}
+
+// TestKVRunReusesZipfTable runs one service three times: the second run,
+// at the same key space and skew, must reuse the first run's Zipf table,
+// and the third, at another skew, must build a new one.
+func TestKVRunReusesZipfTable(t *testing.T) {
+	rt := MustNew(WithTopology(Tiny8), WithSeed(7))
+	svc, err := rt.NewKVService(kvTestSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := kvScanHeavySkewed()
+	load.Clients, load.OpsPerClient = 4, 20
+	table := func(l KVLoad) *workload.Zipf {
+		t.Helper()
+		if _, err := svc.Run(l); err != nil {
+			t.Fatal(err)
+		}
+		return svc.zipf.z
+	}
+	first := table(load)
+	if again := table(load); again != first {
+		t.Error("a second Run at the same shape rebuilt the Zipf table")
+	}
+	load.Skew = 0.5
+	if other := table(load); other == first || other.Skew() != 0.5 {
+		t.Errorf("a Run at skew 0.5 reused the skew-%v table", other.Skew())
 	}
 }
 

@@ -15,8 +15,6 @@ package o2
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/workload"
 )
 
 // kvSeedStratum decorrelates the KV load generator's derived seed from
@@ -158,7 +156,7 @@ func (s *KVService) Run(load KVLoad) (KVResult, error) {
 	if err := load.Mix.validate(); err != nil {
 		return KVResult{}, err
 	}
-	zipf, err := workload.NewZipf(s.spec.Keys, load.Skew)
+	zipf, err := s.zipf.get(s.spec.Keys, load.Skew)
 	if err != nil {
 		return KVResult{}, err
 	}

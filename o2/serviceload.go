@@ -285,25 +285,28 @@ func (st *svcState) pop() (int, bool) {
 // invisible to results — it only removes the per-run allocations that
 // would otherwise dominate an arena-reused sweep repeat's steady state.
 type svcScratch struct {
-	zipf      *workload.Zipf
-	zipfN     int
-	zipfSkew  float64
+	zipf      zipfTable
 	recorders []*latRecorder
 	merged    *stats.Histogram
 	names     []string
 }
 
-// zipfFor returns a Zipf table for (n, skew), rebuilding only when the
-// shape differs from the cached one.
-func (sc *svcScratch) zipfFor(n int, skew float64) (*workload.Zipf, error) {
-	if sc.zipf != nil && sc.zipfN == n && sc.zipfSkew == skew {
-		return sc.zipf, nil
+// zipfTable holds one Zipf table across runs of a service, rebuilding it
+// only when the (n, skew) shape changes: the table's values depend on
+// nothing else, so reuse is invisible to results, and a sweep repeat on
+// an arena-reused service skips the O(n) rebuild.
+type zipfTable struct{ z *workload.Zipf }
+
+// get returns the table for (n, skew).
+func (t *zipfTable) get(n int, skew float64) (*workload.Zipf, error) {
+	if t.z != nil && t.z.N() == n && t.z.Skew() == skew {
+		return t.z, nil
 	}
 	z, err := workload.NewZipf(n, skew)
 	if err != nil {
 		return nil, err
 	}
-	sc.zipf, sc.zipfN, sc.zipfSkew = z, n, skew
+	t.z = z
 	return z, nil
 }
 
@@ -366,7 +369,7 @@ func (s *WebService) Run(load ServiceLoad) (ServiceResult, error) {
 	if err := load.validate(); err != nil {
 		return ServiceResult{}, err
 	}
-	zipf, err := s.scratch.zipfFor(s.spec.DocRoots, load.Skew)
+	zipf, err := s.scratch.zipf.get(s.spec.DocRoots, load.Skew)
 	if err != nil {
 		return ServiceResult{}, err
 	}
