@@ -1,8 +1,8 @@
 // Big-machine benchmarks for the simulator itself: what one scale-sweep
 // cell costs at 16 versus 256 cores. The scale round's acceptance gate is
 // that the *per-core* simulator cost at 256 cores stays within 2x of the
-// 16-core cost — i.e. the multi-word coherence directory, the saturating
-// bandwidth meters, and the wide invalidation fan-out add per-node work
+// 16-core cost — i.e. the multi-word coherence directory, the interconnect
+// meters, and the wide invalidation fan-out add per-node work
 // that is at most linear in the machine size. Before/after numbers are
 // recorded in BENCH_scale.json.
 package repro_test
@@ -55,10 +55,10 @@ func benchScaleCell(b *testing.B, machine o2.Topology) {
 }
 
 // BenchmarkScaleCell16 is the 16-core reference point (the paper's AMD16
-// machine: narrow one-word directory, legacy bandwidth meters).
+// machine: narrow one-word directory, DRAM meters only).
 func BenchmarkScaleCell16(b *testing.B) { benchScaleCell(b, o2.AMD16) }
 
 // BenchmarkScaleCell256 is the 256-core point (NUMA256: 288 directory
-// nodes on the five-word sharer bitset, saturating DRAM and interconnect
-// meters on every miss).
+// nodes on the five-word sharer bitset, DRAM and interconnect meters on
+// every miss).
 func BenchmarkScaleCell256(b *testing.B) { benchScaleCell(b, o2.NUMA256) }

@@ -176,7 +176,7 @@ func New(sys *exec.System, opts Options) *Runtime {
 		opts:     opts,
 		objs:     make(map[mem.Addr]*objInfo),
 		coreLoad: make([]int64, cfg.NumCores()),
-		budget:   int64(float64(cfg.PerCoreBudgetBytes()) * opts.BudgetFraction),
+		budget:   int64(float64(cfg.PerCoreBudgetBytes()) * budgetFraction),
 		chipOf:   cfg.ChipTable(),
 		nchips:   cfg.Chips,
 		inflight: make(map[int][]*opCtx),
@@ -386,7 +386,7 @@ func (rt *Runtime) OpEnd(t *exec.Thread) {
 		misses := float64(delta.Misses())
 		dram := float64(delta.DRAMLoads)
 		dur := float64(t.Now() - ctx.startAt)
-		a := rt.opts.MissEWMAAlpha
+		a := missEWMAAlpha
 		if oi.ops == 0 {
 			oi.missEWMA = misses
 			oi.dramEWMA = dram
@@ -410,15 +410,15 @@ func (rt *Runtime) OpEnd(t *exec.Thread) {
 	}
 	migrated, origin := ctx.migrated, ctx.origin
 	rt.putCtx(ctx) // all fields consumed; recycle before any migration
-	if migrated && (nested || rt.opts.ReturnToOrigin) {
+	if migrated && nested {
 		// A nested operation must resume on the enclosing operation's
-		// core; a top-level operation returns only when configured —
-		// by default the thread is simply "ready to run on another
-		// core" (paper §4) and continues from where the object lives.
+		// core; after a top-level operation the thread is simply "ready
+		// to run on another core" (paper §4) and continues from where
+		// the object lives, migrating directly to its next object.
 		t.MigrateTo(origin)
 		return
 	}
-	if migrated && !nested {
+	if migrated {
 		rt.disperse(t)
 	}
 }

@@ -94,9 +94,7 @@ func TestCheapObjectStaysUnplaced(t *testing.T) {
 }
 
 func TestOperationsMigrateToPlacedObject(t *testing.T) {
-	opts := noRebalance()
-	opts.ReturnToOrigin = true
-	h := newHarness(t, opts)
+	h := newHarness(t, noRebalance())
 	obj := h.alloc(t, "dir0", 128<<10)
 	var opCores []int
 	// Thread on core 5 warms the object until placement, then another
@@ -125,8 +123,8 @@ func TestOperationsMigrateToPlacedObject(t *testing.T) {
 	if opCores[0] != placedCore {
 		t.Fatalf("operation ran on core %d, object placed on %d", opCores[0], placedCore)
 	}
-	if opCores[1] != 9 {
-		t.Fatalf("thread ended on core %d, want home 9 (ReturnToOrigin)", opCores[1])
+	if opCores[1] != placedCore {
+		t.Fatalf("thread ended on core %d, want the object's core %d", opCores[1], placedCore)
 	}
 	if h.rt.Stats().Migrations == 0 {
 		t.Fatal("migration not counted")
@@ -161,9 +159,9 @@ func TestThreadRoamsByDefault(t *testing.T) {
 }
 
 func TestNestedOperationReturnsToOuterCore(t *testing.T) {
-	// Even without ReturnToOrigin, an inner operation must resume on
-	// the enclosing operation's core so the outer operation's locality
-	// and counter attribution survive.
+	// Although a top-level operation ends on the object's core, an inner
+	// operation must resume on the enclosing operation's core so the
+	// outer operation's locality and counter attribution survive.
 	h := newHarness(t, noRebalance())
 	outer := h.alloc(t, "outer", 128<<10)
 	inner := h.alloc(t, "inner", 128<<10)

@@ -193,9 +193,9 @@ func (rt *Runtime) balanceLoad(deltas []perfctr.Counters, elapsed sim.Time) int 
 	var overloaded, spare []coreUtil
 	for _, u := range utils {
 		switch {
-		case u.idleFrac < rt.opts.IdleFracLow && rt.placedCount(u.core) > 1:
+		case u.idleFrac < idleFracLow && rt.placedCount(u.core) > 1:
 			overloaded = append(overloaded, u)
-		case u.idleFrac > rt.opts.IdleFracHigh && rt.admits(u.core):
+		case u.idleFrac > idleFracHigh && rt.admits(u.core):
 			spare = append(spare, u)
 		}
 	}
@@ -213,7 +213,7 @@ func (rt *Runtime) balanceLoad(deltas []perfctr.Counters, elapsed sim.Time) int 
 	moved := 0
 	si := 0
 	for _, o := range overloaded {
-		if moved >= rt.opts.MaxMovesPerRebalance || si >= len(spare) {
+		if moved >= maxMovesPerRebalance || si >= len(spare) {
 			break
 		}
 		// Move half of the overloaded core's objects, hottest first:
@@ -225,7 +225,7 @@ func (rt *Runtime) balanceLoad(deltas []perfctr.Counters, elapsed sim.Time) int 
 		sort.Slice(objs, func(i, j int) bool { return objs[i].opRate() > objs[j].opRate() })
 		toMove := len(objs) / 2
 		for _, oi := range objs[:toMove] {
-			if moved >= rt.opts.MaxMovesPerRebalance || si >= len(spare) {
+			if moved >= maxMovesPerRebalance || si >= len(spare) {
 				break
 			}
 			dst := spare[si].core
@@ -263,7 +263,7 @@ func (rt *Runtime) updateBWSignals(deltas []perfctr.Counters) {
 		mon.linkQ = make([]float64, rt.nchips)
 	}
 	socks := perfctr.RollupGroups(mon.sockScratch, deltas, rt.chipOf)
-	a := rt.opts.BWQueueEWMAAlpha
+	a := bwQueueEWMAAlpha
 	for s, c := range socks {
 		busy := float64(c.BusyCycles)
 		if busy < 1 {
@@ -295,7 +295,7 @@ func (rt *Runtime) admits(core int) bool {
 	if !rt.opts.BWAdmission || !rt.mon.bwInit {
 		return true
 	}
-	return rt.bwSignal(rt.chipOf[core]) <= rt.opts.BWSaturationFrac
+	return rt.bwSignal(rt.chipOf[core]) <= BWSaturationFrac
 }
 
 // spreadSaturated migrates placed objects off saturated sockets toward
@@ -311,8 +311,8 @@ func (rt *Runtime) spreadSaturated() int {
 		return 0
 	}
 	moved := 0
-	for src := 0; src < rt.nchips && moved < rt.opts.MaxMovesPerRebalance; src++ {
-		if rt.bwSignal(src) <= rt.opts.BWSaturationFrac {
+	for src := 0; src < rt.nchips && moved < maxMovesPerRebalance; src++ {
+		if rt.bwSignal(src) <= BWSaturationFrac {
 			continue
 		}
 		// Eligible destinations: sockets with clear headroom. When link
@@ -323,7 +323,7 @@ func (rt *Runtime) spreadSaturated() int {
 		// index for determinism.
 		var dsts []int
 		for s := 0; s < rt.nchips; s++ {
-			if s != src && rt.bwSignal(s) < rt.opts.BWHeadroomFrac {
+			if s != src && rt.bwSignal(s) < bwHeadroomFrac {
 				dsts = append(dsts, s)
 			}
 		}
@@ -353,7 +353,7 @@ func (rt *Runtime) spreadSaturated() int {
 		sort.Slice(objs, func(i, j int) bool { return objs[i].opRate() > objs[j].opRate() })
 		toMove := len(objs) / 2
 		for _, oi := range objs[:toMove] {
-			if moved >= rt.opts.MaxMovesPerRebalance {
+			if moved >= maxMovesPerRebalance {
 				break
 			}
 			if dst, ok := rt.spreadTarget(oi, dsts); ok {

@@ -250,9 +250,7 @@ func TestAdmissionInertBeforeFirstWindow(t *testing.T) {
 }
 
 func TestUpdateBWSignalsRollsUpAndSmooths(t *testing.T) {
-	opts := noRebalance()
-	opts.BWQueueEWMAAlpha = 0.5
-	h := newNUMAHarness(t, opts)
+	h := newNUMAHarness(t, noRebalance())
 	rt := h.rt
 
 	deltas := make([]perfctr.Counters, rt.sys.NumCores())

@@ -32,6 +32,44 @@ func (p ReplacementPolicy) String() string {
 	return "unknown"
 }
 
+// Fixed tuning of CoreTime's estimators and monitor.
+const (
+	// missEWMAAlpha is the smoothing factor for the per-object miss
+	// estimate (new = alpha*sample + (1-alpha)*old).
+	missEWMAAlpha = 0.25
+
+	// budgetFraction scales each core's packable capacity
+	// (L2 + L3 share). Less than 1 leaves room for stacks, locks, and
+	// code, which also occupy the caches.
+	budgetFraction = 0.90
+
+	// maxMovesPerRebalance bounds how many objects one monitor pass may
+	// move, limiting placement churn.
+	maxMovesPerRebalance = 8
+
+	// idleFracLow marks a core overloaded when its idle fraction over
+	// the last window is below this value; idleFracHigh marks a core a
+	// migration target when above it (§4: "If a core is rarely idle or
+	// often loads from DRAM ... move a portion of the objects ... to the
+	// cache of a core that has more idle cycles").
+	idleFracLow  = 0.02
+	idleFracHigh = 0.20
+
+	// bwQueueEWMAAlpha smooths the per-socket queue signals
+	// (new = alpha*sample + (1-alpha)*old). The first window seeds the
+	// EWMA directly.
+	bwQueueEWMAAlpha = 0.5
+
+	// BWSaturationFrac is the queueing threshold, in queue cycles per busy
+	// cycle (DRAM + link combined), above which a socket counts as
+	// saturated for both spread and admission.
+	BWSaturationFrac = 0.25
+
+	// bwHeadroomFrac is the signal below which a socket counts as having
+	// headroom, i.e. is an eligible spread destination.
+	bwHeadroomFrac = 0.10
+)
+
 // Options tune CoreTime. DefaultOptions matches the behaviour described in
 // the paper; the extensions (§6) are off unless enabled.
 type Options struct {
@@ -40,15 +78,6 @@ type Options struct {
 	// candidate for placement (§4: "ct_start automatically adds an
 	// object to the table if the object is expensive to fetch").
 	MissThreshold float64
-
-	// MissEWMAAlpha is the smoothing factor for the per-object miss
-	// estimate (new = alpha*sample + (1-alpha)*old).
-	MissEWMAAlpha float64
-
-	// BudgetFraction scales each core's packable capacity
-	// (L2 + L3 share). Less than 1 leaves room for stacks, locks, and
-	// code, which also occupy the caches.
-	BudgetFraction float64
 
 	// RebalanceInterval is the period of the monitor that repairs
 	// placement pathologies (§4: "detect performance pathologies at
@@ -60,18 +89,6 @@ type Options struct {
 	// shrinking working set releases cache budget (the oscillating
 	// workload, Fig. 4b). Zero disables decay.
 	DecayWindow sim.Cycles
-
-	// MaxMovesPerRebalance bounds how many objects one monitor pass may
-	// move, limiting placement churn.
-	MaxMovesPerRebalance int
-
-	// IdleFracLow marks a core overloaded when its idle fraction over
-	// the last window is below this value; IdleFracHigh marks a core a
-	// migration target when above it (§4: "If a core is rarely idle or
-	// often loads from DRAM ... move a portion of the objects ... to the
-	// cache of a core that has more idle cycles").
-	IdleFracLow  float64
-	IdleFracHigh float64
 
 	// Replacement selects the over-capacity policy (§6.2 extension).
 	Replacement ReplacementPolicy
@@ -105,7 +122,7 @@ type Options struct {
 	// the per-core DRAMQueueCycles/LinkQueueCycles deltas up to socket
 	// totals, normalizes them per busy cycle, smooths with an EWMA, and
 	// migrates placed objects off sockets whose queueing signal exceeds
-	// BWSaturationFrac toward sockets below BWHeadroomFrac — preferring
+	// BWSaturationFrac toward sockets below bwHeadroomFrac — preferring
 	// low-hop destinations when link queueing dominates (the congestion is
 	// in the interconnect, so distance is what's expensive) and the least
 	// saturated socket when DRAM queueing dominates.
@@ -117,31 +134,6 @@ type Options struct {
 	// Offline PackAll ignores admission — it runs before any signal exists.
 	BWAdmission bool
 
-	// BWQueueEWMAAlpha smooths the per-socket queue signals
-	// (new = alpha*sample + (1-alpha)*old). The first window seeds the
-	// EWMA directly.
-	BWQueueEWMAAlpha float64
-
-	// BWSaturationFrac is the queueing threshold, in queue cycles per busy
-	// cycle (DRAM + link combined), above which a socket counts as
-	// saturated for both spread and admission.
-	BWSaturationFrac float64
-
-	// BWHeadroomFrac is the signal below which a socket counts as having
-	// headroom, i.e. is an eligible spread destination.
-	BWHeadroomFrac float64
-
-	// ReturnToOrigin makes ct_end migrate the thread back to the core it
-	// came from even for top-level operations. The paper says only that
-	// after ct_end "the thread is ready to run on another core"; the
-	// default (false) lets threads continue from the object's core and
-	// migrate directly to their next object, halving migrations and
-	// queueing. Nested operations always return to the enclosing
-	// operation's core regardless of this setting. The o2bench ablation
-	// `-exp=migcost` quantifies the difference indirectly; tests cover
-	// both modes.
-	ReturnToOrigin bool
-
 	// Tracer, when non-nil, receives a typed event for every scheduling
 	// decision (placements, migrations, monitor actions). Nil costs
 	// nothing.
@@ -152,20 +144,12 @@ type Options struct {
 // benchmarks.
 func DefaultOptions() Options {
 	return Options{
-		MissThreshold:        8,
-		MissEWMAAlpha:        0.25,
-		BudgetFraction:       0.90,
-		RebalanceInterval:    2_000_000, // 1 ms at 2 GHz
-		DecayWindow:          8_000_000, // 4 ms at 2 GHz
-		MaxMovesPerRebalance: 8,
-		IdleFracLow:          0.02,
-		IdleFracHigh:         0.20,
-		UnplaceDRAMFrac:      0.20,
-		BWQueueEWMAAlpha:     0.5,
-		BWSaturationFrac:     0.25,
-		BWHeadroomFrac:       0.10,
-		Replacement:          ReplaceNone,
-		ReplicateMinOps:      64,
-		ReplicateReadRatio:   0.95,
+		MissThreshold:      8,
+		RebalanceInterval:  2_000_000, // 1 ms at 2 GHz
+		DecayWindow:        8_000_000, // 4 ms at 2 GHz
+		UnplaceDRAMFrac:    0.20,
+		Replacement:        ReplaceNone,
+		ReplicateMinOps:    64,
+		ReplicateReadRatio: 0.95,
 	}
 }

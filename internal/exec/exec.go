@@ -22,32 +22,31 @@ import (
 	"repro/internal/sim"
 )
 
+// Fixed costs of the migration protocol.
+const (
+	// pollInterval is how often an idle core checks its migration flag
+	// (paper: "sets a flag that the destination core periodically polls").
+	pollInterval sim.Cycles = 100
+
+	// contextBytes is the size of the per-thread context buffer that
+	// migrations move between cores.
+	contextBytes = 256
+)
+
 // Options tune the substrate's costs.
 type Options struct {
 	// MigrationCPUCost is the fixed cost charged on each side of a
 	// migration (saving the context at the source, loading it at the
 	// destination). The context transfer itself additionally moves
-	// ContextBytes through the simulated memory system, so the total
+	// contextBytes through the simulated memory system, so the total
 	// measured migration cost lands near the paper's 2000 cycles with
 	// the defaults. The active-message ablation (§6.1) lowers this.
 	MigrationCPUCost sim.Cycles
-
-	// PollInterval is how often an idle core checks its migration flag
-	// (paper: "sets a flag that the destination core periodically polls").
-	PollInterval sim.Cycles
-
-	// ContextBytes is the size of the per-thread context buffer that
-	// migrations move between cores.
-	ContextBytes int
 }
 
 // DefaultOptions returns the costs used throughout the paper reproduction.
 func DefaultOptions() Options {
-	return Options{
-		MigrationCPUCost: 550,
-		PollInterval:     100,
-		ContextBytes:     256,
-	}
+	return Options{MigrationCPUCost: 550}
 }
 
 // System binds a machine to an engine and owns the cores and threads.
@@ -208,7 +207,7 @@ type Thread struct {
 	home int // core the thread belongs to
 	core int // core it currently executes on
 
-	ctxBuf mem.Addr // simulated context-save area (ContextBytes long)
+	ctxBuf mem.Addr // simulated context-save area (contextBytes long)
 
 	// batch is the thread's reusable cost batch (see Thread.Batch).
 	batch *Batch
@@ -224,7 +223,7 @@ func (s *System) Go(name string, home int, body func(t *Thread)) *Thread {
 	if home < 0 || home >= len(s.cores) {
 		panic(fmt.Sprintf("exec: home core %d out of range", home))
 	}
-	ctx, err := s.mach.Image().Alloc(uint64(s.opts.ContextBytes), 64)
+	ctx, err := s.mach.Image().Alloc(contextBytes, 64)
 	if err != nil {
 		panic(fmt.Sprintf("exec: allocating context buffer: %v", err))
 	}
@@ -369,14 +368,14 @@ func (t *Thread) MigrateTo(dst int) {
 	// Save context on the source core (CPU cost + stores to the shared
 	// buffer, which stay in the source's cache until pulled).
 	t.Compute(sys.opts.MigrationCPUCost)
-	t.Store(t.ctxBuf, sys.opts.ContextBytes)
+	t.Store(t.ctxBuf, contextBytes)
 	ctr.Core(t.core).MigrationsOut++
 
 	src := sys.cores[t.core]
 	src.release(t)
 
 	// The destination notices the flag at its next poll.
-	t.proc.Sleep(sys.opts.PollInterval)
+	t.proc.Sleep(pollInterval)
 
 	dstCore := sys.cores[dst]
 	dstCore.acquire(t)
@@ -385,7 +384,7 @@ func (t *Thread) MigrateTo(dst int) {
 
 	// Load the context on the destination: remote fetches of the buffer
 	// lines, then fixed restore cost.
-	t.Load(t.ctxBuf, sys.opts.ContextBytes)
+	t.Load(t.ctxBuf, contextBytes)
 	t.Compute(sys.opts.MigrationCPUCost)
 }
 

@@ -120,7 +120,7 @@ func TestMigrationCostNearPaper(t *testing.T) {
 	var cost sim.Time
 	s.Go("mig", 0, func(th *Thread) {
 		th.Compute(100) // warm up the context buffer locally
-		th.Store(th.ctxBuf, s.opts.ContextBytes)
+		th.Store(th.ctxBuf, contextBytes)
 		start := th.Now()
 		th.MigrateTo(4) // another chip
 		cost = th.Now() - start

@@ -14,17 +14,16 @@ import "repro/internal/sim"
 // present-time accesses. Windowed demand counting charges queueing where
 // the demand lands in time, whatever order the simulator discovers it.
 //
-// # Saturating (deficit-carry) mode
+// # Deficit carry
 //
-// The windowed model resets demand at every window boundary: a resource
-// offered 2× its capacity forever charges each window's overflow but
-// never builds a backlog, so sustained saturation underestimates queueing
-// — exactly the regime the big-machine NUMA experiments need to expose.
-// With carry enabled, a window that ends over capacity hands its unserved
-// excess to the next accounted window as that window's starting demand,
-// drained at capacity transfers per intervening idle window. The carry is
-// computed in O(1) from the most recent accounted window (headWin) — no
-// per-event allocation, no scan.
+// A purely window-local model would reset demand at every window
+// boundary: a resource offered 2× its capacity forever would charge each
+// window's overflow but never build a backlog, so sustained saturation
+// would underestimate queueing. Instead, a window that ends over capacity
+// hands its unserved excess to the next accounted window as that
+// window's starting demand, drained at capacity transfers per
+// intervening idle window. The backlog is computed in O(1) from the most
+// recent accounted window (headWin) — no per-event allocation, no scan.
 //
 // Carry trades the strict order-independence above for backlog fidelity:
 // a window's starting demand depends on which earlier windows were
@@ -32,15 +31,14 @@ import "repro/internal/sim"
 // single-threaded and discovers accesses in a deterministic order, so
 // results remain exactly reproducible; the meters are reset by
 // Machine.Reset/FlushAll so arena-reused cells start from the same blank
-// state as a fresh machine. Presets that do not opt in (everything before
-// the NUMA family) keep the legacy window-local behavior bit for bit.
+// state as a fresh machine. A window whose demand stays within capacity
+// carries nothing, so a machine that never saturates a window sees the
+// window-local delays exactly.
 type bwMeter struct {
-	window   sim.Cycles // accounting window length
 	service  sim.Cycles // cycles per transfer
 	capacity uint32     // transfers admitted per window without delay
-	carry    bool       // saturating mode: excess demand rolls forward
-	headWin  uint64     // carry mode: highest window index accounted so far
-	headSet  bool       // carry mode: whether headWin is valid
+	headWin  uint64     // highest window index accounted so far
+	headSet  bool       // whether headWin is valid
 	ring     [64]bwSlot
 }
 
@@ -53,17 +51,10 @@ type bwSlot struct {
 const bwWindow = 4096
 
 func newBWMeter(service sim.Cycles) bwMeter {
-	m := bwMeter{window: bwWindow, service: service}
+	m := bwMeter{service: service}
 	if service > 0 {
 		m.capacity = uint32(bwWindow / service)
 	}
-	return m
-}
-
-// newSaturatingBWMeter is newBWMeter with deficit-carry accounting.
-func newSaturatingBWMeter(service sim.Cycles) bwMeter {
-	m := newBWMeter(service)
-	m.carry = true
 	return m
 }
 
@@ -74,8 +65,8 @@ func (b *bwMeter) reserve(at sim.Time) sim.Cycles {
 	if b.capacity == 0 {
 		return 0
 	}
-	w := uint64(at) / uint64(b.window)
-	if b.carry && b.headSet && max(w, b.headWin)-min(w, b.headWin) >= uint64(len(b.ring)) {
+	w := uint64(at) / bwWindow
+	if b.headSet && max(w, b.headWin)-min(w, b.headWin) >= uint64(len(b.ring)) {
 		// An access ≥64 windows past or behind the head would alias a
 		// ring slot that may still hold the live head window's demand —
 		// materializing it would evict that count before its excess was
@@ -84,7 +75,7 @@ func (b *bwMeter) reserve(at sim.Time) sim.Cycles {
 		// accesses in the still-live window restart from zero. Charge the
 		// far access against the drained backlog (none behind the head)
 		// without touching the ring or the head: at that horizon the
-		// carry has almost always drained to zero anyway, and the one
+		// backlog has almost always drained to zero anyway, and the one
 		// approximation — same-far-window accesses not seeing each
 		// other's demand — is harmless next to losing the live backlog.
 		cnt := b.carryInto(w) + 1
@@ -95,14 +86,9 @@ func (b *bwMeter) reserve(at sim.Time) sim.Cycles {
 	}
 	slot := &b.ring[w%uint64(len(b.ring))]
 	if slot.idx != w {
-		start := uint32(0)
-		if b.carry {
-			start = b.carryInto(w)
-		}
-		slot.idx = w
-		slot.count = start
+		*slot = bwSlot{idx: w, count: b.carryInto(w)}
 	}
-	if b.carry && (!b.headSet || w > b.headWin) {
+	if !b.headSet || w > b.headWin {
 		b.headWin = w
 		b.headSet = true
 	}
@@ -116,7 +102,7 @@ func (b *bwMeter) reserve(at sim.Time) sim.Cycles {
 // carryInto computes the backlog window w inherits from earlier demand:
 // the most recent accounted window's excess over capacity, minus capacity
 // transfers drained per idle window in between. O(1): only the head
-// window can carry forward (any other slot's window is older than head
+// window can hand excess forward (any other slot's window is older than head
 // and its excess has, by induction, already been folded into head's
 // starting count when head was first touched).
 //
@@ -141,7 +127,7 @@ func (b *bwMeter) carryInto(w uint64) uint32 {
 	return uint32(excess - drained)
 }
 
-// reset clears all accounted demand and carry state.
+// reset clears all accounted demand and backlog.
 func (b *bwMeter) reset() {
 	for i := range b.ring {
 		b.ring[i] = bwSlot{}

@@ -28,16 +28,6 @@ func TestBWMeterOverflowDelaysLinearly(t *testing.T) {
 	}
 }
 
-func TestBWMeterWindowsIndependent(t *testing.T) {
-	m := newBWMeter(16)
-	for i := 0; i < 400; i++ {
-		m.reserve(0) // saturate window 0
-	}
-	if d := m.reserve(5000); d != 0 {
-		t.Fatalf("fresh window inherited %d cycles of delay", d)
-	}
-}
-
 func TestBWMeterOrderIndependence(t *testing.T) {
 	// Demand counted in window W must not affect accesses in windows
 	// before W, regardless of the order reservations arrive.
@@ -99,13 +89,13 @@ func TestBWMeterRingReuse(t *testing.T) {
 	}
 }
 
-// --- saturating (deficit-carry) mode ---
+// --- deficit carry ---
 
 func TestBWMeterCarryRollsBacklogForward(t *testing.T) {
 	// 512 transfers into window 0 (capacity 256) leave a 256-transfer
 	// backlog. The first transfer of window 1 must see that backlog as its
 	// starting demand: delay (256+1-256)*service = 16.
-	m := newSaturatingBWMeter(16)
+	m := newBWMeter(16)
 	for i := 0; i < 512; i++ {
 		m.reserve(0)
 	}
@@ -117,7 +107,7 @@ func TestBWMeterCarryRollsBacklogForward(t *testing.T) {
 func TestBWMeterCarryDrainsAtCapacityPerIdleWindow(t *testing.T) {
 	// Backlog 512 over capacity; after two fully idle windows (2×256
 	// drained) the meter must be clear again.
-	m := newSaturatingBWMeter(16)
+	m := newBWMeter(16)
 	for i := 0; i < 256+512; i++ {
 		m.reserve(0)
 	}
@@ -137,7 +127,7 @@ func TestBWMeterCarryDrainsAtCapacityPerIdleWindow(t *testing.T) {
 func TestBWMeterCarryPastWindowUnaffected(t *testing.T) {
 	// Backlog never flows backward: demand accounted in window 2 must not
 	// delay a (late-discovered) access in window 1.
-	m := newSaturatingBWMeter(16)
+	m := newBWMeter(16)
 	for i := 0; i < 600; i++ {
 		m.reserve(sim.Time(2 * bwWindow))
 	}
@@ -147,7 +137,7 @@ func TestBWMeterCarryPastWindowUnaffected(t *testing.T) {
 }
 
 func TestBWMeterCarryResetClearsBacklog(t *testing.T) {
-	m := newSaturatingBWMeter(16)
+	m := newBWMeter(16)
 	for i := 0; i < 10_000; i++ {
 		m.reserve(0)
 	}
@@ -163,7 +153,7 @@ func TestBWMeterCarryFarFutureCannotEvictLiveHead(t *testing.T) {
 	// live window's accumulated count and teleport headWin forward, so
 	// present-time accesses in the still-live window restarted from zero
 	// — the sustained-overload backlog silently vanished.
-	m := newSaturatingBWMeter(16) // capacity 256/window
+	m := newBWMeter(16) // capacity 256/window
 	for i := 0; i < 1000; i++ {
 		m.reserve(0) // window 0 live, 744 over capacity
 	}
@@ -190,7 +180,7 @@ func TestBWMeterCarryFarFutureChargedAgainstBacklog(t *testing.T) {
 	// reaches it: with service 2048 (capacity 2/window), an excess of 200
 	// drains at 2/window and still owes 200-(65-0-1)*2 = 72 transfers of
 	// queueing 65 windows out.
-	m := newSaturatingBWMeter(2048)
+	m := newBWMeter(2048)
 	for i := 0; i < 202; i++ {
 		m.reserve(0)
 	}
@@ -206,7 +196,7 @@ func TestBWMeterCarryFarPastCannotEvictLiveHead(t *testing.T) {
 	// window inherited no backlog. Capacity 4/window: 12 transfers leave
 	// an excess of 8, which window H+1 must start from.
 	const h = 100
-	m := newSaturatingBWMeter(1024)
+	m := newBWMeter(1024)
 	for i := 0; i < 12; i++ {
 		m.reserve(sim.Time(h * bwWindow))
 	}
@@ -219,18 +209,5 @@ func TestBWMeterCarryFarPastCannotEvictLiveHead(t *testing.T) {
 	// (9-4)*1024 = 5120 cycles.
 	if d, want := m.reserve(sim.Time((h+1)*bwWindow)), sim.Cycles(9-4)*1024; d != want {
 		t.Fatalf("carry after far-past alias = %d, want %d", d, want)
-	}
-}
-
-func TestBWMeterLegacyModeHasNoCarry(t *testing.T) {
-	// The default meter must keep window-local semantics: saturation in
-	// window 0 never leaks into window 1. This is what keeps the pre-NUMA
-	// presets' golden results byte-identical.
-	m := newBWMeter(16)
-	for i := 0; i < 10_000; i++ {
-		m.reserve(0)
-	}
-	if d := m.reserve(sim.Time(bwWindow)); d != 0 {
-		t.Fatalf("legacy meter carried %d cycles across windows", d)
 	}
 }

@@ -164,15 +164,11 @@ func newRefMachine(cfg topology.Config) *refMachine {
 		r.l1 = append(r.l1, newRefCache(cfg.L1))
 		r.l2 = append(r.l2, newRefCache(cfg.L2))
 	}
-	newMeter := newBWMeter
-	if cfg.Lat.SaturatingBW {
-		newMeter = newSaturatingBWMeter
-	}
 	for i := 0; i < cfg.Chips; i++ {
 		r.l3 = append(r.l3, newRefCache(cfg.L3))
-		r.dram = append(r.dram, newMeter(cfg.Lat.DRAMServiceInterval))
+		r.dram = append(r.dram, newBWMeter(cfg.Lat.DRAMServiceInterval))
 		if cfg.Lat.LinkServiceInterval > 0 && cfg.Chips > 1 {
-			r.link = append(r.link, newMeter(cfg.Lat.LinkServiceInterval))
+			r.link = append(r.link, newBWMeter(cfg.Lat.LinkServiceInterval))
 		}
 	}
 	return r

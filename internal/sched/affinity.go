@@ -18,9 +18,8 @@ import (
 //
 // Operations nest the same way CoreTime's do: the scheduler tracks each
 // thread's operation depth, and only the outermost OpEnd is a boundary.
-// Like CoreTime's default (ReturnToOrigin off), a thread continues from
-// the object's core after the outermost operation ends rather than paying
-// a migration back.
+// Like CoreTime, a thread continues from the object's core after the
+// outermost operation ends rather than paying a migration back.
 type HashAffinity struct {
 	cores int
 	depth map[int]int // thread id -> open operation depth

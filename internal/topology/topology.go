@@ -85,13 +85,6 @@ type Latencies struct {
 	// so their results are untouched by the bandwidth model.
 	LinkServiceInterval sim.Cycles
 
-	// SaturatingBW selects deficit-carry bandwidth accounting: demand a
-	// window leaves unserved rolls into later windows as backlog, so
-	// sustained overload builds queueing delay instead of resetting at
-	// every window boundary. Off (the default, and the pre-NUMA presets'
-	// setting) keeps the legacy window-local accounting bit for bit.
-	SaturatingBW bool
-
 	// InvalidateCost is added to a store that must invalidate remote
 	// sharers (coherence broadcast on the interconnect).
 	InvalidateCost sim.Cycles
@@ -141,14 +134,11 @@ func AMDLatencies() Latencies {
 
 // NUMALatencies returns the latency set of the big-machine NUMA presets:
 // the paper's measured AMD latencies plus a modeled interconnect port
-// (LinkServiceInterval 8 ≈ 16 GB/s per port at 2 GHz and 64 B lines) and
-// saturating deficit-carry accounting on both the memory controllers and
-// the ports — at 64+ cores sustained overload, not per-window burstiness,
-// is the regime of interest.
+// (LinkServiceInterval 8 ≈ 16 GB/s per port at 2 GHz and 64 B lines),
+// metered like the memory controllers.
 func NUMALatencies() Latencies {
 	l := AMDLatencies()
 	l.LinkServiceInterval = 8
-	l.SaturatingBW = true
 	return l
 }
 

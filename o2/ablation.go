@@ -71,10 +71,10 @@ func Ablations() []Preset {
 			}}},
 		}),
 		ablation("replacement", "A3: over-capacity replacement policy (§6.2)", Sweep{
-			// 512 KB of directories on a 256 KB machine. Decay and the
+			// 512 KB of directories on a 256 KB machine. The
 			// DRAM-ineffectiveness unplacer would eventually free the
-			// budget on their own; both are off to isolate replacement.
-			Base: Cell{Machine: Tiny8, Options: []Option{WithDecayWindow(0), WithDRAMUnplaceFraction(0)},
+			// budget on its own; it is off to isolate replacement.
+			Base: Cell{Machine: Tiny8, Options: []Option{WithDRAMUnplaceFraction(0)},
 				Scenario: DirLookupScenario{Tree: DirSpec{Dirs: 32, EntriesPerDir: 512}, Params: hotspot}},
 			Axes: []Axis{{Name: "replacement", Values: []AxisValue{
 				optionValue("first-fit", WithReplacement(FirstFit)), optionValue("frequency", WithReplacement(Frequency)),
@@ -91,9 +91,7 @@ func Ablations() []Preset {
 			Axes: []Axis{SchedulerAxis(Baseline, CoreTime)},
 		}),
 		ablation("paths", "A6: clustering on hierarchical path resolution (§6.2)", Sweep{
-			// Subdirectory scans are small, hence the lower placement
-			// threshold.
-			Base: Cell{Machine: Tiny8, Options: []Option{WithMissThreshold(4)}, Scenario: pathScenario{}},
+			Base: Cell{Machine: Tiny8, Scenario: pathScenario{}},
 			Axes: []Axis{{Name: "clustering", Values: []AxisValue{
 				threadScheduler, optionValue("off", WithClustering(false)), optionValue("on", WithClustering(true)),
 			}}},
@@ -135,7 +133,6 @@ type objectSet struct {
 }
 
 func (s objectScenario) measure(c Cell) (Metrics, error) {
-	c.Options = append([]Option{WithMemory(2*s.objects*s.size + 8<<20)}, c.Options...)
 	set, err := scenarioForCell(c, func(rt *Runtime) (*objectSet, error) {
 		set := &objectSet{rt: rt}
 		for i := 0; i < s.objects; i++ {

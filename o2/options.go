@@ -151,21 +151,6 @@ func WithBandwidthAware(on bool) Option {
 	}
 }
 
-// WithBandwidthThresholds tunes the bandwidth-aware monitor: a socket is
-// saturated above saturation queue-cycles-per-busy-cycle and a spread
-// destination below headroom. Requires 0 < headroom ≤ saturation.
-func WithBandwidthThresholds(saturation, headroom float64) Option {
-	return func(s *settings) {
-		if headroom <= 0 || saturation < headroom {
-			s.errorf("o2: bandwidth thresholds need 0 < headroom (%v) <= saturation (%v)",
-				headroom, saturation)
-			return
-		}
-		s.ct.BWSaturationFrac = saturation
-		s.ct.BWHeadroomFrac = headroom
-	}
-}
-
 // WithReplacement selects the over-capacity placement policy (§6.2).
 func WithReplacement(r Replacement) Option {
 	return func(s *settings) {
@@ -188,13 +173,6 @@ func WithDRAMUnplaceFraction(frac float64) Option {
 		}
 		s.ct.UnplaceDRAMFrac = frac
 	}
-}
-
-// WithReturnToOrigin makes every operation end with a migration back to
-// the core the thread came from; by default only nested operations return
-// and top-level threads continue from the object's core.
-func WithReturnToOrigin(on bool) Option {
-	return func(s *settings) { s.ct.ReturnToOrigin = on }
 }
 
 // WithMigrationCost sets the fixed CPU cost charged on each side of a

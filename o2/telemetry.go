@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
@@ -195,11 +196,11 @@ func (rt *Runtime) TelemetrySamples() int {
 	return int(rt.tel.sampler.TotalSamples())
 }
 
-// saturationFrac returns the BWSaturationFrac threshold when the
+// saturationFrac returns core.BWSaturationFrac when the
 // bandwidth-aware monitor is active, else 0 (no saturation spans).
 func (rt *Runtime) saturationFrac() float64 {
 	if rt.ct != nil && (rt.set.ct.BWSpread || rt.set.ct.BWAdmission) {
-		return rt.set.ct.BWSaturationFrac
+		return core.BWSaturationFrac
 	}
 	return 0
 }
