@@ -1,11 +1,16 @@
 // Command benchpair compares the repository benchmark between a base
-// revision and the working tree: it alternates one-pass `bash
-// bench/run.sh` runs of the two, N pairs per workload, and reports every
+// revision and the working tree: it alternates `bash bench/run.sh` runs
+// of the two, N pairs per workload, and reports every
 // end-to-end metric's medians, quartiles and pair wins, whether every run
 // matched the committed digests, and each run's user+sys CPU seconds.
 //
 //	go run ./cmd/benchpair -base HEAD -n 10 -out pairs.json
 //	go run ./cmd/benchpair -base HEAD~1 -seed 2 -workloads kv-numa256
+//	go run ./cmd/benchpair -base HEAD~1 -seconds 25 -n 3 -workloads kv-numa256
+//
+// A run is one pass of the workload by default. With -seconds S each run
+// repeats passes for S seconds (`bench/run.sh --seconds S`) and reports
+// the mean pass, the way BENCHMARK.json's run_seconds runs it.
 //
 // The base is extracted with `git archive` into a scratch directory, so
 // nothing is registered in the repository. Pair i runs the base first
@@ -41,20 +46,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 	n := fs.Int("n", 10, "pairs per workload")
 	only := fs.String("workloads", "", "comma-separated workloads (default: all in BENCHMARK.json)")
 	seed := fs.Int("seed", 1, "workload seed passed to bench/run.sh")
+	seconds := fs.Float64("seconds", 0, "measuring seconds per run passed to bench/run.sh (0: one pass)")
 	scratch := fs.String("dir", filepath.Join(os.TempDir(), "benchpair"), "scratch directory for extracted revisions")
 	out := fs.String("out", "", "write the JSON report here (default: stdout)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *base == "" || *n < 1 || fs.NArg() > 0 {
-		fmt.Fprintln(stderr, "usage: benchpair -base REV [-n N] [-workloads a,b] [-seed N] [-dir DIR] [-out FILE]")
+	if *base == "" || *n < 1 || *seconds < 0 || fs.NArg() > 0 {
+		fmt.Fprintln(stderr, "usage: benchpair -base REV [-n N] [-workloads a,b] [-seed N] [-seconds S] [-dir DIR] [-out FILE]")
 		return 2
 	}
-	if err := pair(*base, *n, *only, *seed, *scratch, *out, stdout, stderr); err != nil {
+	if err := pair(*base, *n, *only, runArgs{seed: *seed, seconds: *seconds}, *scratch, *out, stdout, stderr); err != nil {
 		fmt.Fprintln(stderr, "benchpair:", err)
 		return 1
 	}
 	return 0
+}
+
+// runArgs are the bench/run.sh options every run shares.
+type runArgs struct {
+	seed    int
+	seconds float64 // 0: one pass
+}
+
+// command returns the bench/run.sh command line for one run of workload w.
+func (a runArgs) command(w string) []string {
+	cmd := []string{"bench/run.sh", "--workload", w, "--seed", strconv.Itoa(a.seed)}
+	if a.seconds > 0 {
+		cmd = append(cmd, "--seconds", strconv.FormatFloat(a.seconds, 'g', -1, 64))
+	}
+	return cmd
 }
 
 // side is one revision under test.
@@ -88,6 +109,7 @@ type Report struct {
 	Base      string           `json:"base"`
 	Head      string           `json:"head"`
 	Seed      int              `json:"seed"`
+	Seconds   float64          `json:"seconds,omitempty"` // per run; 0 means one pass
 	Pairs     int              `json:"pairs"`
 	Host      string           `json:"host"`
 	Workloads []WorkloadReport `json:"workloads"`
@@ -122,7 +144,7 @@ type Stats struct {
 	Q3     float64 `json:"q3"`
 }
 
-func pair(baseRev string, n int, only string, seed int, scratch, out string, stdout, stderr io.Writer) error {
+func pair(baseRev string, n int, only string, args runArgs, scratch, out string, stdout, stderr io.Writer) error {
 	root, err := git("", "rev-parse", "--show-toplevel")
 	if err != nil {
 		return err
@@ -146,7 +168,7 @@ func pair(baseRev string, n int, only string, seed int, scratch, out string, std
 			names = append(names, w.Name)
 		}
 	}
-	rep := Report{Base: baseRev + " " + base.sha, Head: head.rev + " " + head.sha, Seed: seed, Pairs: n,
+	rep := Report{Base: baseRev + " " + base.sha, Head: head.rev + " " + head.sha, Seed: args.seed, Seconds: args.seconds, Pairs: n,
 		Host: fmt.Sprintf("%s/%s nproc=%d %s", runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), cpuModel())}
 	for _, s := range []side{base, head} {
 		// Build o2perf once per side so the first timed run does not.
@@ -165,7 +187,7 @@ func pair(baseRev string, n int, only string, seed int, scratch, out string, std
 			}
 			for _, k := range order {
 				s := []side{base, head}[k]
-				r, err := benchRun(s.dir, w, seed)
+				r, err := benchRun(s.dir, args.command(w))
 				if err != nil {
 					return fmt.Errorf("%s on %s: %w", w, s.rev, err)
 				}
@@ -245,7 +267,7 @@ func stats(xs []float64) Stats {
 }
 
 func printTable(w io.Writer, rep Report) {
-	fmt.Fprintf(w, "base %s\nhead %s\nhost %s, %d pairs, seed %d\n", rep.Base, rep.Head, rep.Host, rep.Pairs, rep.Seed)
+	fmt.Fprintf(w, "base %s\nhead %s\nhost %s, %d pairs, seed %d, seconds %g\n", rep.Base, rep.Head, rep.Host, rep.Pairs, rep.Seed, rep.Seconds)
 	for _, wr := range rep.Workloads {
 		fmt.Fprintf(w, "\n%s  correct=%v failed base=%d head=%d\n", wr.Name, wr.Correct, wr.Failed[0], wr.Failed[1])
 		fmt.Fprintf(w, "  %-18s %12s %10s %12s %10s %8s %6s\n", "metric", "base med", "base IQR", "head med", "head IQR", "delta", "wins")
@@ -256,12 +278,12 @@ func printTable(w io.Writer, rep Report) {
 	}
 }
 
-// benchRun runs one pass of workload w in checkout dir and returns the
-// report's final JSON line and the run's user+sys CPU seconds, its
-// children's included.
-func benchRun(dir, w string, seed int) (runResult, error) {
+// benchRun runs the bench/run.sh command line args in checkout dir and
+// returns the report's final JSON line and the run's user+sys CPU
+// seconds, its children's included.
+func benchRun(dir string, args []string) (runResult, error) {
 	var out, errb bytes.Buffer
-	cmd := exec.Command("bash", "bench/run.sh", "--workload", w, "--seed", strconv.Itoa(seed))
+	cmd := exec.Command("bash", args...)
 	cmd.Dir, cmd.Stdout, cmd.Stderr = dir, &out, &errb
 	if err := cmd.Run(); err != nil {
 		return runResult{}, fmt.Errorf("%w: %s", err, errb.String())

@@ -66,3 +66,18 @@ func TestUsageErrors(t *testing.T) {
 		t.Fatalf("no -base: exit %d, stderr %q", code, stderr.String())
 	}
 }
+
+func TestRunArgsPassSeconds(t *testing.T) {
+	onePass := runArgs{seed: 2}.command("kv-numa256")
+	if got := strings.Join(onePass, " "); got != "bench/run.sh --workload kv-numa256 --seed 2" {
+		t.Errorf("one-pass command = %q", got)
+	}
+	timed := runArgs{seed: 1, seconds: 25}.command("kv-numa256")
+	if got := strings.Join(timed, " "); got != "bench/run.sh --workload kv-numa256 --seed 1 --seconds 25" {
+		t.Errorf("-seconds 25 command = %q", got)
+	}
+	var stderr bytes.Buffer
+	if code := run([]string{"-base", "HEAD", "-seconds", "-1"}, &bytes.Buffer{}, &stderr); code != 2 || !strings.Contains(stderr.String(), "-seconds S") {
+		t.Fatalf("negative -seconds: exit %d, stderr %q", code, stderr.String())
+	}
+}

@@ -36,10 +36,19 @@
 // A holder set is a fixed-width bitset of NumWords() 64-bit words: one word
 // on machines with at most 64 nodes (every configuration up to the paper's
 // AMD16 and the 64-core presets), five on the 256-core NUMA preset. One
-// representation serves every width. HolderMask and AcquireExclusive are
-// single-word fast paths; callers on wide directories use the *Words APIs
-// (CopyHolderWords, AcquireExclusiveWords) with caller-owned scratch so the
-// hot paths stay allocation-free at 256 cores.
+// representation serves every width. AcquireExclusive is the single-word
+// store fast path; callers on wide directories use AcquireExclusiveWords
+// with caller-owned scratch so the store path stays allocation-free at 256
+// cores.
+//
+// # Slots
+//
+// A caller making several directory steps on one line resolves the line's
+// Slot once with SlotOf and passes it to the *At methods (HoldsAt,
+// AddSharerAt, RemoveSharerAt, HolderWordsAt), the way the cache package's
+// LookupAt takes a precomputed set Index. The machine's miss path does so
+// for every line that misses the core's L2. A page is never moved, so a
+// slot stays valid while other lines change and across Reset.
 package coherence
 
 import (
@@ -149,6 +158,23 @@ func (d *Directory) ensurePage(l cache.Line) ([]uint64, int) {
 	return d.mapPage(l)
 }
 
+// Slot is one line's resolved place in the directory: its page and its
+// index there. The page layout stays private; a Slot is only read and
+// written through the *At methods of the directory that resolved it.
+type Slot struct {
+	pg []uint64
+	i  int
+}
+
+// SlotOf returns l's slot, mapping its page first if needed, so it is for
+// callers about to record a holder of l anyway.
+//
+//o2:hotpath
+func (d *Directory) SlotOf(l cache.Line) Slot {
+	pg, i := d.ensurePage(l)
+	return Slot{pg, i}
+}
+
 // mapPage gives l's page its zeroed allocation and returns it with l's
 // index.
 func (d *Directory) mapPage(l cache.Line) ([]uint64, int) {
@@ -223,9 +249,15 @@ func (d *Directory) addBit(pg []uint64, i int, n Node) {
 
 // AddSharer records that node now holds a clean copy of line.
 func (d *Directory) AddSharer(l cache.Line, n Node) {
+	d.AddSharerAt(d.SlotOf(l), n)
+}
+
+// AddSharerAt is AddSharer on a resolved slot.
+//
+//o2:hotpath
+func (d *Directory) AddSharerAt(s Slot, n Node) {
 	d.checkNode(n)
-	pg, i := d.ensurePage(l)
-	d.addBit(pg, i, n)
+	d.addBit(s.pg, s.i, n)
 }
 
 // SetOwner records that node holds line dirty (Modified). Any previous
@@ -242,18 +274,24 @@ func (d *Directory) SetOwner(l cache.Line, n Node) {
 // it lives only in DRAM.
 func (d *Directory) RemoveSharer(l cache.Line, n Node) {
 	d.checkNode(n)
-	pg, i := d.lookup(l)
-	if pg == nil {
-		return
+	if pg, i := d.lookup(l); pg != nil {
+		d.RemoveSharerAt(Slot{pg, i}, n)
 	}
-	set := d.set(pg, i)
+}
+
+// RemoveSharerAt is RemoveSharer on a resolved slot.
+//
+//o2:hotpath
+func (d *Directory) RemoveSharerAt(s Slot, n Node) {
+	d.checkNode(n)
+	set := d.set(s.pg, s.i)
 	w, bit := wordBit(n)
 	if set[w]&bit == 0 {
 		return
 	}
 	set[w] &^= bit
-	if ownerOf(pg, i) == n {
-		setOwnerOf(pg, i, NoOwner)
+	if ownerOf(s.pg, s.i) == n {
+		setOwnerOf(s.pg, s.i, NoOwner)
 	}
 	if empty(set) {
 		d.count--
@@ -262,29 +300,36 @@ func (d *Directory) RemoveSharer(l cache.Line, n Node) {
 
 // MoveSharer transfers a holder bit from one node to another in one step
 // (an L2 victim moving into the chip's L3). Dirty ownership moves with it.
-func (d *Directory) MoveSharer(l cache.Line, from, to Node) {
+// It reports whether to already held line before the move, so the caller
+// knows whether to's cache already has it.
+func (d *Directory) MoveSharer(l cache.Line, from, to Node) (had bool) {
 	d.checkNode(from)
 	d.checkNode(to)
 	pg, i := d.lookup(l)
-	fw, fbit := wordBit(from)
-	if pg == nil || d.set(pg, i)[fw]&fbit == 0 {
+	if pg == nil {
 		// Nothing to move; treat as a plain add so callers need not
 		// special-case races between eviction paths.
 		d.AddSharer(l, to)
-		return
+		return false
 	}
 	set := d.set(pg, i)
+	fw, fbit := wordBit(from)
 	tw, tbit := wordBit(to)
+	had = set[tw]&tbit != 0
+	if set[fw]&fbit == 0 {
+		d.addBit(pg, i, to)
+		return had
+	}
 	set[fw] &^= fbit
 	set[tw] |= tbit
 	if ownerOf(pg, i) == from {
 		setOwnerOf(pg, i, to)
 	}
+	return had
 }
 
 // Holders returns the nodes holding line, in ascending order. The result
-// is freshly allocated; the hot paths use HolderMask or CopyHolderWords
-// instead.
+// is freshly allocated; the hot paths read HolderWordsAt instead.
 func (d *Directory) Holders(l cache.Line) []Node {
 	n := d.SharerCount(l)
 	if n == 0 {
@@ -307,42 +352,17 @@ func appendWord(dst []Node, m uint64, base int) []Node {
 	return dst
 }
 
-// HolderMask returns the raw holder bitmask (hot path for the machine
-// model on ≤64-node directories; avoids allocation). Wide directories must
-// use CopyHolderWords — a single word cannot represent their holder sets.
+// HolderWordsAt returns the slot's live holder set: NumWords words, node
+// n at bit n%64 of word n/64. The words are the directory's own, read in
+// place with no copy; the caller must not write them, and they change with
+// the next update of the slot's line.
 //
 //o2:hotpath
-func (d *Directory) HolderMask(l cache.Line) uint64 {
-	if d.nwords != 1 {
-		panicNarrowOnly("HolderMask")
-	}
-	pg, i := d.lookup(l)
-	if pg == nil {
-		return 0
-	}
-	return pg[i]
+func (d *Directory) HolderWordsAt(s Slot) []uint64 {
+	return d.set(s.pg, s.i)
 }
 
-// CopyHolderWords copies line's holder set into dst, which must have at
-// least NumWords elements, and reports whether the line has any holder.
-// dst[:NumWords] is fully overwritten. This is the wide-directory sibling
-// of HolderMask: callers pass preallocated scratch so the fan-out paths
-// allocate nothing.
-//
-//o2:hotpath
-func (d *Directory) CopyHolderWords(l cache.Line, dst []uint64) bool {
-	dst = dst[:d.nwords]
-	pg, i := d.lookup(l)
-	if pg == nil {
-		clear(dst)
-		return false
-	}
-	copy(dst, d.set(pg, i))
-	return !empty(dst)
-}
-
-// HasHolders reports whether any node holds line. Unlike HolderMask it is
-// valid at every directory width.
+// HasHolders reports whether any node holds line.
 //
 //o2:hotpath
 func (d *Directory) HasHolders(l cache.Line) bool {
@@ -354,8 +374,16 @@ func (d *Directory) HasHolders(l cache.Line) bool {
 func (d *Directory) Holds(l cache.Line, n Node) bool {
 	d.checkNode(n)
 	pg, i := d.lookup(l)
+	return pg != nil && d.HoldsAt(Slot{pg, i}, n)
+}
+
+// HoldsAt is Holds on a resolved slot.
+//
+//o2:hotpath
+func (d *Directory) HoldsAt(s Slot, n Node) bool {
+	d.checkNode(n)
 	w, bit := wordBit(n)
-	return pg != nil && d.set(pg, i)[w]&bit != 0
+	return d.set(s.pg, s.i)[w]&bit != 0
 }
 
 // Owner returns the node holding line dirty, or NoOwner.

@@ -23,16 +23,21 @@ func populatedDirectory() *Directory {
 	return d
 }
 
-// BenchmarkDirectoryLookup measures the read lookup the machine model issues
-// on every miss (HolderMask) against a populated directory, whose pages
-// are all mapped before the timer starts; it allocates nothing.
+// BenchmarkDirectoryLookup measures the reads the machine model makes on
+// every L2 miss against a populated directory, whose pages are all mapped
+// before the timer starts: resolve the line's slot, test the chip L3's
+// bit, and read the holder words in place. It allocates nothing.
 func BenchmarkDirectoryLookup(b *testing.B) {
 	d := populatedDirectory()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		sink += d.HolderMask(cache.Line((i % benchLines) * 3))
+		s := d.SlotOf(cache.Line((i % benchLines) * 3))
+		if d.HoldsAt(s, 16) {
+			sink++
+		}
+		sink += d.HolderWordsAt(s)[0]
 	}
 	benchSink = sink
 }
@@ -60,10 +65,11 @@ func BenchmarkDirectoryChurn(b *testing.B) {
 // workload's scale: a 288-node (NUMA256) directory over 1M lines, a 64 MB
 // image at 64 B lines, far past the host's caches. One op is a 1,024-line
 // sequential scan from a seeded random start — one shard scan — making
-// the miss path's calls on each line: CopyHolderWords to find the
-// line's holders, AddSharer for the scanning core, MoveSharer of the line
-// one page back into the chip's L3 (an L2 victim), and RemoveSharer of
-// the line two pages back from that L3 (a writeback). Every page is
+// the miss path's calls on each line: SlotOf once, then HoldsAt for the
+// chip's L3 gate, HolderWordsAt to find the line's holders and
+// AddSharerAt for the scanning core, plus MoveSharer of the line one page
+// back into the chip's L3 (an L2 victim) and RemoveSharer of the line two
+// pages back from that L3 (a writeback). Every page is
 // mapped before the timer starts, so ops measure the steady state, which
 // allocates nothing. It reports ns/line.
 func BenchmarkDirectoryScanWide(b *testing.B) {
@@ -77,7 +83,6 @@ func BenchmarkDirectoryScanWide(b *testing.B) {
 		d.AddSharer(l, 0)
 		d.RemoveSharer(l, 0)
 	}
-	words := make([]uint64, d.NumWords())
 	rng := stats.NewRNG(1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -87,10 +92,11 @@ func BenchmarkDirectoryScanWide(b *testing.B) {
 		core := Node(rng.Intn(cores))
 		l3 := Node(cores) + core/8
 		for l := start; l < start+scanLen; l++ {
-			if d.CopyHolderWords(l, words) {
-				sink += words[0]
+			s := d.SlotOf(l)
+			if !d.HoldsAt(s, l3) {
+				sink += d.HolderWordsAt(s)[0]
 			}
-			d.AddSharer(l, core)
+			d.AddSharerAt(s, core)
 			d.MoveSharer(l-pageLines, core, l3)
 			d.RemoveSharer(l-2*pageLines, l3)
 		}

@@ -106,7 +106,9 @@ func TestMoveSharer(t *testing.T) {
 	d := NewDirectory(8)
 	l := cache.Line(3)
 	d.SetOwner(l, 1)
-	d.MoveSharer(l, 1, 6)
+	if d.MoveSharer(l, 1, 6) {
+		t.Fatal("MoveSharer reports that 6 already held the line")
+	}
 	if d.Holds(l, 1) || !d.Holds(l, 6) {
 		t.Fatal("MoveSharer holder bits wrong")
 	}
@@ -121,6 +123,10 @@ func TestMoveSharerFromNonHolder(t *testing.T) {
 	d.MoveSharer(l, 1, 6) // 1 doesn't hold it: degrade to AddSharer
 	if !d.Holds(l, 6) {
 		t.Fatal("MoveSharer from non-holder should still add destination")
+	}
+	d.AddSharer(l, 1)
+	if !d.MoveSharer(l, 1, 6) || d.Holds(l, 1) || d.SharerCount(l) != 1 {
+		t.Fatal("MoveSharer onto a holder must report it and merge the bits")
 	}
 }
 
@@ -156,7 +162,7 @@ func TestDirectoryInvariants(t *testing.T) {
 			if o := d.Owner(l); o != NoOwner && !d.Holds(l, o) {
 				return false
 			}
-			mask := d.HolderMask(l)
+			mask := holderMask(d, l)
 			for _, h := range d.Holders(l) {
 				if mask&(1<<uint(h)) == 0 {
 					return false

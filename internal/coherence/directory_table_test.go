@@ -352,8 +352,8 @@ func TestDirectoryMatchesModel(t *testing.T) {
 		t.Fatalf("TrackedLines = %d, model tracks %d", d.TrackedLines(), len(model))
 	}
 	for l, r := range model {
-		if got := d.HolderMask(l); got != r.holders {
-			t.Fatalf("line %d: HolderMask = %#x, model %#x", l, got, r.holders)
+		if got := holderMask(d, l); got != r.holders {
+			t.Fatalf("line %d: HolderWordsAt = %#x, model %#x", l, got, r.holders)
 		}
 		if got := d.Owner(l); got != r.owner {
 			t.Fatalf("line %d: Owner = %d, model %d", l, got, r.owner)
@@ -361,10 +361,19 @@ func TestDirectoryMatchesModel(t *testing.T) {
 	}
 	// And every line the directory claims not to track really is untracked.
 	for l := cache.Line(0); l < nlines; l++ {
-		if _, ok := model[l]; !ok && d.HolderMask(l) != 0 {
+		if _, ok := model[l]; !ok && holderMask(d, l) != 0 {
 			t.Fatalf("line %d: directory tracks a line the model dropped", l)
 		}
 	}
+}
+
+// holderMask returns a narrow directory's holder word for l, read in
+// place through its slot; 0 when l's page was never mapped.
+func holderMask(d *Directory, l cache.Line) uint64 {
+	if words := liveWords(d, l); words != nil {
+		return words[0]
+	}
+	return 0
 }
 
 // checkLine asserts holders (ascending), mask, count, and owner agree.
@@ -381,8 +390,8 @@ func checkLine(t *testing.T, d *Directory, l cache.Line, holders []Node, owner N
 		}
 		mask |= 1 << uint(holders[i])
 	}
-	if got := d.HolderMask(l); got != mask {
-		t.Fatalf("line %d: HolderMask = %#x, want %#x", l, got, mask)
+	if got := holderMask(d, l); got != mask {
+		t.Fatalf("line %d: HolderWordsAt = %#x, want %#x", l, got, mask)
 	}
 	if got := d.SharerCount(l); got != bits.OnesCount64(mask) {
 		t.Fatalf("line %d: SharerCount = %d, want %d", l, got, bits.OnesCount64(mask))

@@ -21,7 +21,10 @@ const fuzzOpBytes = 6
 // each to the directory and to a map-based reference model, and after
 // every operation compares the touched line's holders, owner and sharer
 // count, the directory's tracked-line count, and every value the
-// operation returned. A Reset empties the model too, after which every
+// operation returned. Adds and removes go through the line API or through
+// a resolved slot (the *At API) by the low bit of the unused node
+// selector, and MoveSharer's report of whether the destination already
+// held the line is checked too. A Reset empties the model too, after which every
 // line of every fuzzed page must read untracked with no owner. The seed
 // corpus lives in testdata/fuzz/FuzzDirectory.
 func FuzzDirectory(f *testing.F) {
@@ -53,9 +56,14 @@ func FuzzDirectory(f *testing.F) {
 			l := fuzzPages[sel>>6&3]*pageLines + cache.Line(sel&63)
 			n := Node((int(ops[2])<<8 | int(ops[3])) % nodes)
 			to := Node((int(ops[4])<<8 | int(ops[5])) % nodes)
+			viaSlot := ops[5]&1 == 1
 			switch ops[0] % 9 {
 			case 0:
-				d.AddSharer(l, n)
+				if viaSlot {
+					d.AddSharerAt(d.SlotOf(l), n)
+				} else {
+					d.AddSharer(l, n)
+				}
 				get(l).holders[n] = true
 			case 1:
 				d.SetOwner(l, n)
@@ -63,7 +71,11 @@ func FuzzDirectory(f *testing.F) {
 				r.holders[n] = true
 				r.owner = n
 			case 2:
-				d.RemoveSharer(l, n)
+				if viaSlot {
+					d.RemoveSharerAt(d.SlotOf(l), n)
+				} else {
+					d.RemoveSharer(l, n)
+				}
 				if r := model[l]; r != nil {
 					delete(r.holders, n)
 					if r.owner == n {
@@ -72,7 +84,10 @@ func FuzzDirectory(f *testing.F) {
 					drop(l)
 				}
 			case 3:
-				d.MoveSharer(l, n, to)
+				had := d.MoveSharer(l, n, to)
+				if want := model[l] != nil && model[l].holders[to]; had != want {
+					t.Fatalf("MoveSharer(%d, %d, %d) = %v, model held %v", l, n, to, had, want)
+				}
 				if r := model[l]; r == nil || !r.holders[n] {
 					get(l).holders[to] = true // the add fallback
 				} else {
@@ -164,6 +179,16 @@ func fuzzInvalidate(r *wideRef, keep Node) []Node {
 	return out
 }
 
+// liveWords returns l's holder words read in place through its slot, or
+// nil when l's page was never mapped: resolving the slot of such a line
+// would map the page, a change a read must not make.
+func liveWords(d *Directory, l cache.Line) []uint64 {
+	if pg, _ := d.lookup(l); pg == nil {
+		return nil
+	}
+	return d.HolderWordsAt(d.SlotOf(l))
+}
+
 // nodesOf lists the nodes of a holder-word set, ascending.
 func nodesOf(words []uint64) []Node {
 	var out []Node
@@ -198,8 +223,20 @@ func fuzzCheckLine(t *testing.T, d *Directory, r *wideRef, l cache.Line) {
 	if got := d.HasHolders(l); got != (len(want) > 0) {
 		t.Fatalf("line %d: HasHolders = %v, model has %d holders", l, got, len(want))
 	}
-	words := make([]uint64, d.NumWords())
-	if any := d.CopyHolderWords(l, words); any != (len(want) > 0) || !slices.Equal(nodesOf(words), want) {
-		t.Fatalf("line %d: CopyHolderWords = %v %v, model %v", l, any, nodesOf(words), want)
+	words := liveWords(d, l)
+	if got := nodesOf(words); !slices.Equal(got, want) {
+		t.Fatalf("line %d: HolderWordsAt = %v, model %v", l, got, want)
+	}
+	if words == nil {
+		return
+	}
+	if len(words) != d.NumWords() {
+		t.Fatalf("line %d: HolderWordsAt has %d words, want %d", l, len(words), d.NumWords())
+	}
+	s := d.SlotOf(l)
+	for n := Node(0); int(n) < d.Nodes(); n++ {
+		if got := d.HoldsAt(s, n); got != slices.Contains(want, n) {
+			t.Fatalf("line %d: HoldsAt(%d) = %v, model holders %v", l, n, got, want)
+		}
 	}
 }

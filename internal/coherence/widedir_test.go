@@ -10,8 +10,8 @@ import (
 
 // These tests pin the multi-word sharer sets: directories wider than 64
 // nodes must implement exactly the semantics of a one-word directory, and
-// the single-word fast paths (HolderMask, AcquireExclusive) must agree
-// with the word APIs (the ≤64-node machines every existing golden runs on
+// the single-word store fast path (AcquireExclusive) must agree with the
+// word APIs (the ≤64-node machines every existing golden runs on
 // use them).
 
 // wideRef is the map-based reference model for a directory of any width.
@@ -114,7 +114,6 @@ func TestWideDirectoryMatchesModel(t *testing.T) {
 	if d.TrackedLines() != len(model) {
 		t.Fatalf("TrackedLines = %d, model tracks %d", d.TrackedLines(), len(model))
 	}
-	words := make([]uint64, d.NumWords())
 	for l, r := range model {
 		hs := d.Holders(l)
 		if len(hs) != len(r.holders) {
@@ -131,8 +130,9 @@ func TestWideDirectoryMatchesModel(t *testing.T) {
 		if got := d.SharerCount(l); got != len(r.holders) {
 			t.Fatalf("line %d: SharerCount = %d, model %d", l, got, len(r.holders))
 		}
-		if !d.CopyHolderWords(l, words) {
-			t.Fatalf("line %d: CopyHolderWords reports no holders", l)
+		words := liveWords(d, l)
+		if words == nil {
+			t.Fatalf("line %d: tracked but its page is unmapped", l)
 		}
 		total := 0
 		for w, x := range words {
@@ -194,8 +194,9 @@ func TestWideMatchesNarrow(t *testing.T) {
 			wide.RemoveSharer(l, n)
 		case 4:
 			to := Node(rng.Intn(nodes))
-			narrow.MoveSharer(l, n, to)
-			wide.MoveSharer(l, n, to)
+			if a, b := narrow.MoveSharer(l, n, to), wide.MoveSharer(l, n, to); a != b {
+				t.Fatalf("op %d: MoveSharer reports %v vs %v", i, a, b)
+			}
 		case 5:
 			a := narrow.InvalidateExcept(l, n)
 			b := wide.InvalidateExcept(l, n)
@@ -218,12 +219,13 @@ func TestWideMatchesNarrow(t *testing.T) {
 	if narrow.TrackedLines() != wide.TrackedLines() {
 		t.Fatalf("TrackedLines %d vs %d", narrow.TrackedLines(), wide.TrackedLines())
 	}
-	words := make([]uint64, wide.NumWords())
 	for l := cache.Line(0); l < nlines; l++ {
-		mask := narrow.HolderMask(l)
-		any := wide.CopyHolderWords(l, words)
-		if mask != words[0] || words[1] != 0 || any != (mask != 0) {
-			t.Fatalf("line %d: mask %#x vs words [%#x %#x] any=%v", l, mask, words[0], words[1], any)
+		nw, ww := liveWords(narrow, l), liveWords(wide, l)
+		if (nw == nil) != (ww == nil) {
+			t.Fatalf("line %d: page mapped in one directory only", l)
+		}
+		if nw != nil && (len(nw) != 1 || nw[0] != ww[0] || ww[1] != 0) {
+			t.Fatalf("line %d: words %#x vs %#x", l, nw, ww)
 		}
 		if narrow.Owner(l) != wide.Owner(l) {
 			t.Fatalf("line %d: owner %d vs %d", l, narrow.Owner(l), wide.Owner(l))
@@ -279,7 +281,6 @@ func TestNarrowOnlyAPIsGuarded(t *testing.T) {
 		name string
 		call func(d *Directory)
 	}{
-		{"HolderMask", func(d *Directory) { d.HolderMask(1) }},
 		{"AcquireExclusive", func(d *Directory) { d.AcquireExclusive(1, 0) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

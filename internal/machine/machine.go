@@ -68,16 +68,28 @@ type Machine struct {
 	remoteLat [][]sim.Cycles // chip × chip remote-cache fetch latency
 	dramLat   [][]sim.Cycles // chip × chip raw DRAM latency
 
+	// near[chip] lists the directory's nodes by hop distance from chip,
+	// nearest first: for each distance, one mask per holder word that has
+	// a node at it, words ascending. nearestHolderChip reads a line's
+	// holder words against it in order.
+	near [][]nodeMask
+
 	// scratchLines is reused by the invariant checks, which would
 	// otherwise allocate a fresh line set on every residency scan.
 	scratchLines []cache.Line
 
-	// holderWords and invWords are per-machine scratch for the wide
-	// (>64-node) directory's word APIs, sized to dir.NumWords() at
-	// construction so the 256-core fan-out paths allocate nothing. Unused
-	// (nil) on narrow machines, which stay on the single-word fast path.
-	holderWords []uint64
-	invWords    []uint64
+	// invWords is per-machine scratch for the wide (>64-node) directory's
+	// AcquireExclusiveWords, sized to dir.NumWords() at construction so
+	// the 256-core fan-out path allocates nothing. Unused (nil) on narrow
+	// machines, which stay on the single-word fast path.
+	invWords []uint64
+}
+
+// nodeMask holds the nodes of one hop-distance class that fall in holder
+// word w.
+type nodeMask struct {
+	w    int
+	mask uint64
 }
 
 // New builds a machine from cfg with a memLimit-byte address space.
@@ -120,7 +132,6 @@ func New(cfg topology.Config, memLimit int) (*Machine, error) {
 		}
 	}
 	if w := m.dir.NumWords(); w > 1 {
-		m.holderWords = make([]uint64, w)
 		m.invWords = make([]uint64, w)
 	}
 	for i := 0; i < n; i++ {
@@ -148,7 +159,39 @@ func New(cfg topology.Config, memLimit int) (*Machine, error) {
 			m.dramLat[a][b] = cfg.DRAMLatency(a, b)
 		}
 	}
+	m.near = make([][]nodeMask, cfg.Chips)
+	for a := range m.near {
+		m.near[a] = m.distanceClasses(a)
+	}
 	return m, nil
+}
+
+// distanceClasses builds near[chip]: every directory node grouped by its
+// chip's hop distance from chip, nearest class first, each class as its
+// non-empty holder-word masks in word order.
+func (m *Machine) distanceClasses(chip int) []nodeMask {
+	nw := m.dir.NumWords()
+	// Distance d's masks are masks[d*nw : (d+1)*nw].
+	masks := make([]uint64, (slices.Max(m.hop[chip])+1)*nw)
+	for n := 0; n < m.dir.Nodes(); n++ {
+		masks[m.hop[chip][m.nodeChip(n)]*nw+n/64] |= 1 << uint(n%64)
+	}
+	var out []nodeMask
+	for i, mask := range masks {
+		if mask != 0 {
+			out = append(out, nodeMask{i % nw, mask})
+		}
+	}
+	return out
+}
+
+// nodeChip returns the chip of directory node n: a core's chip, or the
+// chip whose L3 n is.
+func (m *Machine) nodeChip(n int) int {
+	if n < m.ncores {
+		return m.chipOf[n]
+	}
+	return n - m.ncores
 }
 
 // MustNew is New for configurations known valid at compile time (presets).
@@ -278,41 +321,37 @@ func (m *Machine) AccessRange(core int, addr mem.Addr, size int, write bool, at 
 	return total
 }
 
-// missLine services an access that missed L1: the rest of the local
-// hierarchy, then remote caches or DRAM.
+// missLine services an access that missed L1: the core's L2, the chip's
+// shared L3, then remote caches or DRAM. The L2 lookup is ungated: most L1
+// misses hit L2, and an L2 hit never touched the directory before, so
+// gating it measured slower. An L2 miss resolves the line's directory
+// slot once; the L3 gate, the L3 hit's removal, the holder search and the
+// final holder record all use it. Every such miss ends by recording the
+// core as a holder, so mapping the slot's page up front maps nothing the
+// miss would not.
 func (m *Machine) missLine(core int, l cache.Line, idx cache.Index, at sim.Time, c *perfctr.Counters) sim.Cycles {
-	if lat, ok := m.lookupShared(core, l, idx, c); ok {
-		return lat
-	}
-	return m.fetchMiss(core, l, idx, at, c)
-}
-
-// lookupShared checks the core's L2 and the chip's shared L3 after an L1
-// miss. The 32-way L3 is scanned only when the directory says the chip's
-// L3 holds the line: an L2 miss goes on to probe the directory anyway
-// (here or in fetchMiss), so the gate costs no extra host miss. The L2
-// lookup stays ungated: most L1 misses hit L2, and an L2 hit never
-// touched the directory before, so gating it measured slower.
-func (m *Machine) lookupShared(core int, l cache.Line, idx cache.Index, c *perfctr.Counters) (sim.Cycles, bool) {
 	if m.l2[core].LookupAt(l, idx) {
 		c.L2Loads++
 		m.installL1(core, l, idx)
-		return m.cfg.Lat.L2Hit, true
+		return m.cfg.Lat.L2Hit
 	}
 	c.L2Miss++
+	s := m.dir.SlotOf(l)
 	chip := m.chipOf[core]
-	if l3node := m.l3Node(chip); m.dir.Holds(l, l3node) {
+	// The 32-way L3 is scanned only when the directory says the chip's
+	// L3 holds the line.
+	if l3node := m.l3Node(chip); m.dir.HoldsAt(s, l3node) {
 		// Exclusive victim L3: a hit promotes the line back into the
 		// core's private hierarchy and removes it from L3. Remove probes
 		// and invalidates in one scan.
 		wasDirty, _ := m.l3[chip].Remove(l)
-		m.dir.RemoveSharer(l, l3node)
+		m.dir.RemoveSharerAt(s, l3node)
 		c.L3Loads++
-		m.installCore(core, l, idx, wasDirty)
-		return m.cfg.Lat.L3Hit, true
+		m.installCore(core, l, idx, s, wasDirty)
+		return m.cfg.Lat.L3Hit
 	}
 	c.L3Miss++
-	return 0, false
+	return m.fetchMiss(core, l, idx, s, at, c)
 }
 
 // fetchMiss services a miss from the nearest remote cache or DRAM,
@@ -322,10 +361,10 @@ func (m *Machine) lookupShared(core int, l cache.Line, idx cache.Index, c *perfc
 // bandwidth, not distance, is the cost.
 //
 //o2:hotpath
-func (m *Machine) fetchMiss(core int, l cache.Line, idx cache.Index, at sim.Time, c *perfctr.Counters) sim.Cycles {
+func (m *Machine) fetchMiss(core int, l cache.Line, idx cache.Index, s coherence.Slot, at sim.Time, c *perfctr.Counters) sim.Cycles {
 	myChip := m.chipOf[core]
 	var lat sim.Cycles
-	if srcChip, found := m.nearestHolderChip(core, l); found {
+	if srcChip, found := m.nearestHolderChip(myChip, s); found {
 		lat = m.remoteLat[myChip][srcChip]
 		c.RemoteFetches++
 		if m.link != nil && srcChip != myChip {
@@ -349,73 +388,34 @@ func (m *Machine) fetchMiss(core int, l cache.Line, idx cache.Index, at sim.Time
 			c.LinkQueueCycles += uint64(lq)
 		}
 	}
-	m.installCore(core, l, idx, false)
+	m.installCore(core, l, idx, s, false)
 	return lat
 }
 
-// nearestHolderChip finds the chip of the closest cache holding the line,
-// iterating holder bits directly (ascending node order, matching the
-// directory's fan-out order). The requesting core itself cannot be a
-// holder (it just missed). Narrow machines read the single holder word
-// inline; wide machines copy the set into machine-owned scratch and scan
-// word by word — both allocation-free.
+// nearestHolderChip returns the chip of the lowest-numbered node holding
+// the slot's line among those nearest to chip, reading the directory's
+// holder words in place against near[chip], nearest class first. The
+// requesting core cannot be a holder (it just missed), nor can chip's L3
+// (the L3 gate just missed). The classes cover every node, so the walk
+// finds a holder whenever the set has one. It allocates nothing.
 //
 //o2:hotpath
-func (m *Machine) nearestHolderChip(core int, l cache.Line) (chip int, found bool) {
-	if m.holderWords == nil {
-		mask := m.dir.HolderMask(l)
-		if mask == 0 {
-			return 0, false
-		}
-		return m.nearestInWord(core, mask, 0), true
+func (m *Machine) nearestHolderChip(chip int, s coherence.Slot) (int, bool) {
+	h := m.dir.HolderWordsAt(s)
+	var any uint64
+	for _, x := range h {
+		any |= x
 	}
-	if !m.dir.CopyHolderWords(l, m.holderWords) {
+	if any == 0 {
+		// A DRAM fill: skip the walk over every class.
 		return 0, false
 	}
-	myChip := m.chipOf[core]
-	best, bestDist := 0, int(^uint(0)>>1)
-	for w, mask := range m.holderWords {
-		if mask == 0 {
-			continue
-		}
-		c := m.nearestInWord(core, mask, w*64)
-		if d := m.hop[myChip][c]; d < bestDist {
-			best, bestDist = c, d
-			if d == 0 {
-				break
-			}
+	for _, nm := range m.near[chip] {
+		if x := h[nm.w] & nm.mask; x != 0 {
+			return m.nodeChip(nm.w*64 + bits.TrailingZeros64(x)), true
 		}
 	}
-	return best, true
-}
-
-// nearestInWord scans one non-zero holder word (nodes [base, base+64))
-// and returns the holder chip closest to core.
-//
-//o2:hotpath
-func (m *Machine) nearestInWord(core int, mask uint64, base int) (chip int) {
-	myChip := m.chipOf[core]
-	best, bestDist := 0, int(^uint(0)>>1)
-	ncores := m.ncores
-	hop := m.hop[myChip]
-	for mm := mask; mm != 0; {
-		node := base + bits.TrailingZeros64(mm)
-		mm &= mm - 1
-		var holderChip int
-		if node < ncores {
-			holderChip = m.chipOf[node]
-		} else {
-			holderChip = node - ncores
-		}
-		d := hop[holderChip]
-		if d < bestDist {
-			best, bestDist = holderChip, d
-			if d == 0 {
-				break
-			}
-		}
-	}
-	return best
+	return 0, false
 }
 
 // acquireOwnership makes core the sole holder after a write, invalidating
@@ -473,33 +473,37 @@ func (m *Machine) invalidateWord(inv uint64, base int, l cache.Line) {
 // are written back to DRAM (holder bit dropped). Inclusion (L1 ⊆ L2) is
 // maintained so the directory can treat each core's private hierarchy as a
 // single node.
-func (m *Machine) installCore(core int, l cache.Line, idx cache.Index, dirty bool) {
+func (m *Machine) installCore(core int, l cache.Line, idx cache.Index, s coherence.Slot, dirty bool) {
 	chip := m.chipOf[core]
 	node := m.coreNode(core)
 	c := m.ctr.Core(core)
 
 	// InsertNew: every install follows a failed L2 lookup on this line
-	// (lookupShared's L2 miss), so the residency re-scan is skipped.
+	// (missLine's L2 miss), so the residency re-scan is skipped.
 	if victim, vDirty, evicted := m.l2[core].InsertNewAt(l, idx, dirty); evicted {
 		c.Evictions++
 		// Maintain inclusion: the victim may still sit in L1.
 		m.l1[core].Remove(victim)
+		// The victim is another line, and a page never moves, so s
+		// stays valid across the spill.
 		m.spillToL3(chip, node, victim, vDirty, c)
 	}
-	m.dir.AddSharer(l, node)
+	m.dir.AddSharerAt(s, node)
 	m.installL1(core, l, idx)
 }
 
 // spillToL3 places an L2 victim into the chip's victim L3. The victim may
 // already sit there (another core of the chip spilled it first); only
-// then does the L3 need Insert's residency scan, and the directory says
-// which case this is.
+// then does the L3 need Insert's residency scan, and the directory's move
+// of the holder bit says which case this is. Moving the bit before the
+// insert is safe: the line the L3 evicts is never the victim, so the two
+// directory updates commute.
 func (m *Machine) spillToL3(chip int, from coherence.Node, victim cache.Line, dirty bool, c *perfctr.Counters) {
 	l3 := m.l3[chip]
 	l3node := m.l3Node(chip)
 	var w cache.Line
 	var evicted bool
-	if m.dir.Holds(victim, l3node) {
+	if m.dir.MoveSharer(victim, from, l3node) {
 		w, _, evicted = l3.Insert(victim, dirty)
 	} else {
 		w, _, evicted = l3.InsertNew(victim, dirty)
@@ -508,7 +512,6 @@ func (m *Machine) spillToL3(chip int, from coherence.Node, victim cache.Line, di
 		c.Evictions++
 		m.dir.RemoveSharer(w, l3node) // writeback to DRAM
 	}
-	m.dir.MoveSharer(victim, from, l3node)
 }
 
 // installL1 inserts into L1 only; L1 victims need no bookkeeping because

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/mem"
+	"repro/internal/perfctr"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -107,6 +108,82 @@ func BenchmarkAccessRangeAMD16(b *testing.B) {
 			var at sim.Time
 			for _, a := range addrs {
 				at += m.AccessRange(0, a, sector, false, at) // prime
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at += m.AccessRange(0, addrs[i%len(addrs)], sector, false, at)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sector/m.LineSize()), "ns/line")
+		})
+	}
+}
+
+// l3ConflictingSectors returns n page-aligned 512-byte sectors whose
+// lines share core 0's L3 sets line for line, and so (the L3 index masks
+// the same page hash more widely) its L2 and L1 sets too.
+func l3ConflictingSectors(m *Machine, n int) []mem.Addr {
+	mask := cache.Index(m.L3(0).Geom().Sets() - 1)
+	sets := func(page cache.Line) cache.Index { return cache.PageIndex(page*cache.PageLines) & mask }
+	var out []mem.Addr
+	for p := cache.Line(1); len(out) < n; p++ {
+		if sets(p) == sets(1) {
+			out = append(out, mem.Addr(p*cache.PageLines)*mem.Addr(m.LineSize()))
+		}
+	}
+	return out
+}
+
+// BenchmarkAccessRangeNUMA256 measures one 512-byte sector load by core 0
+// of NUMA256 on each path below an L2 miss, reporting host ns per line.
+// Core 0 cycles through sectors that share its L3 sets, so every line
+// misses its L1 and L2:
+//   - l3-hit cycles twice the L2's ways, so every line was spilled into
+//     the chip's victim L3 and is still there;
+//   - remote cycles more sectors than the L2 and L3 ways together, each
+//     sector first read by a core of another chip (chips 1–31 in turn),
+//     so every line misses the L3 and comes from that chip's cache;
+//   - dram cycles as many sectors with no other reader, so every line is
+//     a DRAM fill.
+//
+// Setup runs the cycle twice and checks on core 0's counters that the
+// second cycle took the case's path on every line. Each case must report
+// 0 allocs/op.
+func BenchmarkAccessRangeNUMA256(b *testing.B) {
+	const sector = 512
+	cfg := topology.NUMA256()
+	over := cfg.L2.Assoc + cfg.L3.Assoc + 16
+	for _, tc := range []struct {
+		name    string
+		sectors int
+		remote  bool
+		path    func(c *perfctr.Counters) uint64
+	}{
+		{"l3-hit", 2 * cfg.L2.Assoc, false, func(c *perfctr.Counters) uint64 { return c.L3Loads }},
+		{"remote", over, true, func(c *perfctr.Counters) uint64 { return c.RemoteFetches }},
+		{"dram", over, false, func(c *perfctr.Counters) uint64 { return c.DRAMLoads }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			m := MustNew(cfg, 1<<26)
+			addrs := l3ConflictingSectors(m, tc.sectors)
+			var at sim.Time
+			if tc.remote {
+				for j, a := range addrs {
+					chip := 1 + j%(cfg.Chips-1)
+					at += m.AccessRange(chip*cfg.CoresPerChip+j/(cfg.Chips-1)%cfg.CoresPerChip, a, sector, false, at)
+				}
+			}
+			for _, a := range addrs {
+				at += m.AccessRange(0, a, sector, false, at) // prime
+			}
+			c := m.Counters().Core(0)
+			before, misses := tc.path(c), c.L1Miss
+			for _, a := range addrs {
+				at += m.AccessRange(0, a, sector, false, at)
+			}
+			lines := uint64(len(addrs) * sector / m.LineSize())
+			if got, miss := tc.path(c)-before, c.L1Miss-misses; got != lines || miss != lines {
+				b.Fatalf("a cycle of %d lines took the %s path %d times and missed L1 %d times", lines, tc.name, got, miss)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

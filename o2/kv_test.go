@@ -2,6 +2,8 @@ package o2
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -198,31 +200,80 @@ func TestKVRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestKVRunReusesZipfTable runs one service three times: the second run,
-// at the same key space and skew, must reuse the first run's Zipf table,
-// and the third, at another skew, must build a new one.
+// TestKVRunReusesZipfTable pins the process's Zipf memo on a fresh memo:
+// two KV services on separate runtimes, at one key space and skew, share
+// one table; another skew gets a table of its own; skew 0 memoizes
+// nothing; eight goroutines asking for one new shape at once get one
+// table; and a full memo evicts its oldest table.
 func TestKVRunReusesZipfTable(t *testing.T) {
-	rt := MustNew(WithTopology(Tiny8), WithSeed(7))
-	svc, err := rt.NewKVService(kvTestSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer func(old *zipfMemo) { zipfs = old }(zipfs)
+	zipfs = &zipfMemo{}
 	load := kvScanHeavySkewed()
 	load.Clients, load.OpsPerClient = 4, 20
-	table := func(l KVLoad) *workload.Zipf {
+	run := func(l KVLoad) {
 		t.Helper()
+		rt := MustNew(WithTopology(Tiny8), WithSeed(7))
+		svc, err := rt.NewKVService(kvTestSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := svc.Run(l); err != nil {
 			t.Fatal(err)
 		}
-		return svc.zipf.z
 	}
-	first := table(load)
-	if again := table(load); again != first {
-		t.Error("a second Run at the same shape rebuilt the Zipf table")
+	run(load)
+	if len(zipfs.tables) != 1 {
+		t.Fatalf("one skewed run memoized %d tables, want 1", len(zipfs.tables))
+	}
+	first := zipfs.tables[0]
+	run(load)
+	if len(zipfs.tables) != 1 || zipfs.tables[0] != first {
+		t.Error("a second service at the same shape did not reuse the first one's Zipf table")
 	}
 	load.Skew = 0.5
-	if other := table(load); other == first || other.Skew() != 0.5 {
-		t.Errorf("a Run at skew 0.5 reused the skew-%v table", other.Skew())
+	run(load)
+	if len(zipfs.tables) != 2 || zipfs.tables[0] != first || zipfs.tables[1].Skew() != 0.5 {
+		t.Errorf("a run at skew 0.5 did not add its own table: %d tables", len(zipfs.tables))
+	}
+	load.Skew = 0
+	run(load)
+	if len(zipfs.tables) != 2 {
+		t.Errorf("a run at skew 0 memoized a table: %d tables", len(zipfs.tables))
+	}
+
+	got := make([]*workload.Zipf, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			z, err := zipfs.get(1<<12, 1.2)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = z
+		}()
+	}
+	wg.Wait()
+	for i, z := range got {
+		if z == nil || z != got[0] {
+			t.Fatalf("goroutine %d got table %p, goroutine 0 got %p", i, z, got[0])
+		}
+	}
+	if len(zipfs.tables) != 3 {
+		t.Errorf("eight racing callers of one shape left %d tables, want 3", len(zipfs.tables))
+	}
+
+	for skew := 2.0; len(zipfs.tables) < zipfShapes; skew++ {
+		if _, err := zipfs.get(16, skew); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := zipfs.get(16, 9); err != nil {
+		t.Fatal(err)
+	}
+	if len(zipfs.tables) != zipfShapes || slices.Contains(zipfs.tables, first) {
+		t.Errorf("a full memo kept %d tables and its oldest: %v", len(zipfs.tables), slices.Contains(zipfs.tables, first))
 	}
 }
 

@@ -156,7 +156,7 @@ func (s *KVService) Run(load KVLoad) (KVResult, error) {
 	if err := load.Mix.validate(); err != nil {
 		return KVResult{}, err
 	}
-	zipf, err := s.zipf.get(s.spec.Keys, load.Skew)
+	zipf, err := zipfs.get(s.spec.Keys, load.Skew)
 	if err != nil {
 		return KVResult{}, err
 	}

@@ -89,9 +89,9 @@ type WebService struct {
 	spec WebSpec
 	tree *DirTree
 
-	// scratch is Run's reusable bookkeeping (recorders, histograms, the
-	// Zipf table), so a sweep's arena-reused repeats reach a steady state
-	// that allocates almost nothing per run. Zero value is ready to use.
+	// scratch is Run's reusable bookkeeping (recorders, histograms), so
+	// a sweep's arena-reused repeats reach a steady state that allocates
+	// almost nothing per run. Zero value is ready to use.
 	scratch svcScratch
 
 	// Registry counters for the request path (see Runtime.Metrics). Two

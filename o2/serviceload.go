@@ -27,6 +27,7 @@ package o2
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -280,33 +281,57 @@ func (st *svcState) pop() (int, bool) {
 }
 
 // svcScratch is WebService.Run's reusable bookkeeping. Everything here is
-// either fully reset (histograms, recorder moments) or fully rewritten
-// (the zipf table on a shape change) before a run reads it, so reuse is
-// invisible to results — it only removes the per-run allocations that
-// would otherwise dominate an arena-reused sweep repeat's steady state.
+// fully reset (histograms, recorder moments) before a run reads it, so
+// reuse is invisible to results — it only removes the per-run allocations
+// that would otherwise dominate an arena-reused sweep repeat's steady
+// state.
 type svcScratch struct {
-	zipf      zipfTable
 	recorders []*latRecorder
 	merged    *stats.Histogram
 	names     []string
 }
 
-// zipfTable holds one Zipf table across runs of a service, rebuilding it
-// only when the (n, skew) shape changes: the table's values depend on
-// nothing else, so reuse is invisible to results, and a sweep repeat on
-// an arena-reused service skips the O(n) rebuild.
-type zipfTable struct{ z *workload.Zipf }
+// zipfShapes bounds how many Zipf tables the process keeps.
+const zipfShapes = 4
 
-// get returns the table for (n, skew).
-func (t *zipfTable) get(n int, skew float64) (*workload.Zipf, error) {
-	if t.z != nil && t.z.N() == n && t.z.Skew() == skew {
-		return t.z, nil
+// zipfMemo is the process's Zipf tables, at most zipfShapes of them,
+// oldest first. A table's values depend on its (n, skew) shape alone, it
+// is never written after it is built, and it draws from the caller's RNG,
+// so every service, runtime and sweep worker that asks for one shape can
+// share one table and no result changes: a service built again and again
+// at one shape (the cells and repeats of a sweep, the passes of a
+// benchmark) skips the O(n) rebuild.
+type zipfMemo struct {
+	mu     sync.Mutex
+	tables []*workload.Zipf
+}
+
+// zipfs is the process-wide memo.
+var zipfs = &zipfMemo{}
+
+// get returns the table for (n, skew), building it on first use and
+// evicting the oldest table when the memo is full. It builds under the
+// lock, so callers racing for one shape get one table. Skew 0 has no
+// table to share and is not memoized.
+func (zm *zipfMemo) get(n int, skew float64) (*workload.Zipf, error) {
+	if skew == 0 {
+		return workload.NewZipf(n, skew)
+	}
+	zm.mu.Lock()
+	defer zm.mu.Unlock()
+	for _, z := range zm.tables {
+		if z.N() == n && z.Skew() == skew {
+			return z, nil
+		}
 	}
 	z, err := workload.NewZipf(n, skew)
 	if err != nil {
 		return nil, err
 	}
-	t.z = z
+	if len(zm.tables) == zipfShapes {
+		zm.tables = append(zm.tables[:0], zm.tables[1:]...)
+	}
+	zm.tables = append(zm.tables, z)
 	return z, nil
 }
 
@@ -369,7 +394,7 @@ func (s *WebService) Run(load ServiceLoad) (ServiceResult, error) {
 	if err := load.validate(); err != nil {
 		return ServiceResult{}, err
 	}
-	zipf, err := s.scratch.zipf.get(s.spec.DocRoots, load.Skew)
+	zipf, err := zipfs.get(s.spec.DocRoots, load.Skew)
 	if err != nil {
 		return ServiceResult{}, err
 	}
