@@ -117,7 +117,7 @@ func run(cmd string, args []string) error {
 		}
 	}
 	switch cmd {
-	case "fig2", "cachemap":
+	case "fig2":
 		return runFig2(os.Stdout, args)
 	case "trace":
 		return runTrace(args)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -25,7 +26,8 @@ type goldenCase struct {
 	preset o2.Preset
 	// narrow reduces the preset's -quick sweep to the golden's fixture
 	// through the sweep's exported fields; nil when -quick is the
-	// fixture.
+	// fixture. The axes it replaces are rebuilt here with the preset's
+	// axis names and labels.
 	narrow func(*o2.Sweep)
 	table  []string // substrings the aligned table must contain
 }
@@ -64,7 +66,17 @@ func narrowFig4(sw *o2.Sweep) {
 	p := o2.DefaultRunParams()
 	p.Threads, p.Warmup, p.Measure = 4, 200_000, 400_000
 	sw.Base = o2.Cell{Machine: o2.Tiny8, Scenario: o2.DirLookupScenario{Params: p}}
-	sw.Axes[0] = o2.DirCountAxis(128, 2, 6)
+	sw.Axes[0] = o2.Axis{Name: "dirs"}
+	for _, n := range []int{2, 6} {
+		sw.Axes[0].Values = append(sw.Axes[0].Values, o2.AxisValue{
+			Label: strconv.Itoa(n),
+			Apply: func(c *o2.Cell) {
+				s := c.Scenario.(o2.DirLookupScenario)
+				s.Tree = o2.DirSpec{Dirs: n, EntriesPerDir: 128}
+				c.Scenario = s
+			},
+		})
+	}
 }
 
 // narrowKV is o2's reduced kv fixture: a kilobyte-scale store and eight
@@ -83,14 +95,28 @@ func narrowWeb(sw *o2.Sweep) {
 	sc.Spec = o2.WebSpec{DocRoots: 8, FilesPerRoot: 64}
 	sc.Load.Requests = 200
 	sw.Base.Scenario = sc
-	sw.Axes[0] = o2.ArrivalRateAxis(500_000, 4_000_000)
+	sw.Axes[0] = o2.Axis{Name: "rps"}
+	for _, rps := range []float64{500_000, 4_000_000} {
+		sw.Axes[0].Values = append(sw.Axes[0].Values, o2.AxisValue{
+			Label: fmt.Sprintf("%gk", rps/1000),
+			Apply: func(c *o2.Cell) {
+				s := c.Scenario.(o2.WebScenario)
+				s.Load.RPS = rps
+				c.Scenario = s
+			},
+		})
+	}
 }
 
 // narrowScale is o2's reduced scale fixture: the Tiny8 and NUMA256
 // machines, each service's per-core working set shrunk after the service
 // axis sizes it.
 func narrowScale(sw *o2.Sweep) {
-	sw.Axes[0] = o2.TopologyAxis(o2.Tiny8, o2.NUMA256)
+	sw.Axes[0] = o2.Axis{Name: "machine"}
+	for _, m := range []o2.Topology{o2.Tiny8, o2.NUMA256} {
+		sw.Axes[0].Values = append(sw.Axes[0].Values,
+			o2.AxisValue{Label: m.Name(), Apply: func(c *o2.Cell) { c.Machine = m }})
+	}
 	services := sw.Axes[1].Values
 	for i := range services {
 		apply := services[i].Apply
@@ -289,7 +315,8 @@ func TestHelpListsPresets(t *testing.T) {
 
 // TestRunUsageErrors pins how command-line mistakes exit: -h on any
 // command exits 0; a bad flag, -json with -csv, an unknown command, or an
-// unknown ablation exits 2.
+// unknown ablation exits 2. trace takes no -workers flag, and fig2 has no
+// second name.
 func TestRunUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -300,8 +327,10 @@ func TestRunUsageErrors(t *testing.T) {
 		{[]string{"fig2", "-h"}, flag.ErrHelp, 0},
 		{[]string{"kv", "-bogus"}, errUsage, 2},
 		{[]string{"trace", "-bogus"}, errUsage, 2},
+		{[]string{"trace", "-workers", "2"}, errUsage, 2},
 		{[]string{"kv", "-json", "-csv"}, errUsage, 2},
 		{[]string{"nosuch"}, errUsage, 2},
+		{[]string{"cachemap"}, errUsage, 2},
 		{[]string{"ablation", "-exp=bogus"}, errUsage, 2},
 		{[]string{"ablation", "-json", "-csv"}, errUsage, 2},
 	} {

@@ -6,7 +6,7 @@ package main
 // or -out; the human-readable run summary — notably how far below the
 // saturation threshold the peak smoothed socket bandwidth signal sat,
 // the ROADMAP MLP question — goes to stderr, so the emitted JSON stays
-// byte-comparable across runs and worker counts.
+// byte-comparable across runs.
 
 import (
 	"flag"
@@ -23,10 +23,6 @@ func traceFlags(args []string) (o2.TraceConfig, string, error) {
 	seed := fs.Uint64("seed", 1, "base RNG seed")
 	out := fs.String("out", "", "write the timeline JSON to this file (default stdout)")
 	interval := fs.Uint64("interval", 0, "telemetry sampling period in cycles (0 = config default)")
-	// A trace run is a single deterministic cell, so there is no worker
-	// pool to bound; the flag exists so every subcommand accepts the same
-	// invariance-checking invocation (output must not depend on it).
-	fs.Int("workers", 0, "accepted for symmetry with the sweep subcommands; ignored")
 	if err := parse(fs, args); err != nil {
 		return o2.TraceConfig{}, "", err
 	}
@@ -43,14 +39,14 @@ func traceFlags(args []string) (o2.TraceConfig, string, error) {
 
 // emitTrace runs the cell, writes the timeline JSON to w, and the run
 // summary to info. Split from runTrace so tests can pin the JSON schema
-// and its worker invariance without capturing the summary.
+// without capturing the summary.
 func emitTrace(w, info io.Writer, cfg o2.TraceConfig) error {
 	tr, err := o2.RunTrace(cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(info, "trace: %s %s, %d requests, %.1f offered / %.1f achieved krps, p99 %.0f cycles\n",
-		cfg.Machine.Name(), cfg.Scheduler, cfg.Load.Requests,
+		cfg.Machine.Name(), tr.Runtime.Scheduler(), cfg.Load.Requests,
 		tr.Result.OfferedKRPS, tr.Result.AchievedKRPS, tr.Result.P99)
 	fmt.Fprintf(info, "trace: %d samples at %d-cycle interval; peak socket bw signal %.4f on socket %d at cycle %d (saturation threshold %.2f)\n",
 		tr.Samples, cfg.Interval, tr.PeakBWSignal, tr.PeakBWSocket, tr.PeakBWAt, tr.SaturationFrac)

@@ -6,8 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"strconv"
 	"testing"
 )
 
@@ -80,29 +78,5 @@ func TestTraceJSONGolden(t *testing.T) {
 		if !phases[ph] {
 			t.Fatalf("timeline has no %q events; phases present: %v", ph, phases)
 		}
-	}
-}
-
-// TestTraceJSONWorkerInvariance pins the acceptance criterion that the
-// timeline is byte-identical across -workers counts: a trace run is one
-// deterministic cell, so the flag (accepted for command-line symmetry)
-// must not leak into the output.
-func TestTraceJSONWorkerInvariance(t *testing.T) {
-	run := func(workers int) []byte {
-		cfg, _, err := traceFlags([]string{"-quick", "-workers", strconv.Itoa(workers)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := emitTrace(&buf, io.Discard, cfg); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	one := run(1)
-	many := run(runtime.NumCPU())
-	if !bytes.Equal(one, many) {
-		t.Errorf("-workers=1 timeline differs from -workers=%d (%d vs %d bytes)",
-			runtime.NumCPU(), len(one), len(many))
 	}
 }

@@ -5,7 +5,7 @@ import "fmt"
 // ablationColumns report an ablation sweep: throughput (±stddev when the
 // sweep carried repeats) and migrations in the measured window. The
 // directory and path scenarios count resolutions as their operations.
-var ablationColumns = []Column{
+var ablationColumns = []column{
 	{name: "kops_per_sec", head: "kops/sec", width: 12, csv: 1, spread: "kops_stddev", value: throughput},
 	{name: "migrations", head: "migrations", width: 11},
 }
@@ -35,7 +35,7 @@ func optionValue(label string, opt Option) AxisValue {
 // ablation and titled by its usage line. They are CI-sized already, so
 // Build ignores quick. DESIGN.md §4 reads the results.
 func Ablations() []Preset {
-	threadScheduler := SchedulerAxis(Baseline).Values[0] // the reference cell
+	threadScheduler := schedulerAxis(Baseline).Values[0] // the reference cell
 
 	// A3's adversarial schedule: uniform traffic during warmup fills the
 	// budget with arbitrary directories; then the distribution shifts to
@@ -49,7 +49,7 @@ func Ablations() []Preset {
 
 	migCost := Axis{Name: "migration_cost", Values: []AxisValue{threadScheduler}}
 	for _, c := range []Cycles{0, 250, 550, 1500, 4000, 8000} {
-		migCost.Values = append(migCost.Values, optionValue(fmt.Sprint(c), WithMigrationCost(c)))
+		migCost.Values = append(migCost.Values, optionValue(fmt.Sprint(c), withMigrationCost(c)))
 	}
 
 	return []Preset{
@@ -58,26 +58,26 @@ func Ablations() []Preset {
 			// other: the co-use pattern clustering targets.
 			Base: Cell{Machine: Tiny8, Scenario: objectScenario{objects: 12, size: 8 << 10, threads: 8, group: 2, perByte: 0.05}},
 			Axes: []Axis{{Name: "clustering", Values: []AxisValue{
-				optionValue("off", WithClustering(false)), optionValue("on", WithClustering(true)),
+				optionValue("off", withClustering(false)), optionValue("on", withClustering(true)),
 			}}},
 		}),
 		ablation("replication", "A2: read-only replication (§6.2)", Sweep{
 			// One hot read-only object serializes every operation on one
 			// core unless it is replicated per chip.
-			Base: Cell{Machine: Tiny8, Options: []Option{WithReplicationThreshold(32, 0.95)},
+			Base: Cell{Machine: Tiny8, Options: []Option{withReplicationThreshold(32, 0.95)},
 				Scenario: objectScenario{objects: 1, size: 8 << 10, threads: 8, group: 1, readOnly: true, perByte: 0.1}},
 			Axes: []Axis{{Name: "replication", Values: []AxisValue{
-				optionValue("off", WithReplication(false)), optionValue("on", WithReplication(true)),
+				optionValue("off", withReplication(false)), optionValue("on", withReplication(true)),
 			}}},
 		}),
 		ablation("replacement", "A3: over-capacity replacement policy (§6.2)", Sweep{
 			// 512 KB of directories on a 256 KB machine. The
 			// DRAM-ineffectiveness unplacer would eventually free the
 			// budget on its own; it is off to isolate replacement.
-			Base: Cell{Machine: Tiny8, Options: []Option{WithDRAMUnplaceFraction(0)},
+			Base: Cell{Machine: Tiny8, Options: []Option{withDRAMUnplaceFraction(0)},
 				Scenario: DirLookupScenario{Tree: DirSpec{Dirs: 32, EntriesPerDir: 512}, Params: hotspot}},
 			Axes: []Axis{{Name: "replacement", Values: []AxisValue{
-				optionValue("first-fit", WithReplacement(FirstFit)), optionValue("frequency", WithReplacement(Frequency)),
+				optionValue("first-fit", withReplacement(firstFit)), optionValue("frequency", withReplacement(frequency)),
 			}}},
 		}),
 		ablation("migcost", "A4: migration-cost sensitivity (§6.1)", Sweep{
@@ -88,19 +88,19 @@ func Ablations() []Preset {
 			// Odd cores run at half speed.
 			Base: Cell{Machine: Tiny8.WithCoreSpeeds(1, 2, 1, 2, 1, 2, 1, 2),
 				Scenario: DirLookupScenario{Tree: DirSpec{Dirs: 8, EntriesPerDir: 512}, Params: ablParams()}},
-			Axes: []Axis{SchedulerAxis(Baseline, CoreTime)},
+			Axes: []Axis{schedulerAxis(Baseline, CoreTime)},
 		}),
 		ablation("paths", "A6: clustering on hierarchical path resolution (§6.2)", Sweep{
 			Base: Cell{Machine: Tiny8, Scenario: pathScenario{}},
 			Axes: []Axis{{Name: "clustering", Values: []AxisValue{
-				threadScheduler, optionValue("off", WithClustering(false)), optionValue("on", WithClustering(true)),
+				threadScheduler, optionValue("off", withClustering(false)), optionValue("on", withClustering(true)),
 			}}},
 		}),
 		ablation("single", "A7: single-threaded application using the whole chip's caches (§1)", Sweep{
 			// 12 × 16 KB = 192 KB: far beyond one Tiny8 core's ~29 KB
 			// budget (L2 + L3 share), inside the machine's 256 KB total.
 			Base: Cell{Machine: Tiny8, Scenario: objectScenario{objects: 12, size: 16 << 10, threads: 1, group: 1, perByte: 0.05}},
-			Axes: []Axis{SchedulerAxis(Baseline, CoreTime)},
+			Axes: []Axis{schedulerAxis(Baseline, CoreTime)},
 		}),
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -15,19 +17,16 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/api.txt from the current source")
 
-// exportedSurface lists the package's exported API, one sorted line per
-// identifier: exported top-level funcs, types, vars, and consts, the
-// exported fields of exported structs, and the exported methods of
-// exported types.
-func exportedSurface(t *testing.T) []byte {
+// sourceFiles parses the package's non-test files.
+func sourceFiles(t *testing.T) []*ast.File {
 	t.Helper()
-	files, err := filepath.Glob("*.go")
+	names, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	var lines []string
-	for _, name := range files {
+	var files []*ast.File
+	for _, name := range names {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
@@ -35,6 +34,19 @@ func exportedSurface(t *testing.T) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
+		files = append(files, f)
+	}
+	return files
+}
+
+// exportedSurface lists the package's exported API, one sorted line per
+// identifier: exported top-level funcs, types, vars, and consts, the
+// exported fields of exported structs, and the exported methods of
+// exported types.
+func exportedSurface(t *testing.T) []byte {
+	t.Helper()
+	var lines []string
+	for _, f := range sourceFiles(t) {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
@@ -106,5 +118,54 @@ func TestExportedSurface(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("exported API drifted from %s.\nGot:\n%s\nIf intentional, rerun with -update and review the diff.", golden, got)
+	}
+}
+
+// TestExportsHaveConsumers holds the façade to what its consumers name:
+// every exported func and var but the Err* sentinels must be named as
+// o2.X by a Go file under cmd/, examples/, or bench/, by one at the
+// repository root, or by example_test.go. Anything else is unexported.
+// Types, their fields and methods, and constants are exempt: they are
+// reachable from the signatures of what consumers call.
+func TestExportsHaveConsumers(t *testing.T) {
+	files := []string{"example_test.go"}
+	root, err := filepath.Glob(filepath.Join("..", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, root...)
+	for _, dir := range []string{"cmd", "examples", "bench"} {
+		err := filepath.WalkDir(filepath.Join("..", dir), func(path string, d fs.DirEntry, err error) error {
+			switch {
+			case err != nil:
+				return err
+			case d.IsDir() && strings.HasPrefix(d.Name(), "."):
+				return filepath.SkipDir
+			case !d.IsDir() && strings.HasSuffix(path, ".go"):
+				files = append(files, path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var src []byte
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src = append(append(src, b...), '\n')
+	}
+
+	for _, line := range strings.Split(string(exportedSurface(t)), "\n") {
+		kind, name, _ := strings.Cut(line, " ")
+		if kind != "func" && (kind != "var" || strings.HasPrefix(name, "Err")) {
+			continue
+		}
+		if !regexp.MustCompile(`\bo2\.` + name + `\b`).Match(src) {
+			t.Errorf("%s %s has no consumer outside o2: unexport it or delete it", kind, name)
+		}
 	}
 }

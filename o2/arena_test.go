@@ -21,7 +21,7 @@ func checkRepeatsMatchFresh(t *testing.T, s Sweep) {
 			// runtime — the old per-repeat code path.
 			fresh := s.cells()[ci]
 			fresh.Repeat = r
-			fresh.Seed = CellSeed(s.Seed, fresh.Index, r)
+			fresh.Seed = cellSeed(s.Seed, fresh.Index, r)
 			m, err := s.runner()(fresh)
 			if err != nil {
 				t.Fatal(err)
@@ -42,7 +42,7 @@ func TestArenaRepeatsMatchFreshRuns(t *testing.T) {
 	checkRepeatsMatchFresh(t, Sweep{
 		Name:    "arena",
 		Base:    Cell{Machine: Tiny8, Scenario: DirLookupScenario{Params: p}},
-		Axes:    []Axis{DirCountAxis(128, 4), SchedulerAxis(Baseline, CoreTime)},
+		Axes:    []Axis{dirCountAxis(128, 4), schedulerAxis(Baseline, CoreTime)},
 		Repeats: 3,
 		Seed:    23,
 		Workers: 1,
@@ -53,13 +53,13 @@ func TestArenaRepeatsMatchFreshRuns(t *testing.T) {
 // the open-loop web scenario, whose runs spawn and drain a different
 // thread population (workers plus a compactor) each repeat.
 func TestArenaServiceRepeatsMatchFreshRuns(t *testing.T) {
-	load := DefaultServiceLoad()
+	load := defaultServiceLoad()
 	load.Requests = 400
 	load.RPS = 1_000_000
 	checkRepeatsMatchFresh(t, Sweep{
 		Name:    "arena-web",
 		Base:    Cell{Machine: Tiny8, Scenario: WebScenario{Spec: WebSpec{DocRoots: 8, FilesPerRoot: 64}, Load: load}},
-		Axes:    []Axis{CompactionAxis(0, 0.5)},
+		Axes:    []Axis{compactionAxis(0, 0.5)},
 		Repeats: 3,
 		Seed:    31,
 		Workers: 1,
@@ -73,14 +73,14 @@ func TestArenaServiceRepeatsMatchFreshRuns(t *testing.T) {
 // slots, directory locks and open CoreTime operations — and every repeat
 // must still equal a fresh run.
 func TestArenaTruncatedServiceRepeatsMatchFreshRuns(t *testing.T) {
-	load := DefaultServiceLoad()
+	load := defaultServiceLoad()
 	load.Requests = 400
 	load.RPS = 1_000_000
 	load.TimeLimit = 150_000 // well before the schedule drains
 	s := Sweep{
 		Name:    "arena-web-truncated",
 		Base:    Cell{Machine: Tiny8, Scenario: WebScenario{Spec: WebSpec{DocRoots: 8, FilesPerRoot: 64}, Load: load}},
-		Axes:    []Axis{CompactionAxis(0, 0.5), SchedulerAxis(Baseline, CoreTime)},
+		Axes:    []Axis{compactionAxis(0, 0.5), schedulerAxis(Baseline, CoreTime)},
 		Repeats: 2,
 		Seed:    37,
 		Workers: 1,
@@ -88,7 +88,7 @@ func TestArenaTruncatedServiceRepeatsMatchFreshRuns(t *testing.T) {
 	// The first repeat must really be truncated and really leave a
 	// reusable arena behind, or the sweep below would rebuild instead.
 	for _, c := range s.cells() {
-		c.Seed = CellSeed(s.Seed, c.Index, 0)
+		c.Seed = cellSeed(s.Seed, c.Index, 0)
 		c.arena = &cellArena{}
 		if _, err := c.measure(); err != nil {
 			t.Fatal(err)
@@ -113,7 +113,7 @@ func TestArenaObjectRepeatsMatchFreshRuns(t *testing.T) {
 		Name: "arena-objects",
 		Base: Cell{Machine: Tiny8, Scenario: objectScenario{objects: 8, size: 8 << 10, threads: 4, group: 2, perByte: 0.05}},
 		Axes: []Axis{{Name: "clustering", Values: []AxisValue{
-			optionValue("off", WithClustering(false)), optionValue("on", WithClustering(true)),
+			optionValue("off", withClustering(false)), optionValue("on", withClustering(true)),
 		}}},
 		Repeats: 3,
 		Seed:    41,
@@ -128,7 +128,7 @@ func TestArenaPathRepeatsMatchFreshRuns(t *testing.T) {
 		Name: "arena-paths",
 		Base: Cell{Machine: Tiny8, Options: []Option{WithMissThreshold(4)}, Scenario: pathScenario{}},
 		Axes: []Axis{{Name: "clustering", Values: []AxisValue{
-			optionValue("off", WithClustering(false)), optionValue("on", WithClustering(true)),
+			optionValue("off", withClustering(false)), optionValue("on", withClustering(true)),
 		}}},
 		Repeats: 3,
 		Seed:    43,

@@ -1,11 +1,9 @@
 package o2
 
 import (
-	"os"
-	"path/filepath"
+	"go/ast"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -22,12 +20,9 @@ const (
 	// ROADMAP item that is to make it change one, which flips the row to
 	// model.
 	pinnedNoOp
-	// sizing: the option sizes a resource without changing results; note
-	// names the test that pins it.
-	sizing
 )
 
-// optionAudit accounts for one With* option.
+// optionAudit accounts for one option.
 type optionAudit struct {
 	kind auditKind
 	run  func(extra ...Option) (any, error) // measures the row's cell
@@ -87,12 +82,11 @@ func ablationSweep(t *testing.T, name string) Sweep {
 	return Sweep{}
 }
 
-// TestEveryOptionIsAccounted is the knob audit: every With* option of
-// the exported surface (testdata/api.txt) has a row saying why it
-// exists — it changes a model result, it only observes, it is a pinned
-// no-op waiting on a named ROADMAP item, or it sizes a resource under a
-// named test. An option with no row, or a row whose claim no longer
-// holds, fails.
+// TestEveryOptionIsAccounted is the knob audit: every top-level func of
+// the package's source that returns an Option, exported or not, has a
+// row saying why it exists — it changes a model result, it only
+// observes, or it is a pinned no-op waiting on a named ROADMAP item. An
+// option with no row, or a row whose claim no longer holds, fails.
 func TestEveryOptionIsAccounted(t *testing.T) {
 	_, fig4bSw := fig4bSweep(tinyFig4bConfig())
 	fig4b := mustCellAt(t, fig4bSw, "24", "coretime")
@@ -100,60 +94,45 @@ func TestEveryOptionIsAccounted(t *testing.T) {
 	kv := mustCellAt(t, kvSw, "g95s4p1", "0", "coretime")
 	a1, a2, a3, a4 := ablationSweep(t, "clustering"), ablationSweep(t, "replication"),
 		ablationSweep(t, "replacement"), ablationSweep(t, "migcost")
-	numa := Cell{Machine: NUMA64, Scenario: KVScenario{
+	numa := Cell{Machine: numa64, Scenario: KVScenario{
 		Spec: KVSpec{Shards: 64, SlotsPerShard: 32, SlotBytes: 64, Keys: 1 << 12},
 		Load: KVLoad{Clients: 64, OpsPerClient: 30},
 	}}
 
 	rows := map[string]optionAudit{
-		"WithTopology":             {kind: model, run: auditRuntime, opt: WithTopology(Small4)},
+		"WithTopology":             {kind: model, run: auditRuntime, opt: WithTopology(small4)},
 		"WithScheduler":            {kind: model, run: auditRuntime, opt: WithScheduler(Baseline)},
 		"WithSeed":                 {kind: model, run: auditRuntime, opt: WithSeed(99)},
 		"WithRebalanceInterval":    {kind: model, run: auditCell(fig4b), opt: WithRebalanceInterval(0)},
 		"WithDecayWindow":          {kind: model, run: auditCell(fig4b), opt: WithDecayWindow(0)},
 		"WithMissThreshold":        {kind: model, run: auditCell(kv), opt: WithMissThreshold(16)},
-		"WithClustering":           {kind: model, run: auditCell(mustCellAt(t, a1, "off")), opt: WithClustering(true)},
-		"WithReplication":          {kind: model, run: auditCell(mustCellAt(t, a2, "off")), opt: WithReplication(true)},
-		"WithReplicationThreshold": {kind: model, run: auditCell(mustCellAt(t, a2, "on")), opt: WithReplicationThreshold(64, 0.95)},
-		"WithReplacement":          {kind: model, run: auditCell(mustCellAt(t, a3, "first-fit")), opt: WithReplacement(Frequency)},
-		"WithDRAMUnplaceFraction":  {kind: model, run: auditCell(mustCellAt(t, a3, "first-fit")), opt: WithDRAMUnplaceFraction(0.2)},
-		"WithMigrationCost":        {kind: model, run: auditCell(mustCellAt(t, a4, "550")), opt: WithMigrationCost(8000)},
+		"withClustering":           {kind: model, run: auditCell(mustCellAt(t, a1, "off")), opt: withClustering(true)},
+		"withReplication":          {kind: model, run: auditCell(mustCellAt(t, a2, "off")), opt: withReplication(true)},
+		"withReplicationThreshold": {kind: model, run: auditCell(mustCellAt(t, a2, "on")), opt: withReplicationThreshold(64, 0.95)},
+		"withReplacement":          {kind: model, run: auditCell(mustCellAt(t, a3, "first-fit")), opt: withReplacement(frequency)},
+		"withDRAMUnplaceFraction":  {kind: model, run: auditCell(mustCellAt(t, a3, "first-fit")), opt: withDRAMUnplaceFraction(0.2)},
+		"withMigrationCost":        {kind: model, run: auditCell(mustCellAt(t, a4, "550")), opt: withMigrationCost(8000)},
 		"WithTrace":                {kind: observer, run: auditCell(fig4b), opt: WithTrace(1024)},
 		"WithTelemetry":            {kind: observer, run: auditCell(fig4b), opt: WithTelemetry(50_000)},
-		"WithBandwidthAware": {kind: pinnedNoOp, run: auditCell(numa), opt: WithBandwidthAware(true),
+		"withBandwidthAware": {kind: pinnedNoOp, run: auditCell(numa), opt: withBandwidthAware(),
 			note: "ROADMAP, CoreTimeBW: make the signal fire, or delete it"},
-		"WithMemory": {kind: sizing, note: "TestWithMemoryGrowsForTree"},
 	}
 
-	api, err := os.ReadFile(filepath.Join("testdata", "api.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	listed := map[string]bool{}
-	for _, line := range strings.Split(string(api), "\n") {
-		if name, ok := strings.CutPrefix(line, "func "); ok && strings.HasPrefix(name, "With") {
-			listed[name] = true
-			if _, ok := rows[name]; !ok {
-				t.Errorf("%s has no row in the option audit", name)
-			}
+	declared := optionFuncs(t)
+	for name := range declared {
+		if _, ok := rows[name]; !ok {
+			t.Errorf("%s has no row in the option audit", name)
 		}
 	}
 	for name := range rows {
-		if !listed[name] {
-			t.Errorf("audit row %s names no exported option", name)
+		if !declared[name] {
+			t.Errorf("audit row %s names no option", name)
 		}
 	}
 
 	for name, row := range rows {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			switch row.kind {
-			case sizing:
-				if !definesTest(t, row.note) {
-					t.Fatalf("%s is pinned by %s, which no longer exists", name, row.note)
-				}
-				return
-			}
 			without, err := row.run()
 			if err != nil {
 				t.Fatal(err)
@@ -172,22 +151,21 @@ func TestEveryOptionIsAccounted(t *testing.T) {
 	}
 }
 
-// definesTest reports whether a test file of this package declares the
-// test named name.
-func definesTest(t *testing.T, name string) bool {
+// optionFuncs is the set of the package's top-level funcs, exported or
+// not, whose one result is an Option.
+func optionFuncs(t *testing.T) map[string]bool {
 	t.Helper()
-	files, err := filepath.Glob("*_test.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
+	funcs := map[string]bool{}
+	for _, f := range sourceFiles(t) {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || fn.Type.Results == nil || len(fn.Type.Results.List) != 1 {
+				continue
+			}
+			if id, ok := fn.Type.Results.List[0].Type.(*ast.Ident); ok && id.Name == "Option" {
+				funcs[fn.Name.Name] = true
+			}
 		}
-		if strings.Contains(string(src), "\nfunc "+name+"(t *testing.T)") {
-			return true
-		}
 	}
-	return false
+	return funcs
 }

@@ -110,7 +110,8 @@ func (rt *Runtime) NewPathTree(spec PathSpec) (*PathTree, error) {
 }
 
 // ClusterByTop hints the scheduler to pack each top directory together
-// with all its subdirectories (effective under WithClustering).
+// with all its subdirectories. Like PlaceTogether, it takes effect only
+// where the clustering extension is on.
 func (pt *PathTree) ClusterByTop() {
 	if pt.rt.ct == nil {
 		return

@@ -44,9 +44,6 @@ type Fig2Config struct {
 	Threads       int
 	Warmup        uint64
 	Seed          uint64
-	// Workers bounds the sweep pool running the two schedulers; 0 means
-	// runtime.NumCPU().
-	Workers int
 }
 
 // DefaultFig2Config mirrors the paper's 20-directory illustration on the
@@ -74,10 +71,9 @@ func DefaultFig2Config() Fig2Config {
 func Fig2(cfg Fig2Config) (CacheMap, CacheMap, error) {
 	maps := make([]CacheMap, 2)
 	_, err := Sweep{
-		Name:    "fig2",
-		Axes:    []Axis{SchedulerAxis(Baseline, CoreTime)},
-		Workers: cfg.Workers,
-		Seed:    cfg.Seed,
+		Name: "fig2",
+		Axes: []Axis{schedulerAxis(Baseline, CoreTime)},
+		Seed: cfg.Seed,
 		Runner: func(c Cell) (Metrics, error) {
 			cm, err := fig2One(cfg, c.Scheduler)
 			if err != nil {

@@ -101,7 +101,7 @@ func fig4Sweep(name string, cfg fig4Config, ctOpts ...Option) Sweep {
 		Name: name,
 		Base: Cell{Machine: cfg.Machine, Scenario: DirLookupScenario{Params: cfg.Params}},
 		Axes: []Axis{
-			DirCountAxis(cfg.EntriesPerDir, cfg.DirCounts...),
+			dirCountAxis(cfg.EntriesPerDir, cfg.DirCounts...),
 			{Name: "scheduler", Values: []AxisValue{
 				{Label: Baseline.String(), Apply: func(c *Cell) { c.Scheduler = Baseline }},
 				{Label: CoreTime.String(), Apply: func(c *Cell) {

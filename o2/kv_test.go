@@ -135,14 +135,14 @@ func TestKVSlotAddressingRegression(t *testing.T) {
 // shard's object, shards balance dense ranges within one, and the slot
 // chosen for a key survives shard-count changes.
 func TestKVServiceAddressingProperties(t *testing.T) {
-	rt := MustNew(WithTopology(Small4))
+	rt := MustNew(WithTopology(small4))
 	specA := KVSpec{Shards: 8, SlotsPerShard: 16, SlotBytes: 64, Keys: 1 << 12}
 	specB := KVSpec{Shards: 24, SlotsPerShard: 16, SlotBytes: 64, Keys: 1 << 12}
 	svcA, err := rt.NewKVService(specA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtB := MustNew(WithTopology(Small4))
+	rtB := MustNew(WithTopology(small4))
 	svcB, err := rtB.NewKVService(specB)
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestKVSweepWorkerInvariance(t *testing.T) {
 	cfg := quickKVConfig()
 	cfg.Spec = KVSpec{Shards: 8, SlotsPerShard: 64, SlotBytes: 64, Keys: 1 << 12}
 	cfg.Load = KVLoad{Clients: 8, OpsPerClient: 120}
-	cfg.Mixes = []KVMix{DefaultKVMix()}
+	cfg.Mixes = []KVMix{defaultKVMix()}
 	cfg.Skews = []float64{0, 0.99}
 	cfg.Policies = []KVPolicy{KVThreadScheduler, KVCoreTime}
 
@@ -319,7 +319,7 @@ func TestKVSpecDefaultsAndValidation(t *testing.T) {
 	if d.Shards != 16 || d.SlotsPerShard != 128 || d.SlotBytes != 64 || d.Keys != 16*128 {
 		t.Errorf("unexpected defaults: %+v", d)
 	}
-	rt := MustNew(WithTopology(Small4))
+	rt := MustNew(WithTopology(small4))
 	if _, err := rt.NewKVService(KVSpec{Shards: -1}); err == nil {
 		t.Error("negative shard count accepted")
 	}
@@ -330,7 +330,7 @@ func TestKVSpecDefaultsAndValidation(t *testing.T) {
 
 // TestKVLoadValidation covers the load generator's rejection paths.
 func TestKVLoadValidation(t *testing.T) {
-	rt := MustNew(WithTopology(Small4))
+	rt := MustNew(WithTopology(small4))
 	svc, err := rt.NewKVService(KVSpec{})
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +380,7 @@ func TestKVPolicyOptionsSelectSchedulers(t *testing.T) {
 		CoreTimeBW:           CoreTime,
 	}
 	for p, sched := range want {
-		rt, err := New(append([]Option{WithTopology(Small4)}, p.Options()...)...)
+		rt, err := New(append([]Option{WithTopology(small4)}, p.Options()...)...)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}

@@ -33,9 +33,9 @@ type KVMix struct {
 	Puts  float64
 }
 
-// DefaultKVMix returns the scenario's standard mix: read-mostly with a
+// defaultKVMix returns the scenario's standard mix: read-mostly with a
 // heavy scan component and occasional writes.
-func DefaultKVMix() KVMix { return KVMix{Gets: 0.59, Scans: 0.40, Puts: 0.01} }
+func defaultKVMix() KVMix { return KVMix{Gets: 0.59, Scans: 0.40, Puts: 0.01} }
 
 func (m KVMix) validate() error {
 	for _, w := range []float64{m.Gets, m.Scans, m.Puts} {
@@ -80,8 +80,8 @@ type KVLoad struct {
 	// OpsPerClient is how many operations each client issues (default
 	// 2000).
 	OpsPerClient int
-	// Mix selects the get/scan/put ratio; the zero mix means
-	// DefaultKVMix.
+	// Mix selects the get/scan/put ratio; the zero mix means 59% gets,
+	// 40% scans, and 1% puts.
 	Mix KVMix
 	// Skew is the Zipf popularity parameter over the key space; 0 is
 	// uniform, 0.99 the classic skewed service workload.
@@ -89,12 +89,6 @@ type KVLoad struct {
 	// Seed seeds the load's master RNG; 0 derives one from the runtime
 	// seed.
 	Seed uint64
-}
-
-// DefaultKVLoad returns the standard load: two clients per core, 2000
-// ops each, the default mix, classic Zipf skew.
-func DefaultKVLoad() KVLoad {
-	return KVLoad{OpsPerClient: defaultKVOpsPerClient, Mix: DefaultKVMix(), Skew: 0.99}
 }
 
 // WithDefaults returns the load with zero fields filled in (Clients
@@ -108,7 +102,7 @@ func (l KVLoad) WithDefaults(cores int) KVLoad {
 		l.OpsPerClient = defaultKVOpsPerClient
 	}
 	if l.Mix == (KVMix{}) {
-		l.Mix = DefaultKVMix()
+		l.Mix = defaultKVMix()
 	}
 	return l
 }

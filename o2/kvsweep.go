@@ -99,23 +99,23 @@ func (p KVPolicy) Options() []Option {
 	case KVCoreTimeReplicated:
 		opts = append(opts,
 			WithMissThreshold(kvMissThreshold),
-			WithReplication(true),
-			WithReplicationThreshold(kvReplicateMinOps, kvReplicateReadRatio),
+			withReplication(true),
+			withReplicationThreshold(kvReplicateMinOps, kvReplicateReadRatio),
 		)
 	case CoreTimeBW:
 		opts = append(opts,
 			WithMissThreshold(kvMissThreshold),
-			WithBandwidthAware(true),
+			withBandwidthAware(),
 		)
 	}
 	return opts
 }
 
-// PolicyAxis sweeps over shard-placement policies. Each value installs
+// policyAxis sweeps over shard-placement policies. Each value installs
 // the policy's options and sets Cell.Scheduler, so the one precedence
 // rule every scenario shares — Cell.Scheduler is authoritative, applied
 // after Options — holds for policy sweeps too.
-func PolicyAxis(policies ...KVPolicy) Axis {
+func policyAxis(policies ...KVPolicy) Axis {
 	vals := make([]AxisValue, len(policies))
 	for i, p := range policies {
 		vals[i] = AxisValue{
@@ -129,8 +129,8 @@ func PolicyAxis(policies ...KVPolicy) Axis {
 	return Axis{Name: "policy", Values: vals}
 }
 
-// MixAxis sweeps over operation mixes.
-func MixAxis(mixes ...KVMix) Axis {
+// mixAxis sweeps over operation mixes.
+func mixAxis(mixes ...KVMix) Axis {
 	vals := make([]AxisValue, len(mixes))
 	for i, m := range mixes {
 		vals[i] = AxisValue{Label: m.Label(), Apply: editScenario("mix", func(s *KVScenario) { s.Load.Mix = m })}
@@ -138,8 +138,8 @@ func MixAxis(mixes ...KVMix) Axis {
 	return Axis{Name: "mix", Values: vals}
 }
 
-// SkewAxis sweeps the Zipf popularity skew of the key stream.
-func SkewAxis(skews ...float64) Axis {
+// skewAxis sweeps the Zipf popularity skew of the key stream.
+func skewAxis(skews ...float64) Axis {
 	vals := make([]AxisValue, len(skews))
 	for i, s := range skews {
 		vals[i] = AxisValue{
@@ -230,13 +230,13 @@ func kvSweep(cfg kvConfig) (string, Sweep) {
 	return title, Sweep{
 		Name: "kv",
 		Base: Cell{Machine: cfg.Machine, Scenario: KVScenario{Spec: cfg.Spec, Load: cfg.Load}},
-		Axes: []Axis{MixAxis(cfg.Mixes...), SkewAxis(cfg.Skews...), PolicyAxis(cfg.Policies...)},
+		Axes: []Axis{mixAxis(cfg.Mixes...), skewAxis(cfg.Skews...), policyAxis(cfg.Policies...)},
 	}
 }
 
 // kvColumns report a KV sweep: throughput (±stddev when the sweep carried
 // repeats), per-op latency, on-chip cache-hit rate, and migrations.
-var kvColumns = []Column{
+var kvColumns = []column{
 	{name: "kops_per_sec", head: "kops/sec", width: 12, csv: 1, spread: "kops_stddev"},
 	{name: "cycles_per_op", head: "cycles/op", width: 12, csv: 1},
 	{name: "cache_hit_rate", head: "hit%", width: 8, prec: 1, csv: 4, pct: true},

@@ -10,7 +10,7 @@
 //	rt, err := o2.New(
 //		o2.WithTopology(o2.Tiny8),
 //		o2.WithScheduler(o2.CoreTime),
-//		o2.WithClustering(true),
+//		o2.WithDecayWindow(10_000_000),
 //	)
 //
 // Shared data becomes objects (Runtime.NewObject or a built workload such
@@ -58,9 +58,9 @@ type Time = sim.Time
 type Addr = mem.Addr
 
 // Topology describes a simulated machine: chips, cores, cache hierarchy,
-// and interconnect. Use one of the presets (AMD16, Tiny8, Small4, or the
-// big-machine NUMA64/NUMA128/NUMA256 family) or derive a variant with its
-// With* methods. The zero value is invalid.
+// and interconnect. Use one of the presets (AMD16, Tiny8, or the 256-core
+// NUMA256) or derive a variant with its With* methods. The zero value is
+// invalid.
 type Topology struct {
 	cfg topology.Config
 }
@@ -74,24 +74,28 @@ var (
 	// smallest configuration exhibiting the paper's effects, at a
 	// fraction of the simulation cost. Preferred for examples and tests.
 	Tiny8 = Topology{topology.Tiny8()}
-	// Small4 is a 4-core single-chip machine for unit tests.
-	Small4 = Topology{topology.Small()}
-
-	// NUMA64 is a 64-core NUMA machine: eight 8-core sockets on a 4×2
-	// interconnect grid, per-socket 8 MB shared L3, with memory-controller
-	// *and* interconnect bandwidth modeled as saturating resources —
-	// sustained overload builds real queueing delay instead of resetting
-	// at each window. The smallest member of the scale sweep's NUMA family.
-	NUMA64 = Topology{topology.NUMA64()}
-	// NUMA128 is a 128-core NUMA machine (sixteen 8-core sockets, 4×4
-	// grid): twice NUMA64's cores contending for the same per-socket DRAM
-	// and link bandwidth, so bandwidth binds earlier.
-	NUMA128 = Topology{topology.NUMA128()}
 	// NUMA256 is a 256-core NUMA machine (thirty-two 8-core sockets, 8×4
 	// grid) — the scale target of the big-machine experiments. Its 288
 	// coherence-directory nodes run on the multi-word sharer bitset, and
 	// hop distances reach 10.
 	NUMA256 = Topology{topology.NUMA256()}
+)
+
+// The machines only the package's own presets and tests use.
+var (
+	// small4 is a 4-core single-chip machine for unit tests.
+	small4 = Topology{topology.Small()}
+
+	// numa64 is a 64-core NUMA machine: eight 8-core sockets on a 4×2
+	// interconnect grid, per-socket 8 MB shared L3, with memory-controller
+	// *and* interconnect bandwidth modeled as saturating resources —
+	// sustained overload builds real queueing delay instead of resetting
+	// at each window. The smallest member of the scale sweep's NUMA family.
+	numa64 = Topology{topology.NUMA64()}
+	// numa128 is a 128-core NUMA machine (sixteen 8-core sockets, 4×4
+	// grid): twice numa64's cores contending for the same per-socket DRAM
+	// and link bandwidth, so bandwidth binds earlier.
+	numa128 = Topology{topology.NUMA128()}
 )
 
 // Name returns the topology's name ("amd16", "tiny8", ...).
@@ -162,26 +166,6 @@ func (s Scheduler) String() string {
 	default:
 		return "coretime"
 	}
-}
-
-// Replacement selects what CoreTime does when the working set no longer
-// fits the cache budgets (paper §6.2).
-type Replacement int
-
-const (
-	// FirstFit is the paper's base algorithm: objects that do not fit
-	// stay unplaced and are served from DRAM.
-	FirstFit Replacement = iota
-	// Frequency evicts the least frequently used placed object when a
-	// hotter object needs its space.
-	Frequency
-)
-
-func (r Replacement) internal() core.ReplacementPolicy {
-	if r == Frequency {
-		return core.ReplaceFrequency
-	}
-	return core.ReplaceNone
 }
 
 // SchedStats counts CoreTime runtime events (operations, migrations,

@@ -145,8 +145,8 @@ func TestBeginROEnablesReplication(t *testing.T) {
 	// Hot read-only object + replication enabled: BeginRO must feed the
 	// read-only signal through, ending with one replica per chip.
 	rt, objs := opTestRuntime(t, 1,
-		WithReplication(true),
-		WithReplicationThreshold(16, 0.9),
+		withReplication(true),
+		withReplicationThreshold(16, 0.9),
 		WithMissThreshold(1),
 	)
 	hot := objs[0]

@@ -14,7 +14,6 @@ type settings struct {
 	topo     Topology
 	sched    Scheduler
 	seed     uint64
-	memBytes int // machine address-space size; 0 = auto
 	exec     exec.Options
 	ct       core.Options
 	traceCap int
@@ -70,21 +69,6 @@ func WithSeed(seed uint64) Option {
 	return func(s *settings) { s.seed = seed }
 }
 
-// WithMemory sets the size in bytes of the machine's simulated address
-// space, the range its objects, locks and workload trees are allocated
-// from. It reserves addresses, not host memory. The default sizes it
-// automatically: 64 MB, raised to fit any workload tree the Runtime is
-// asked to build before its machine materializes.
-func WithMemory(bytes int) Option {
-	return func(s *settings) {
-		if bytes <= 0 {
-			s.errorf("o2: memory size %d must be positive", bytes)
-			return
-		}
-		s.memBytes = bytes
-	}
-}
-
 // WithMissThreshold sets the smoothed per-operation cache-miss count above
 // which an object is considered expensive to fetch and becomes a placement
 // candidate. Lower it for workloads whose operations touch few lines.
@@ -111,23 +95,26 @@ func WithDecayWindow(c Cycles) Option {
 	return func(s *settings) { s.ct.DecayWindow = c }
 }
 
-// WithClustering enables the §6.2 object-clustering extension: objects
+// The options below tune the §6 extensions. Only the package's own
+// ablations, KV policies and RunTrace set them, so they are unexported.
+
+// withClustering enables the §6.2 object-clustering extension: objects
 // marked with Runtime.PlaceTogether are packed into the same cache.
-func WithClustering(on bool) Option {
+func withClustering(on bool) Option {
 	return func(s *settings) { s.ct.EnableClustering = on }
 }
 
-// WithReplication enables the §6.2 read-only replication extension: hot
+// withReplication enables the §6.2 read-only replication extension: hot
 // read-only objects get one copy per chip instead of funneling every
 // operation to a single core.
-func WithReplication(on bool) Option {
+func withReplication(on bool) Option {
 	return func(s *settings) { s.ct.EnableReplication = on }
 }
 
-// WithReplicationThreshold tunes when an object qualifies for replication:
+// withReplicationThreshold tunes when an object qualifies for replication:
 // after minOps read-only operations, provided at least readRatio (0–1] of
 // its operations are read-only.
-func WithReplicationThreshold(minOps uint64, readRatio float64) Option {
+func withReplicationThreshold(minOps uint64, readRatio float64) Option {
 	return func(s *settings) {
 		if readRatio <= 0 || readRatio > 1 {
 			s.errorf("o2: replication read ratio %v must be in (0, 1]", readRatio)
@@ -138,23 +125,43 @@ func WithReplicationThreshold(minOps uint64, readRatio float64) Option {
 	}
 }
 
-// WithBandwidthAware enables CoreTime's bandwidth-aware placement: the
+// withBandwidthAware enables CoreTime's bandwidth-aware placement: the
 // monitor rolls the DRAM/interconnect queueing counters up per socket,
 // spreads placed objects off saturated sockets toward sockets with
 // headroom, and refuses new placements behind saturated controllers. On
 // machines that never saturate (every preset before the NUMA family) the
 // signals stay zero and the policy behaves exactly like plain CoreTime.
-func WithBandwidthAware(on bool) Option {
+func withBandwidthAware() Option {
 	return func(s *settings) {
-		s.ct.BWSpread = on
-		s.ct.BWAdmission = on
+		s.ct.BWSpread = true
+		s.ct.BWAdmission = true
 	}
 }
 
-// WithReplacement selects the over-capacity placement policy (§6.2).
-func WithReplacement(r Replacement) Option {
+// replacement selects what CoreTime does when the working set no longer
+// fits the cache budgets (paper §6.2).
+type replacement int
+
+const (
+	// firstFit is the paper's base algorithm: objects that do not fit
+	// stay unplaced and are served from DRAM.
+	firstFit replacement = iota
+	// frequency evicts the least frequently used placed object when a
+	// hotter object needs its space.
+	frequency
+)
+
+func (r replacement) internal() core.ReplacementPolicy {
+	if r == frequency {
+		return core.ReplaceFrequency
+	}
+	return core.ReplaceNone
+}
+
+// withReplacement selects the over-capacity placement policy (§6.2).
+func withReplacement(r replacement) Option {
 	return func(s *settings) {
-		if r != FirstFit && r != Frequency {
+		if r != firstFit && r != frequency {
 			s.errorf("o2: unknown replacement policy %d", r)
 			return
 		}
@@ -162,10 +169,10 @@ func WithReplacement(r Replacement) Option {
 	}
 }
 
-// WithDRAMUnplaceFraction sets the fraction of an object's lines that may
+// withDRAMUnplaceFraction sets the fraction of an object's lines that may
 // still load from DRAM before the monitor judges its placement ineffective
 // and unplaces it. Zero disables the check.
-func WithDRAMUnplaceFraction(frac float64) Option {
+func withDRAMUnplaceFraction(frac float64) Option {
 	return func(s *settings) {
 		if frac < 0 || frac > 1 {
 			s.errorf("o2: DRAM unplace fraction %v must be in [0, 1]", frac)
@@ -175,9 +182,9 @@ func WithDRAMUnplaceFraction(frac float64) Option {
 	}
 }
 
-// WithMigrationCost sets the fixed CPU cost charged on each side of a
+// withMigrationCost sets the fixed CPU cost charged on each side of a
 // thread migration (the §6.1 active-messages ablation lowers it).
-func WithMigrationCost(c Cycles) Option {
+func withMigrationCost(c Cycles) Option {
 	return func(s *settings) { s.exec.MigrationCPUCost = c }
 }
 

@@ -49,11 +49,10 @@ func TestOptionValidation(t *testing.T) {
 	}{
 		{"zero topology", []Option{WithTopology(Topology{})}, "topology"},
 		{"bad scheduler", []Option{WithScheduler(Scheduler(42))}, "unknown scheduler"},
-		{"bad replacement", []Option{WithReplacement(Replacement(9))}, "unknown replacement"},
-		{"negative memory", []Option{WithMemory(-1)}, "must be positive"},
+		{"bad replacement", []Option{withReplacement(replacement(9))}, "unknown replacement"},
 		{"negative miss threshold", []Option{WithMissThreshold(-1)}, "non-negative"},
-		{"bad read ratio", []Option{WithReplicationThreshold(8, 1.5)}, "read ratio"},
-		{"bad dram fraction", []Option{WithDRAMUnplaceFraction(2)}, "fraction"},
+		{"bad read ratio", []Option{withReplicationThreshold(8, 1.5)}, "read ratio"},
+		{"bad dram fraction", []Option{withDRAMUnplaceFraction(2)}, "fraction"},
 		{"bad trace capacity", []Option{WithTrace(0)}, "trace capacity"},
 	}
 	for _, c := range cases {
@@ -68,11 +67,11 @@ func TestOptionValidation(t *testing.T) {
 }
 
 func TestOptionErrorsAccumulate(t *testing.T) {
-	_, err := New(WithMemory(-1), WithTrace(-3))
+	_, err := New(WithMissThreshold(-1), WithTrace(-3))
 	if err == nil {
 		t.Fatal("want error")
 	}
-	for _, frag := range []string{"must be positive", "trace capacity"} {
+	for _, frag := range []string{"non-negative", "trace capacity"} {
 		if !strings.Contains(err.Error(), frag) {
 			t.Errorf("combined error %q missing %q", err, frag)
 		}
@@ -82,14 +81,14 @@ func TestOptionErrorsAccumulate(t *testing.T) {
 func TestInvalidOptionDoesNotClobberSetting(t *testing.T) {
 	// A rejected value must leave the previous (default) setting intact,
 	// not half-apply.
-	_, err := New(WithReplicationThreshold(8, -0.5))
+	_, err := New(withReplicationThreshold(8, -0.5))
 	if err == nil {
 		t.Fatal("want error for negative read ratio")
 	}
 	// And a valid runtime built afterwards still defaults sanely.
-	rt := MustNew(WithTopology(Small4))
+	rt := MustNew(WithTopology(small4))
 	if rt.NumCores() != 4 {
-		t.Errorf("Small4 cores = %d, want 4", rt.NumCores())
+		t.Errorf("small4 cores = %d, want 4", rt.NumCores())
 	}
 }
 
@@ -108,18 +107,11 @@ func TestWithCoreSpeedsValidated(t *testing.T) {
 
 func TestWithMemoryGrowsForTree(t *testing.T) {
 	// The lazy machine image must grow to fit a tree larger than the
-	// 64 MB default would hold.
-	spec := DirSpec{Dirs: 64, EntriesPerDir: 1000}
+	// 64 MB default would hold: 35 MB of entries need a ~79 MB volume.
+	spec := DirSpec{Dirs: 1100, EntriesPerDir: 1000}
 	rt := MustNew(WithTopology(Tiny8))
 	if _, err := rt.NewDirTree(spec); err != nil {
 		t.Fatalf("auto-sized tree build failed: %v", err)
-	}
-
-	// An explicit WithMemory below the requirement is still grown, never
-	// silently truncated.
-	rt2 := MustNew(WithTopology(Tiny8), WithMemory(1<<20))
-	if _, err := rt2.NewDirTree(spec); err != nil {
-		t.Fatalf("tree build with small explicit memory failed: %v", err)
 	}
 }
 
@@ -129,7 +121,7 @@ func TestExperimentPartialParamsDefaulted(t *testing.T) {
 	// uses — not run a zero-length measurement or panic deep inside the
 	// workload driver.
 	exp := Experiment{
-		Machine: Small4,
+		Machine: small4,
 		Tree:    DirSpec{Dirs: 2, EntriesPerDir: 64},
 		Params:  RunParams{Seed: 2, Warmup: 100_000, Measure: 200_000},
 	}
@@ -157,7 +149,7 @@ func TestExperimentDefaults(t *testing.T) {
 	p.Warmup = 200_000
 	p.Measure = 400_000
 	exp := Experiment{
-		Machine: Small4,
+		Machine: small4,
 		Tree:    DirSpec{Dirs: 2, EntriesPerDir: 64},
 		Params:  p,
 	}

@@ -6,7 +6,11 @@ package o2
 // preset by name, set the sweep's seed, workers, and repeats, run it, and
 // hand the result back to the preset to render.
 
-import "io"
+import (
+	"fmt"
+	"io"
+	"strings"
+)
 
 // Preset is one named scenario of the evaluation: a sweep at full or
 // reduced scale, and the report that renders its result. Presets and
@@ -64,14 +68,105 @@ func preset[C any](name, usage string, full, quick func() C, build func(C) (stri
 	}}
 }
 
-// columns renders one row per cell through WriteTable and WriteCSV.
-func columns(cols []Column) renderFunc {
+// columns is the renderFunc of a report declared as a column list: one
+// row per cell, as writeTable or writeCSV lays it out.
+func columns(cols []column) renderFunc {
 	return func(w io.Writer, title string, _ Sweep, res *SweepResult, csv bool) error {
 		if csv {
-			res.WriteCSV(w, cols)
+			writeCSV(w, res, cols)
 		} else {
-			res.WriteTable(w, title, cols)
+			writeTable(w, title, res, cols)
 		}
 		return nil
+	}
+}
+
+// column is how a column-list report renders one metric of every cell.
+type column struct {
+	name  string // CSV header, and the metric read unless value is set
+	head  string // table header; "" keeps the column out of the table
+	width int    // table width
+	prec  int    // table decimals
+	csv   int    // CSV decimals
+	pct   bool   // the table shows the value ×100
+	// spread, when set, is the CSV header of the metric's stddev; the
+	// table shows it as ±stddev when the sweep carried repeats.
+	spread string
+	value  func(*CellResult) Aggregate
+}
+
+func (col *column) of(c *CellResult) Aggregate {
+	if col.value != nil {
+		return col.value(c)
+	}
+	return c.Stats[col.name]
+}
+
+// writeTable renders r as an aligned text table under a "# title" line:
+// one row per cell, its axis labels followed by cols.
+func writeTable(w io.Writer, title string, r *SweepResult, cols []column) {
+	withStats := r.Repeats > 1
+	var shown []column
+	for _, col := range cols {
+		if col.head != "" {
+			shown = append(shown, col)
+		}
+	}
+	fmt.Fprintf(w, "# %s\n", title)
+	var line []string
+	for _, ax := range r.Axes {
+		line = append(line, fmt.Sprintf("%-16s", ax))
+	}
+	for _, col := range shown {
+		width := col.width
+		if withStats && col.spread != "" {
+			width += 8 // the mean one wider, then " ±" and a 5-wide stddev
+		}
+		line = append(line, fmt.Sprintf("%*s", width, col.head))
+	}
+	fmt.Fprintln(w, strings.Join(line, " "))
+	for i := range r.Cells {
+		c := &r.Cells[i]
+		line = line[:0]
+		for _, l := range c.Labels {
+			line = append(line, fmt.Sprintf("%-16s", l))
+		}
+		for _, col := range shown {
+			a := col.of(c)
+			if col.pct {
+				a.Mean, a.Stddev = 100*a.Mean, 100*a.Stddev
+			}
+			if withStats && col.spread != "" {
+				line = append(line, fmt.Sprintf("%*.*f ±%5.*f", col.width+1, col.prec, a.Mean, col.prec, a.Stddev))
+			} else {
+				line = append(line, fmt.Sprintf("%*.*f", col.width, col.prec, a.Mean))
+			}
+		}
+		fmt.Fprintln(w, strings.Join(line, " "))
+	}
+}
+
+// writeCSV emits the same cells as CSV for plotting: the axis labels, then
+// every column, each spread column followed by its stddev.
+func writeCSV(w io.Writer, r *SweepResult, cols []column) {
+	head := append([]string(nil), r.Axes...)
+	for _, col := range cols {
+		head = append(head, col.name)
+		if col.spread != "" {
+			head = append(head, col.spread)
+		}
+	}
+	fmt.Fprintln(w, strings.Join(head, ","))
+	for i := range r.Cells {
+		c := &r.Cells[i]
+		row := append([]string(nil), c.Labels...)
+		for _, col := range cols {
+			a := col.of(c)
+			row = append(row, fmt.Sprintf("%.*f", col.csv, a.Mean))
+			if col.spread != "" {
+				row = append(row, fmt.Sprintf("%.1f", a.Stddev))
+			}
+		}
+		fmt.Fprintln(w, strings.Join(row, ","))
 	}
 }

@@ -257,7 +257,7 @@ func TestCellsRepeatUnderTrace(t *testing.T) {
 			if !ok {
 				t.Fatalf("sweep %s has no cell %v", sw.Name, tc.labels)
 			}
-			c.Seed = CellSeed(7, c.Index, 0)
+			c.Seed = cellSeed(7, c.Index, 0)
 			c.Options = append(slices.Clone(c.Options), WithTrace(1<<15))
 			want, wantEvents := tracedMeasure(t, c)
 			if len(wantEvents) == 0 {

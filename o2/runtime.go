@@ -13,8 +13,8 @@ import (
 	"repro/internal/trace"
 )
 
-// defaultImageBytes sizes the machine address space when the caller
-// neither passed WithMemory nor built a workload tree before first use.
+// defaultImageBytes sizes the machine address space unless a workload
+// tree built before first use needs more.
 const defaultImageBytes = 64 << 20
 
 // Runtime is a built O2 system: one simulated machine, its execution
@@ -61,21 +61,14 @@ func MustNew(opts ...Option) *Runtime {
 
 // ensure materializes the engine, machine, substrate, and scheduler. A
 // workload builder passes the address space it needs; zero means "no
-// requirement". The machine's address space is WithMemory's size, or the
-// 64 MB default, raised to that requirement. It holds no bytes, so its
-// size costs no host memory.
+// requirement". The machine's address space is the 64 MB default, raised
+// to that requirement. It holds no bytes, so its size costs no host
+// memory.
 func (rt *Runtime) ensure(minImage int) error {
 	if rt.sys != nil {
 		return nil
 	}
-	bytes := rt.set.memBytes
-	if bytes == 0 {
-		bytes = defaultImageBytes
-	}
-	if minImage > bytes {
-		bytes = minImage
-	}
-	m, err := machine.New(rt.set.topo.cfg, bytes)
+	m, err := machine.New(rt.set.topo.cfg, max(defaultImageBytes, minImage))
 	if err != nil {
 		return err
 	}
@@ -227,7 +220,8 @@ func (rt *Runtime) NewLock(name string) *Lock {
 
 // PlaceTogether marks the objects as a cluster the packer should keep in
 // one cache (§6.2). It is a hint; it only takes effect under CoreTime with
-// WithClustering(true).
+// the clustering extension on, which only the package's clustering
+// ablations enable.
 func (rt *Runtime) PlaceTogether(objs ...*Object) {
 	if rt.ct == nil {
 		return

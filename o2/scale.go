@@ -82,7 +82,7 @@ type scaleConfig struct {
 // saturation-signal variant.
 func defaultScaleConfig() scaleConfig {
 	return scaleConfig{
-		Machines:      []Topology{AMD16, NUMA64, NUMA128, NUMA256},
+		Machines:      []Topology{AMD16, numa64, numa128, NUMA256},
 		Services:      []scaleService{scaleDirLookup, scaleKV},
 		Policies:      []KVPolicy{KVThreadScheduler, KVCoreTime, CoreTimeBW},
 		DirsPerCore:   14,
@@ -104,7 +104,7 @@ func defaultScaleConfig() scaleConfig {
 // converged full run.
 func quickScaleConfig() scaleConfig {
 	cfg := defaultScaleConfig()
-	cfg.Machines = []Topology{AMD16, NUMA64}
+	cfg.Machines = []Topology{AMD16, numa64}
 	cfg.DirsPerCore = 8
 	cfg.EntriesPerDir = 250
 	cfg.Params.Warmup = 1_500_000
@@ -167,9 +167,9 @@ func scaleSweep(cfg scaleConfig) (string, Sweep) {
 		Name: "scale",
 		Axes: []Axis{
 			// Machine first: the service axis sizes working sets from it.
-			TopologyAxis(cfg.Machines...),
+			topologyAxis(cfg.Machines...),
 			scaleServiceAxis(cfg),
-			PolicyAxis(cfg.Policies...),
+			policyAxis(cfg.Policies...),
 		},
 		Runner: scaleCell,
 	}
@@ -187,7 +187,7 @@ func throughput(c *CellResult) Aggregate {
 
 // scaleColumns report a scale sweep: total throughput (±stddev when the
 // sweep carried repeats), per-core throughput, and migrations.
-var scaleColumns = []Column{
+var scaleColumns = []column{
 	{name: "kops_per_sec", head: "kops/sec", width: 12, csv: 1, spread: "kops_stddev", value: throughput},
 	{name: "per_core_kops", head: "kops/sec/core", width: 14, prec: 1, csv: 2},
 	{name: "migrations", head: "migrations", width: 11},

@@ -5,7 +5,7 @@ import "testing"
 // scaleBWCell measures one (machine, dirlookup, policy) cell as a
 // single-policy sweep. Running each policy as its own one-cell sweep —
 // rather than as two values on a shared policy axis — gives both
-// policies cell index 0 and therefore the SAME derived CellSeed, so the
+// policies cell index 0 and therefore the SAME derived cellSeed, so the
 // comparison isolates the policy from sweep-layout seed noise.
 func scaleBWCell(t *testing.T, m Topology, policy KVPolicy) float64 {
 	t.Helper()
@@ -38,7 +38,7 @@ func TestScaleBandwidthAwarePinsNUMA(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, m := range []Topology{NUMA128, NUMA256} {
+	for _, m := range []Topology{numa128, NUMA256} {
 		plain := scaleBWCell(t, m, KVCoreTime)
 		bw := scaleBWCell(t, m, CoreTimeBW)
 		t.Logf("%s dirlookup per-core kops: coretime %.2f, coretime-bw %.2f", m.Name(), plain, bw)

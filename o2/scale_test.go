@@ -114,7 +114,7 @@ func TestScaleArenaRepeatsMatchFreshRuns(t *testing.T) {
 		t.Skip("short mode")
 	}
 	cfg := quickScaleConfig()
-	cfg.Machines = []Topology{NUMA64}
+	cfg.Machines = []Topology{numa64}
 	cfg.Policies = []KVPolicy{KVCoreTime}
 	cfg.Params.Warmup = 300_000
 	cfg.Params.Measure = 300_000

@@ -26,9 +26,8 @@ func DeriveSeed(base uint64, strata ...uint64) uint64 {
 	return stats.DeriveSeed(base, strata...)
 }
 
-// CellSeed returns the seed the sweep engine assigns to one repeat of one
-// cell. Exposed so tests and external harnesses can reproduce a single
-// cell of a sweep in isolation.
-func CellSeed(base uint64, cellIndex, repeat int) uint64 {
+// cellSeed returns the seed the sweep engine assigns to one repeat of one
+// cell; a test reproduces a single cell of a sweep in isolation with it.
+func cellSeed(base uint64, cellIndex, repeat int) uint64 {
 	return stats.DeriveSeed(base, uint64(cellIndex), uint64(repeat))
 }

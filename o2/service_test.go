@@ -333,7 +333,7 @@ func TestWebServiceDefaultsAndValidation(t *testing.T) {
 		t.Errorf("CompactionWorkers without a share should resolve to 0, got %d", noComp.CompactionWorkers)
 	}
 
-	rt := MustNew(WithTopology(Small4))
+	rt := MustNew(WithTopology(small4))
 	if _, err := rt.NewWebService(WebSpec{DocRoots: -1}); err == nil {
 		t.Error("negative docroot count accepted")
 	}

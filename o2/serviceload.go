@@ -135,11 +135,11 @@ type ServiceLoad struct {
 	Seed uint64
 }
 
-// DefaultServiceLoad returns the standard load shape — one worker per
+// defaultServiceLoad returns the standard load shape — one worker per
 // core, 4000 Poisson requests, hot-vhost skew, no compaction — with the
 // arrival rate left for the caller: pick one against the machine (see
 // the web preset for the paper-machine rates).
-func DefaultServiceLoad() ServiceLoad {
+func defaultServiceLoad() ServiceLoad {
 	return ServiceLoad{Requests: defaultWebRequests, Skew: 0.99}
 }
 

@@ -1,7 +1,7 @@
 package o2
 
 // Sweep integration for the WebService scenario: the ArrivalRate and
-// Compaction axes (placement policies reuse PolicyAxis — the KVPolicy
+// Compaction axes (placement policies reuse policyAxis — the KVPolicy
 // bundles are scheduler configurations, not KV-specific), the WebScenario
 // cell workload, and the web and soak presets' configurations and sweeps.
 
@@ -10,10 +10,10 @@ import (
 	"strconv"
 )
 
-// ArrivalRateAxis sweeps the offered arrival rate in requests per second
+// arrivalRateAxis sweeps the offered arrival rate in requests per second
 // of simulated time — the axis that walks a service from underload through
 // saturation into overload.
-func ArrivalRateAxis(rps ...float64) Axis {
+func arrivalRateAxis(rps ...float64) Axis {
 	vals := make([]AxisValue, len(rps))
 	for i, r := range rps {
 		vals[i] = AxisValue{
@@ -24,9 +24,9 @@ func ArrivalRateAxis(rps ...float64) Axis {
 	return Axis{Name: "rps", Values: vals}
 }
 
-// CompactionAxis sweeps the background compaction duty cycle (0 disables
+// compactionAxis sweeps the background compaction duty cycle (0 disables
 // the compaction thread class).
-func CompactionAxis(shares ...float64) Axis {
+func compactionAxis(shares ...float64) Axis {
 	vals := make([]AxisValue, len(shares))
 	for i, s := range shares {
 		vals[i] = AxisValue{
@@ -97,7 +97,7 @@ func defaultWebConfig() webConfig {
 	return webConfig{
 		Machine:          AMD16,
 		Spec:             WebSpec{DocRoots: 224, FilesPerRoot: 1000},
-		Load:             DefaultServiceLoad(),
+		Load:             defaultServiceLoad(),
 		Rates:            []float64{200_000, 400_000, 800_000},
 		CompactionShares: []float64{0, 0.5},
 		Policies:         KVPolicies(),
@@ -152,9 +152,9 @@ func webSweep(cfg webConfig) (string, Sweep) {
 		Name: "web",
 		Base: Cell{Machine: cfg.Machine, Scenario: WebScenario{Spec: cfg.Spec, Load: cfg.Load}},
 		Axes: []Axis{
-			ArrivalRateAxis(cfg.Rates...),
-			CompactionAxis(cfg.CompactionShares...),
-			PolicyAxis(cfg.Policies...),
+			arrivalRateAxis(cfg.Rates...),
+			compactionAxis(cfg.CompactionShares...),
+			policyAxis(cfg.Policies...),
 		},
 	}
 }
@@ -170,7 +170,7 @@ func soakSweep(cfg webConfig) (string, Sweep) {
 // webColumns report a web or soak sweep: offered vs achieved throughput,
 // the drop rate, and the latency quantiles (p99 ±stddev when the sweep
 // carried repeats). Mean latency and migrations appear in the CSV only.
-var webColumns = []Column{
+var webColumns = []column{
 	{name: "offered_krps", head: "off krps", width: 10, csv: 1},
 	{name: "achieved_krps", head: "ach krps", width: 10, csv: 1},
 	{name: "drop_rate", head: "drop%", width: 6, prec: 1, csv: 4, pct: true},

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"sync"
 
 	"repro/internal/stats"
@@ -14,7 +13,7 @@ import (
 // Sweep is the Experiment layer's parameter-sweep engine: a declarative
 // grid of configurations (the cross product of Axes applied to Base),
 // executed by a bounded worker pool. Each grid cell runs Repeats times
-// with a deterministic per-cell seed (see CellSeed), and the repeats are
+// with a deterministic per-cell seed (see seed.go), and the repeats are
 // aggregated into mean/stddev/min/max summaries per metric. A cell's
 // repeats run sequentially on one worker sharing a cellArena, so
 // scenarios reuse the built runtime across repeats instead of
@@ -22,11 +21,15 @@ import (
 // Sweep with the same Seed produces byte-identical output at Workers=1
 // and Workers=N.
 //
-// A Figure-4-style comparison over tree sizes and schedulers:
+// A Figure-4-style comparison of two schedulers on one tree:
 //
 //	sw := o2.Sweep{
-//		Base:    o2.Cell{Machine: o2.AMD16, Scenario: o2.DirLookupScenario{Params: o2.DefaultRunParams()}},
-//		Axes:    []o2.Axis{o2.DirCountAxis(1000, 64, 224, 640), o2.SchedulerAxis(o2.Baseline, o2.CoreTime)},
+//		Base: o2.Cell{Machine: o2.AMD16, Scenario: o2.DirLookupScenario{
+//			Tree: o2.DirSpec{Dirs: 224, EntriesPerDir: 1000}, Params: o2.DefaultRunParams()}},
+//		Axes: []o2.Axis{{Name: "scheduler", Values: []o2.AxisValue{
+//			{Label: "thread-scheduler", Apply: func(c *o2.Cell) { c.Scheduler = o2.Baseline }},
+//			{Label: "coretime", Apply: func(c *o2.Cell) { c.Scheduler = o2.CoreTime }},
+//		}}},
 //		Repeats: 3,
 //		Workers: 8,
 //	}
@@ -60,9 +63,9 @@ type Sweep struct {
 }
 
 // Axis is one dimension of a sweep grid: an ordered set of values, each of
-// which edits the cell under construction. Helpers build the common axes
-// (TopologyAxis, SchedulerAxis, DirCountAxis); custom axes are Axis
-// literals with arbitrary Apply functions.
+// which edits the cell under construction. The presets build theirs with
+// this package's axis helpers; a caller's axes are Axis literals with
+// arbitrary Apply functions.
 type Axis struct {
 	Name   string
 	Values []AxisValue
@@ -76,8 +79,8 @@ type AxisValue struct {
 	Apply func(*Cell)
 }
 
-// TopologyAxis sweeps over simulated machines.
-func TopologyAxis(tops ...Topology) Axis {
+// topologyAxis sweeps over simulated machines.
+func topologyAxis(tops ...Topology) Axis {
 	vals := make([]AxisValue, len(tops))
 	for i, t := range tops {
 		vals[i] = AxisValue{Label: t.Name(), Apply: func(c *Cell) { c.Machine = t }}
@@ -85,8 +88,8 @@ func TopologyAxis(tops ...Topology) Axis {
 	return Axis{Name: "machine", Values: vals}
 }
 
-// SchedulerAxis sweeps over scheduling policies.
-func SchedulerAxis(scheds ...Scheduler) Axis {
+// schedulerAxis sweeps over scheduling policies.
+func schedulerAxis(scheds ...Scheduler) Axis {
 	vals := make([]AxisValue, len(scheds))
 	for i, sc := range scheds {
 		vals[i] = AxisValue{Label: sc.String(), Apply: func(c *Cell) { c.Scheduler = sc }}
@@ -94,9 +97,9 @@ func SchedulerAxis(scheds ...Scheduler) Axis {
 	return Axis{Name: "scheduler", Values: vals}
 }
 
-// DirCountAxis sweeps the directory tree's size: one value per directory
+// dirCountAxis sweeps the directory tree's size: one value per directory
 // count, each entriesPerDir entries — the x-axis of Figure 4.
-func DirCountAxis(entriesPerDir int, counts ...int) Axis {
+func dirCountAxis(entriesPerDir int, counts ...int) Axis {
 	vals := make([]AxisValue, len(counts))
 	for i, n := range counts {
 		vals[i] = AxisValue{
@@ -121,19 +124,20 @@ type Cell struct {
 	Labels []string
 	// Repeat is which repetition this measurement is (0-based).
 	Repeat int
-	// Seed is the measurement's derived seed, CellSeed(sweep.Seed,
-	// Index, Repeat). Every scenario installs it as the runtime's seed
-	// and as its workload's seed.
+	// Seed is the measurement's seed, derived from the sweep's Seed,
+	// Index, and Repeat alone. Every scenario installs it as the
+	// runtime's seed and as its workload's seed.
 	Seed uint64
 
 	// Machine is the simulated topology; the zero value means AMD16.
 	Machine Topology
 	// Scheduler is the scheduling policy (default CoreTime). It is
 	// authoritative: every scenario applies it after Options. Axes that
-	// select schedulers (SchedulerAxis, PolicyAxis) set this field.
+	// select schedulers or placement policies set this field.
 	Scheduler Scheduler
 	// Scenario is the workload the cell measures: a DirLookupScenario,
-	// KVScenario, or WebScenario. A sweep without a Runner measures it.
+	// a WebScenario, or one of the presets' unexported scenarios. A sweep
+	// without a Runner measures it.
 	Scenario Scenario
 	// Options apply to the runtime after WithTopology/WithSeed.
 	Options []Option
@@ -155,8 +159,8 @@ func (c Cell) measure() (Metrics, error) {
 
 // Scenario is the workload of a sweep cell, able to measure itself on
 // the cell's machine, scheduler, options, and seed: DirLookupScenario,
-// KVScenario, WebScenario, or one of the ablations' unexported
-// scenarios. Every scenario builds its runtime through scenarioForCell,
+// WebScenario, or one of the presets' unexported scenarios (the KV
+// store's, the ablations'). Every scenario builds its runtime through scenarioForCell,
 // so all share one precedence rule and arena reuse.
 type Scenario interface {
 	measure(c Cell) (Metrics, error)
@@ -298,97 +302,6 @@ func (r *SweepResult) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// Column is how WriteTable and WriteCSV render one metric of every cell.
-// Each preset declares its report as a column list (see preset.go).
-type Column struct {
-	name  string // CSV header, and the metric read unless value is set
-	head  string // table header; "" keeps the column out of the table
-	width int    // table width
-	prec  int    // table decimals
-	csv   int    // CSV decimals
-	pct   bool   // the table shows the value ×100
-	// spread, when set, is the CSV header of the metric's stddev; the
-	// table shows it as ±stddev when the sweep carried repeats.
-	spread string
-	value  func(*CellResult) Aggregate
-}
-
-func (col *Column) of(c *CellResult) Aggregate {
-	if col.value != nil {
-		return col.value(c)
-	}
-	return c.Stats[col.name]
-}
-
-// WriteTable renders the result as an aligned text table under a "# title"
-// line: one row per cell, its axis labels followed by cols.
-func (r *SweepResult) WriteTable(w io.Writer, title string, cols []Column) {
-	withStats := r.Repeats > 1
-	var shown []Column
-	for _, col := range cols {
-		if col.head != "" {
-			shown = append(shown, col)
-		}
-	}
-	fmt.Fprintf(w, "# %s\n", title)
-	var line []string
-	for _, ax := range r.Axes {
-		line = append(line, fmt.Sprintf("%-16s", ax))
-	}
-	for _, col := range shown {
-		width := col.width
-		if withStats && col.spread != "" {
-			width += 8 // the mean one wider, then " ±" and a 5-wide stddev
-		}
-		line = append(line, fmt.Sprintf("%*s", width, col.head))
-	}
-	fmt.Fprintln(w, strings.Join(line, " "))
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		line = line[:0]
-		for _, l := range c.Labels {
-			line = append(line, fmt.Sprintf("%-16s", l))
-		}
-		for _, col := range shown {
-			a := col.of(c)
-			if col.pct {
-				a.Mean, a.Stddev = 100*a.Mean, 100*a.Stddev
-			}
-			if withStats && col.spread != "" {
-				line = append(line, fmt.Sprintf("%*.*f ±%5.*f", col.width+1, col.prec, a.Mean, col.prec, a.Stddev))
-			} else {
-				line = append(line, fmt.Sprintf("%*.*f", col.width, col.prec, a.Mean))
-			}
-		}
-		fmt.Fprintln(w, strings.Join(line, " "))
-	}
-}
-
-// WriteCSV emits the same cells as CSV for plotting: the axis labels, then
-// every column, each spread column followed by its stddev.
-func (r *SweepResult) WriteCSV(w io.Writer, cols []Column) {
-	head := append([]string(nil), r.Axes...)
-	for _, col := range cols {
-		head = append(head, col.name)
-		if col.spread != "" {
-			head = append(head, col.spread)
-		}
-	}
-	fmt.Fprintln(w, strings.Join(head, ","))
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		row := append([]string(nil), c.Labels...)
-		for _, col := range cols {
-			a := col.of(c)
-			row = append(row, fmt.Sprintf("%.*f", col.csv, a.Mean))
-			if col.spread != "" {
-				row = append(row, fmt.Sprintf("%.1f", a.Stddev))
-			}
-		}
-		fmt.Fprintln(w, strings.Join(row, ","))
-	}
-}
-
 // cells expands the grid row-major (last axis fastest).
 func (s Sweep) cells() []Cell {
 	total := 1
@@ -447,8 +360,8 @@ func runRecovered(run func(Cell) (Metrics, error), c Cell) (m Metrics, err error
 
 // Run executes the sweep and returns the aggregated results. Cells are
 // distributed over the worker pool and each cell's repeats run
-// sequentially on its worker; every measurement is seeded with CellSeed
-// and no state — RNG, caches, machine counters — is shared between
+// sequentially on its worker; every measurement is seeded with its
+// cellSeed and no state — RNG, caches, machine counters — is shared between
 // concurrent measurements (repeats of one cell share an arena, but only
 // after the previous repeat has fully drained). A panicking repeat fails
 // like an erroring one, and the first failure (in grid order,
@@ -516,12 +429,12 @@ func (s Sweep) Run() (*SweepResult, error) {
 				// can share an arena: the first repeat builds the runtime
 				// and scenario, later repeats reset and reuse them.
 				// Determinism is unaffected — each repeat's behavior is a
-				// pure function of its CellSeed either way.
+				// pure function of its cellSeed either way.
 				arena := &cellArena{}
 				for r := 0; r < repeats; r++ {
 					c := cells[ci]
 					c.Repeat = r
-					c.Seed = CellSeed(s.Seed, c.Index, r)
+					c.Seed = cellSeed(s.Seed, c.Index, r)
 					c.arena = arena
 					m, err := runRecovered(run, c)
 					runs[ci][r] = m

@@ -21,8 +21,8 @@ func tinySweep() Sweep {
 		Name: "tiny",
 		Base: Cell{Machine: Tiny8, Scenario: DirLookupScenario{Params: p}},
 		Axes: []Axis{
-			DirCountAxis(128, 2, 6),
-			SchedulerAxis(Baseline, CoreTime),
+			dirCountAxis(128, 2, 6),
+			schedulerAxis(Baseline, CoreTime),
 		},
 		Repeats: 2,
 		Seed:    7,
@@ -96,7 +96,7 @@ func TestSweepNoAxesRunsBaseCell(t *testing.T) {
 	var got []Cell
 	res, err := Sweep{
 		Name: "point",
-		Base: Cell{Machine: Small4},
+		Base: Cell{Machine: small4},
 		Runner: func(c Cell) (Metrics, error) {
 			got = append(got, c)
 			return Metrics{"v": 1}, nil
@@ -108,7 +108,7 @@ func TestSweepNoAxesRunsBaseCell(t *testing.T) {
 	if len(got) != 1 || len(res.Cells) != 1 {
 		t.Fatalf("axis-less sweep ran %d cells, reported %d", len(got), len(res.Cells))
 	}
-	if got[0].Machine.Name() != Small4.Name() {
+	if got[0].Machine.Name() != small4.Name() {
 		t.Errorf("base cell not passed through: %+v", got[0])
 	}
 }
@@ -117,11 +117,11 @@ func TestSweepPerCellSeeds(t *testing.T) {
 	seen := map[uint64]int{}
 	res, err := Sweep{
 		Name:    "seeds",
-		Axes:    []Axis{SchedulerAxis(Baseline, CoreTime)},
+		Axes:    []Axis{schedulerAxis(Baseline, CoreTime)},
 		Repeats: 3,
 		Seed:    42,
 		Runner: func(c Cell) (Metrics, error) {
-			if c.Seed != CellSeed(42, c.Index, c.Repeat) {
+			if c.Seed != cellSeed(42, c.Index, c.Repeat) {
 				return nil, fmt.Errorf("cell %d repeat %d got seed %d", c.Index, c.Repeat, c.Seed)
 			}
 			return Metrics{"seed": float64(c.Seed)}, nil
@@ -185,7 +185,7 @@ func TestSweepErrorIsFirstInGridOrder(t *testing.T) {
 		if err == nil || !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want wrapped boom", workers, err)
 		}
-		want := fmt.Sprintf("cell 1 [b] repeat 0 seed %d:", CellSeed(0, 1, 0))
+		want := fmt.Sprintf("cell 1 [b] repeat 0 seed %d:", cellSeed(0, 1, 0))
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("workers=%d: err %q does not name the first failing cell as %q", workers, err, want)
 		}
@@ -208,8 +208,8 @@ func TestSweepWithoutRunnerFails(t *testing.T) {
 // instead of measuring unchanged cells under the axis's labels.
 func TestSweepAxisScenarioMismatchFails(t *testing.T) {
 	_, web := webSweep(quickWebConfig())
-	web.Axes = append(web.Axes, MixAxis(KVMix{Gets: 1}, KVMix{Scans: 1}))
-	bare := Sweep{Name: "bare", Axes: []Axis{DirCountAxis(64, 2)}}
+	web.Axes = append(web.Axes, mixAxis(KVMix{Gets: 1}, KVMix{Scans: 1}))
+	bare := Sweep{Name: "bare", Axes: []Axis{dirCountAxis(64, 2)}}
 	for _, tc := range []struct {
 		s    Sweep
 		want string
@@ -233,8 +233,8 @@ func TestSweepPanicBecomesCellError(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := Sweep{
 		Name:    "panic",
-		Base:    Cell{Machine: Tiny8, Options: []Option{WithMemory(1 << 20)}},
-		Axes:    []Axis{SchedulerAxis(Baseline, CoreTime)},
+		Base:    Cell{Machine: Tiny8},
+		Axes:    []Axis{schedulerAxis(Baseline, CoreTime)},
 		Repeats: 2,
 		Workers: 2,
 		Runner: func(c Cell) (Metrics, error) {
@@ -259,7 +259,7 @@ func TestSweepPanicBecomesCellError(t *testing.T) {
 		},
 	}
 	_, err := s.Run()
-	want := fmt.Sprintf(`o2: sweep "panic" cell 1 [coretime] repeat 1 seed %d: panic: boom`, CellSeed(0, 1, 1))
+	want := fmt.Sprintf(`o2: sweep "panic" cell 1 [coretime] repeat 1 seed %d: panic: boom`, cellSeed(0, 1, 1))
 	if err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
 	}
@@ -273,7 +273,7 @@ func TestSweepPanicBecomesCellError(t *testing.T) {
 
 // honorsCellScheduler pins the precedence rule every scenario shares
 // through scenarioForCell: Cell.Scheduler is authoritative, applied after
-// Options, and PolicyAxis keeps it in sync with the policy it applies.
+// Options, and policyAxis keeps it in sync with the policy it applies.
 func honorsCellScheduler(t *testing.T, sc Scenario) {
 	t.Helper()
 	// A CoreTime option under a Baseline cell scheduler: the cell wins.
@@ -286,18 +286,18 @@ func honorsCellScheduler(t *testing.T, sc Scenario) {
 		t.Errorf("%T: Scheduler=Baseline cell migrated %v times; Cell.Scheduler is not authoritative", sc, m["migrations"])
 	}
 
-	// A PolicyAxis value applied over a conflicting base scheduler must
+	// A policyAxis value applied over a conflicting base scheduler must
 	// select the policy's scheduler, not the base's.
 	viaAxis := Cell{Machine: Tiny8, Scenario: sc, Scheduler: Baseline}
-	PolicyAxis(KVCoreTime).Values[0].Apply(&viaAxis)
+	policyAxis(KVCoreTime).Values[0].Apply(&viaAxis)
 	if viaAxis.Scheduler != CoreTime {
-		t.Fatalf("PolicyAxis left Cell.Scheduler = %v, want CoreTime", viaAxis.Scheduler)
+		t.Fatalf("policyAxis left Cell.Scheduler = %v, want CoreTime", viaAxis.Scheduler)
 	}
 	if m, err = viaAxis.measure(); err != nil {
 		t.Fatal(err)
 	}
 	if m["migrations"] == 0 {
-		t.Errorf("%T: PolicyAxis(KVCoreTime) cell never migrated; the policy is not in effect", sc)
+		t.Errorf("%T: policyAxis(KVCoreTime) cell never migrated; the policy is not in effect", sc)
 	}
 }
 
@@ -331,8 +331,8 @@ func TestSweepOptionsDoNotAliasAcrossCells(t *testing.T) {
 		Name: "alias",
 		Base: Cell{Options: base},
 		Axes: []Axis{{Name: "variant", Values: []AxisValue{
-			{Label: "x", Apply: func(c *Cell) { c.Options = append(c.Options, WithClustering(true)) }},
-			{Label: "y", Apply: func(c *Cell) { c.Options = append(c.Options, WithReplication(true)) }},
+			{Label: "x", Apply: func(c *Cell) { c.Options = append(c.Options, withClustering(true)) }},
+			{Label: "y", Apply: func(c *Cell) { c.Options = append(c.Options, withReplication(true)) }},
 		}}},
 		Workers: 1,
 		Runner: func(c Cell) (Metrics, error) {
@@ -355,13 +355,13 @@ func TestSweepOptionsDoNotAliasAcrossCells(t *testing.T) {
 }
 
 func TestCellSeedDeterministicAndDistinct(t *testing.T) {
-	if CellSeed(1, 2, 3) != CellSeed(1, 2, 3) {
-		t.Error("CellSeed not deterministic")
+	if cellSeed(1, 2, 3) != cellSeed(1, 2, 3) {
+		t.Error("cellSeed not deterministic")
 	}
 	seen := map[uint64]bool{}
 	for cell := 0; cell < 50; cell++ {
 		for rep := 0; rep < 4; rep++ {
-			seen[CellSeed(99, cell, rep)] = true
+			seen[cellSeed(99, cell, rep)] = true
 		}
 	}
 	if len(seen) != 200 {
@@ -405,7 +405,7 @@ func TestFig4SweepMatchesExperiment(t *testing.T) {
 	s := Sweep{
 		Name:    "pin",
 		Base:    Cell{Machine: Tiny8, Scenario: DirLookupScenario{Params: p}},
-		Axes:    []Axis{DirCountAxis(128, 4), SchedulerAxis(CoreTime)},
+		Axes:    []Axis{dirCountAxis(128, 4), schedulerAxis(CoreTime)},
 		Seed:    11,
 		Workers: 2,
 	}

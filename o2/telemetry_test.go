@@ -202,7 +202,7 @@ func TestTracedArenaRepeatsMatchFreshRuns(t *testing.T) {
 			Scenario: DirLookupScenario{Params: p},
 			Options:  []Option{WithTrace(256)},
 		},
-		Axes:    []Axis{DirCountAxis(128, 4), SchedulerAxis(CoreTime)},
+		Axes:    []Axis{dirCountAxis(128, 4), schedulerAxis(CoreTime)},
 		Repeats: 3,
 		Seed:    29,
 		Workers: 1,

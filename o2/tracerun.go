@@ -15,15 +15,13 @@ import "fmt"
 const traceSeedStratum = 0x7472
 
 // TraceConfig describes one telemetry-traced service run.
+// RunTrace always schedules it with bandwidth-aware CoreTime.
 type TraceConfig struct {
-	Machine        Topology
-	Scheduler      Scheduler
-	BandwidthAware bool // enable CoreTime's bandwidth-aware placement
-	Spec           WebSpec
-	Load           ServiceLoad
-	Interval       Cycles // telemetry sampling period
-	TraceCap       int    // scheduler-trace capacity; 0 = telemetry default
-	Seed           uint64
+	Machine  Topology
+	Spec     WebSpec
+	Load     ServiceLoad
+	Interval Cycles // telemetry sampling period
+	Seed     uint64
 }
 
 // DefaultTraceConfig is the full-size trace cell: an open-loop NUMA256
@@ -33,10 +31,8 @@ type TraceConfig struct {
 func DefaultTraceConfig() TraceConfig {
 	cores := NUMA256.NumCores()
 	return TraceConfig{
-		Machine:        NUMA256,
-		Scheduler:      CoreTime,
-		BandwidthAware: true,
-		Spec:           WebSpec{DocRoots: 8 * cores, FilesPerRoot: 128},
+		Machine: NUMA256,
+		Spec:    WebSpec{DocRoots: 8 * cores, FilesPerRoot: 128},
 		Load: ServiceLoad{
 			// Offered just above the machine's measured saturation point
 			// (~6.9M achieved rps), so the memory system runs flat out —
@@ -62,10 +58,8 @@ func DefaultTraceConfig() TraceConfig {
 // producing every event family the timeline format carries.
 func QuickTraceConfig() TraceConfig {
 	return TraceConfig{
-		Machine:        Tiny8,
-		Scheduler:      CoreTime,
-		BandwidthAware: true,
-		Spec:           WebSpec{DocRoots: 24, FilesPerRoot: 128},
+		Machine: Tiny8,
+		Spec:    WebSpec{DocRoots: 24, FilesPerRoot: 128},
 		Load: ServiceLoad{
 			Requests:      2000,
 			RPS:           4_000_000,
@@ -90,22 +84,19 @@ type TraceRun struct {
 	SaturationFrac float64 // the monitor's saturation threshold, for comparison
 }
 
-// RunTrace builds and drives one telemetry-traced service cell.
+// RunTrace builds and drives one telemetry-traced service cell under
+// bandwidth-aware CoreTime.
 func RunTrace(cfg TraceConfig) (*TraceRun, error) {
 	if cfg.Interval <= 0 {
 		return nil, fmt.Errorf("o2: trace interval %d must be positive", cfg.Interval)
 	}
-	opts := []Option{
+	rt, err := New(
 		WithTopology(cfg.Machine),
-		WithScheduler(cfg.Scheduler),
+		WithScheduler(CoreTime),
 		WithSeed(cfg.Seed),
 		WithTelemetry(cfg.Interval),
-		WithBandwidthAware(cfg.BandwidthAware),
-	}
-	if cfg.TraceCap > 0 {
-		opts = append(opts, WithTrace(cfg.TraceCap))
-	}
-	rt, err := New(opts...)
+		withBandwidthAware(),
+	)
 	if err != nil {
 		return nil, err
 	}
