@@ -148,8 +148,8 @@ func usage(w io.Writer) {
                                      Figure 2: cache-contents maps
   o2bench trace [-quick] [-seed N] [-interval C] [-out FILE]
                                      telemetry timeline: one open-loop NUMA256 cell under
-                                     bandwidth-aware CoreTime, exported as Chrome trace-event
-                                     JSON for chrome://tracing / Perfetto
+                                     CoreTime, exported as Chrome trace-event JSON for
+                                     chrome://tracing / Perfetto
   o2bench latency                    hardware latency table (§5)
   o2bench migration [-trials N]      migration cost microbenchmark (§5)
   o2bench ablation -exp=NAME [-quick] [-seed N] [-workers N] [-repeats N] [-json|-csv]

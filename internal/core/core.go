@@ -106,12 +106,6 @@ type Runtime struct {
 	coreLoad []int64
 	budget   int64
 
-	// chipOf is the core→socket lookup table (topology.Config.ChipTable)
-	// the bandwidth-aware monitor rolls counters up with; nchips is the
-	// socket count.
-	chipOf []int
-	nchips int
-
 	// ops in flight, keyed by thread id (engine is single-threaded, so a
 	// plain map is safe).
 	inflight map[int][]*opCtx
@@ -162,8 +156,6 @@ type Stats struct {
 	ReplicaCollapse uint64 // replica sets collapsed by writes
 	Rejections      uint64 // placement attempts that found no space
 	Disperses       uint64 // threads moved off congested cores after ops
-	BWSpreadMoves   uint64 // objects moved off saturated sockets (BWSpread)
-	BWAdmitRefusals uint64 // placements refused by saturated-socket admission
 }
 
 // New creates a CoreTime runtime bound to sys. If opts.RebalanceInterval
@@ -177,8 +169,6 @@ func New(sys *exec.System, opts Options) *Runtime {
 		objs:     make(map[mem.Addr]*objInfo),
 		coreLoad: make([]int64, cfg.NumCores()),
 		budget:   int64(float64(cfg.PerCoreBudgetBytes()) * budgetFraction),
-		chipOf:   cfg.ChipTable(),
-		nchips:   cfg.Chips,
 		inflight: make(map[int][]*opCtx),
 	}
 	rt.startMonitor()
@@ -221,15 +211,9 @@ func (rt *Runtime) Reset() {
 	// Empty (not zero) the monitor's snapshot history: the first pass
 	// after Reset must re-baseline exactly like a fresh runtime's first
 	// pass instead of computing deltas against zeroed counters. The
-	// bandwidth signals and window timestamp re-learn from blank state the
-	// same way.
+	// window timestamp re-learns from blank state the same way.
 	rt.mon.last = rt.mon.last[:0]
 	rt.mon.lastAt = 0
-	rt.mon.bwInit = false
-	for i := range rt.mon.dramQ {
-		rt.mon.dramQ[i] = 0
-		rt.mon.linkQ[i] = 0
-	}
 	rt.stats = Stats{}
 	rt.startMonitor()
 }
@@ -241,14 +225,12 @@ func (rt *Runtime) Name() string { return "coretime" }
 func (rt *Runtime) Stats() Stats { return rt.stats }
 
 // FillTelemetry fills the telemetry sampler's per-sample scheduler view:
-// placed[i] becomes the number of objects currently placed on core i, and
-// dram/link receive the monitor's smoothed per-socket bandwidth signals
-// (zero until the first monitor window computes them). Slice lengths are
-// the caller's; extra entries are left zeroed, so a sampler built for a
-// different view cannot index out of range.
+// placed[i] becomes the number of objects currently placed on core i. The
+// slice length is the caller's; extra entries are left zeroed, so a
+// sampler built for a different core count cannot index out of range.
 //
 //o2:hotpath
-func (rt *Runtime) FillTelemetry(placed []int32, dram, link []float64) {
+func (rt *Runtime) FillTelemetry(placed []int32) {
 	for i := range placed {
 		placed[i] = 0
 	}
@@ -256,10 +238,6 @@ func (rt *Runtime) FillTelemetry(placed []int32, dram, link []float64) {
 		if oi.placed && oi.core < len(placed) {
 			placed[oi.core]++
 		}
-	}
-	for s := 0; s < len(dram) && s < len(link) && s < len(rt.mon.dramQ); s++ {
-		dram[s] = rt.mon.dramQ[s]
-		link[s] = rt.mon.linkQ[s]
 	}
 }
 

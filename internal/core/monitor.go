@@ -45,15 +45,6 @@ type monitorState struct {
 	// no-op instead of a divide-by-zero.
 	lastAt sim.Time
 
-	// Bandwidth-aware signal state (BWSpread/BWAdmission): per-socket
-	// rollup scratch and the EWMA-smoothed queueing signals, in queue
-	// cycles per busy cycle. bwInit is false until the first full window
-	// seeds the EWMAs.
-	sockScratch []perfctr.Counters
-	dramQ       []float64
-	linkQ       []float64
-	bwInit      bool
-
 	// victims is scratch for the withdrawal passes (see placedWhere).
 	victims []*objInfo
 }
@@ -112,16 +103,7 @@ func (rt *Runtime) rebalance() {
 	}
 	copy(mon.last, mon.snaps)
 
-	bw := rt.opts.BWSpread || rt.opts.BWAdmission
-	if bw {
-		rt.updateBWSignals(mon.deltas)
-	}
-
-	moved := rt.balanceLoad(mon.deltas, elapsed)
-	if rt.opts.BWSpread {
-		moved += rt.spreadSaturated()
-	}
-	if moved > 0 {
+	if moved := rt.balanceLoad(mon.deltas, elapsed); moved > 0 {
 		rt.stats.Rebalances++
 		rt.opts.Tracer.Emit(trace.Event{At: now, Kind: trace.EvRebalance, Arg1: int64(moved)})
 	}
@@ -188,14 +170,13 @@ func (rt *Runtime) balanceLoad(deltas []perfctr.Counters, elapsed sim.Time) int 
 		utils[i] = u
 	}
 
-	// Overloaded: rarely idle. Spare: often idle and light on DRAM —
-	// and, under BWAdmission, not behind a saturated memory controller.
+	// Overloaded: rarely idle. Spare: often idle.
 	var overloaded, spare []coreUtil
 	for _, u := range utils {
 		switch {
 		case u.idleFrac < idleFracLow && rt.placedCount(u.core) > 1:
 			overloaded = append(overloaded, u)
-		case u.idleFrac > idleFracHigh && rt.admits(u.core):
+		case u.idleFrac > idleFracHigh:
 			spare = append(spare, u)
 		}
 	}
@@ -248,156 +229,6 @@ func (rt *Runtime) balanceLoad(deltas []perfctr.Counters, elapsed sim.Time) int 
 		}
 	}
 	return moved
-}
-
-// updateBWSignals rolls the window's per-core counter deltas up to socket
-// totals and folds the queueing delay per busy cycle into the smoothed
-// per-socket signals. Queue cycles are normalized by the socket's busy
-// cycles: a socket whose cores spent 25% of their executed cycles waiting
-// in controller/link queues reads 0.25, whatever the absolute load.
-func (rt *Runtime) updateBWSignals(deltas []perfctr.Counters) {
-	mon := &rt.mon
-	if mon.sockScratch == nil {
-		mon.sockScratch = make([]perfctr.Counters, rt.nchips)
-		mon.dramQ = make([]float64, rt.nchips)
-		mon.linkQ = make([]float64, rt.nchips)
-	}
-	socks := perfctr.RollupGroups(mon.sockScratch, deltas, rt.chipOf)
-	a := bwQueueEWMAAlpha
-	for s, c := range socks {
-		busy := float64(c.BusyCycles)
-		if busy < 1 {
-			busy = 1
-		}
-		dq := float64(c.DRAMQueueCycles) / busy
-		lq := float64(c.LinkQueueCycles) / busy
-		if !mon.bwInit {
-			mon.dramQ[s] = dq
-			mon.linkQ[s] = lq
-		} else {
-			mon.dramQ[s] = a*dq + (1-a)*mon.dramQ[s]
-			mon.linkQ[s] = a*lq + (1-a)*mon.linkQ[s]
-		}
-	}
-	mon.bwInit = true
-}
-
-// bwSignal returns the socket's combined smoothed queueing signal.
-func (rt *Runtime) bwSignal(sock int) float64 {
-	return rt.mon.dramQ[sock] + rt.mon.linkQ[sock]
-}
-
-// admits reports whether placements onto core's socket are currently
-// allowed. Always true until admission is enabled and the first full
-// window has seeded the signals — CoreTime must behave exactly like the
-// plain policy while it has nothing to go on.
-func (rt *Runtime) admits(core int) bool {
-	if !rt.opts.BWAdmission || !rt.mon.bwInit {
-		return true
-	}
-	return rt.bwSignal(rt.chipOf[core]) <= BWSaturationFrac
-}
-
-// spreadSaturated migrates placed objects off saturated sockets toward
-// sockets with queueing headroom and returns how many objects moved. This
-// is the socket-level sibling of balanceLoad: that pass sees "this core is
-// rarely idle", this one sees "this socket's memory controller or link
-// port is the queue everything is stuck in" — a congestion a core-local
-// idle fraction cannot express, because queueing delay inflates every
-// operation on the socket equally.
-func (rt *Runtime) spreadSaturated() int {
-	mon := &rt.mon
-	if !mon.bwInit {
-		return 0
-	}
-	moved := 0
-	for src := 0; src < rt.nchips && moved < maxMovesPerRebalance; src++ {
-		if rt.bwSignal(src) <= BWSaturationFrac {
-			continue
-		}
-		// Eligible destinations: sockets with clear headroom. When link
-		// queueing dominates the source's signal, the interconnect is the
-		// contended resource, so prefer near destinations (fewest hops);
-		// when DRAM queueing dominates, the controller is, so prefer the
-		// least-saturated socket wherever it sits. Ties break on socket
-		// index for determinism.
-		var dsts []int
-		for s := 0; s < rt.nchips; s++ {
-			if s != src && rt.bwSignal(s) < bwHeadroomFrac {
-				dsts = append(dsts, s)
-			}
-		}
-		if len(dsts) == 0 {
-			continue
-		}
-		linkBound := mon.linkQ[src] > mon.dramQ[src]
-		sort.Slice(dsts, func(i, j int) bool {
-			a, b := dsts[i], dsts[j]
-			if linkBound {
-				da, db := rt.mach.HopDist(src, a), rt.mach.HopDist(src, b)
-				if da != db {
-					return da < db
-				}
-			}
-			sa, sb := rt.bwSignal(a), rt.bwSignal(b)
-			if sa != sb {
-				return sa < sb
-			}
-			return a < b
-		})
-
-		objs := rt.placedOnSocket(src)
-		if len(objs) < 2 {
-			continue // moving the only placed object just moves the queue
-		}
-		sort.Slice(objs, func(i, j int) bool { return objs[i].opRate() > objs[j].opRate() })
-		toMove := len(objs) / 2
-		for _, oi := range objs[:toMove] {
-			if moved >= maxMovesPerRebalance {
-				break
-			}
-			if dst, ok := rt.spreadTarget(oi, dsts); ok {
-				rt.move(oi, dst)
-				rt.stats.BWSpreadMoves++
-				moved++
-			}
-		}
-	}
-	return moved
-}
-
-// spreadTarget picks the core an object spread off its socket should land
-// on: the most-free core with budget for it on the first destination
-// socket that can take it.
-func (rt *Runtime) spreadTarget(oi *objInfo, dsts []int) (int, bool) {
-	for _, s := range dsts {
-		best, bestFree := -1, int64(-1)
-		for _, c := range rt.mach.Config().CoresOf(s) {
-			if !rt.fits(oi, c) {
-				continue
-			}
-			if free := rt.budget - rt.coreLoad[c]; free > bestFree {
-				best, bestFree = c, free
-			}
-		}
-		if best >= 0 {
-			return best, true
-		}
-	}
-	return 0, false
-}
-
-// placedOnSocket returns the placed, unreplicated objects whose core is on
-// socket, in deterministic base-address order.
-func (rt *Runtime) placedOnSocket(sock int) []*objInfo {
-	var out []*objInfo
-	for _, oi := range rt.objs {
-		if oi.placed && rt.chipOf[oi.core] == sock && len(oi.replicas) == 0 {
-			out = append(out, oi)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].obj.Base < out[j].obj.Base })
-	return out
 }
 
 // placedCount returns how many objects are assigned to core.

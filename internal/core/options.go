@@ -54,20 +54,6 @@ const (
 	// cache of a core that has more idle cycles").
 	idleFracLow  = 0.02
 	idleFracHigh = 0.20
-
-	// bwQueueEWMAAlpha smooths the per-socket queue signals
-	// (new = alpha*sample + (1-alpha)*old). The first window seeds the
-	// EWMA directly.
-	bwQueueEWMAAlpha = 0.5
-
-	// BWSaturationFrac is the queueing threshold, in queue cycles per busy
-	// cycle (DRAM + link combined), above which a socket counts as
-	// saturated for both spread and admission.
-	BWSaturationFrac = 0.25
-
-	// bwHeadroomFrac is the signal below which a socket counts as having
-	// headroom, i.e. is an eligible spread destination.
-	bwHeadroomFrac = 0.10
 )
 
 // Options tune CoreTime. DefaultOptions matches the behaviour described in
@@ -117,22 +103,6 @@ type Options struct {
 	// unplaces it and suppresses re-placement for a cooldown. Zero
 	// disables the check.
 	UnplaceDRAMFrac float64
-
-	// BWSpread enables bandwidth-aware spreading: each monitor pass rolls
-	// the per-core DRAMQueueCycles/LinkQueueCycles deltas up to socket
-	// totals, normalizes them per busy cycle, smooths with an EWMA, and
-	// migrates placed objects off sockets whose queueing signal exceeds
-	// BWSaturationFrac toward sockets below bwHeadroomFrac — preferring
-	// low-hop destinations when link queueing dominates (the congestion is
-	// in the interconnect, so distance is what's expensive) and the least
-	// saturated socket when DRAM queueing dominates.
-	BWSpread bool
-
-	// BWAdmission refuses new placements onto sockets whose smoothed
-	// queueing signal is above BWSaturationFrac: placing another hot
-	// object behind a saturated memory controller only deepens the queue.
-	// Offline PackAll ignores admission — it runs before any signal exists.
-	BWAdmission bool
 
 	// Tracer, when non-nil, receives a typed event for every scheduling
 	// decision (placements, migrations, monitor actions). Nil costs

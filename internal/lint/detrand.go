@@ -16,7 +16,7 @@ import (
 //     and auto-seeded, so two runs — or two sweep cells sharing the
 //     process — would not be reproducible;
 //   - RNG construction whose seed does not flow from the run's threaded
-//     seed: every generator must be seeded via stats.DeriveSeed/o2.CellSeed,
+//     seed: every generator must be seeded via stats.DeriveSeed/o2.DeriveSeed,
 //     split from an existing generator, or handed a value that carries the
 //     configured seed (o2.WithSeed / RunParams.Seed / a *seed*-named
 //     value). A hard-coded seed is deterministic but silently decouples the
@@ -125,7 +125,7 @@ func checkSeedFlow(pass *Pass, call *ast.CallExpr) {
 	if pass.suppressed(call.Pos(), "allow", "detrand") {
 		return
 	}
-	pass.Reportf(call.Pos(), "%s.%s seed does not flow from the run seed: derive it with stats.DeriveSeed/o2.CellSeed, split an existing generator, or thread a *Seed*-named value from o2.WithSeed", f.Pkg().Name(), f.Name())
+	pass.Reportf(call.Pos(), "%s.%s seed does not flow from the run seed: derive it with stats.DeriveSeed/o2.DeriveSeed, split an existing generator, or thread a *Seed*-named value from o2.WithSeed", f.Pkg().Name(), f.Name())
 }
 
 // seedFlows reports whether the expression visibly carries the run seed:
@@ -144,7 +144,7 @@ func seedFlows(pass *Pass, e ast.Expr) bool {
 				return true
 			}
 			switch f.Name() {
-			case "DeriveSeed", "CellSeed":
+			case "DeriveSeed":
 				if p := pkgPathOf(f); p == "repro/internal/stats" || p == "repro/o2" {
 					flows = true
 				}

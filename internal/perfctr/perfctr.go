@@ -111,8 +111,8 @@ func (c Counters) String() string {
 // RollupGroups sums per-core counter files into per-group totals: core i's
 // counters are added into dst[groupOf[i]]. The caller supplies dst sized to
 // the group count (it is zeroed first) and a core→group table — typically
-// topology.Config.ChipTable, which makes this the per-socket rollup the
-// bandwidth-aware monitor classifies saturation with. dst is returned for
+// topology.Config.ChipTable, which makes this the per-socket rollup of
+// the telemetry sampler's bandwidth-queue rows. dst is returned for
 // chaining; the call allocates nothing.
 func RollupGroups(dst, cores []Counters, groupOf []int) []Counters {
 	for i := range dst {

@@ -72,19 +72,11 @@ func TestProbeWindows(t *testing.T) {
 func TestProbeSchedFill(t *testing.T) {
 	m := newFakeMachine(2, 1)
 	s := NewSampler(10, 4, 2, 2)
-	fill := func(placed []int32, sigD, sigL []float64) {
-		placed[1] = 7
-		sigD[0] = 0.25
-		sigL[1] = 0.5
-	}
+	fill := func(placed []int32) { placed[1] = 7 }
 	s.Probe(10, m.set, m.chipOf, 0, noQueue, 0, fill)
 	sm := s.SampleAt(0)
-	if sm.Placed[1] != 7 || sm.SigD[0] != 0.25 || sm.SigL[1] != 0.5 {
+	if sm.Placed[0] != 0 || sm.Placed[1] != 7 {
 		t.Fatalf("sched fill not recorded: %+v", sm)
-	}
-	sig, sock, at := s.PeakSignal()
-	if sig != 0.5 || sock != 1 || at != 10 {
-		t.Fatalf("PeakSignal = (%v, %d, %d), want (0.5, 1, 10)", sig, sock, at)
 	}
 }
 
@@ -143,13 +135,11 @@ func TestWriteTraceSchema(t *testing.T) {
 	s := NewSampler(100, 8, 2, 2)
 	m.set.Core(0).BusyCycles = 50
 	m.set.Core(1).DRAMQueueCycles = 10
-	fill := func(placed []int32, sigD, sigL []float64) { sigD[1] = 0.9 }
-	s.Probe(100, m.set, m.chipOf, 0, noQueue, 2, fill)
+	s.Probe(100, m.set, m.chipOf, 0, noQueue, 2, nil)
 
 	var buf bytes.Buffer
 	err := s.WriteTrace(&buf, ExportConfig{
-		ClockHz:        1e9,
-		SaturationFrac: 0.5, // below the 0.9 signal: must emit a saturation span
+		ClockHz: 1e9,
 		Events: []trace.Event{
 			{At: 42, Kind: trace.EvPlace, Name: "obj", Arg1: 1},
 		},
@@ -185,14 +175,14 @@ func TestWriteTraceSchema(t *testing.T) {
 		}
 		last = *ev.Ts
 		seen[ev.Ph] = true
-		if ev.Name == "bw-saturated" {
-			seen["saturated"] = true
+		if ev.Name == "bw queue s1" {
+			seen["bw queue"] = true
 		}
 		if ev.Name == "place" {
 			seen["sched"] = true
 		}
 	}
-	for _, want := range []string{"M", "X", "C", "i", "saturated", "sched"} {
+	for _, want := range []string{"M", "X", "C", "i", "bw queue", "sched"} {
 		if !seen[want] {
 			t.Fatalf("no %q event in the timeline; phases seen: %v", want, seen)
 		}

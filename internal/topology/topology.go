@@ -242,9 +242,9 @@ func (c Config) NumCores() int { return c.Chips * c.CoresPerChip }
 func (c Config) ChipOf(core int) int { return core / c.CoresPerChip }
 
 // ChipTable returns a freshly allocated core→chip lookup table:
-// table[core] == ChipOf(core). Monitors that roll per-core counters up to
-// per-socket totals every rebalance interval build this once and index it
-// on the hot path instead of re-deriving the division.
+// table[core] == ChipOf(core). Samplers that roll per-core counters up to
+// per-socket totals every window build this once and index it on the hot
+// path instead of re-deriving the division.
 func (c Config) ChipTable() []int {
 	table := make([]int, c.NumCores())
 	for core := range table {

@@ -119,7 +119,7 @@ func ablation(name, title string, sw Sweep) Preset {
 // objects uniformly and scan each with LoadCompute at perByte cycles a
 // byte, inside one operation per object, nested in group order (read-only
 // operations when readOnly). Groups of more than one object carry a
-// PlaceTogether hint. It reports kops_per_sec and migrations.
+// placeTogether hint. It reports kops_per_sec and migrations.
 type objectScenario struct {
 	objects, size, threads, group int
 	readOnly                      bool
@@ -151,7 +151,7 @@ func (s objectScenario) measure(c Cell) (Metrics, error) {
 	// An arena reset forgets cluster hints, so every repeat gives them.
 	if s.group > 1 {
 		for i := 0; i < len(objs); i += s.group {
-			rt.PlaceTogether(objs[i : i+s.group]...)
+			rt.placeTogether(objs[i : i+s.group]...)
 		}
 	}
 
@@ -224,7 +224,7 @@ func (pathScenario) measure(c Cell) (Metrics, error) {
 		return nil, err
 	}
 	// An arena reset forgets cluster hints, so every repeat gives them.
-	pt.ClusterByTop()
+	pt.clusterByTop()
 	res := pt.Run(params)
 	return Metrics{
 		"kres_per_sec": res.KResPerSec,

@@ -122,7 +122,7 @@ func TestArenaObjectRepeatsMatchFreshRuns(t *testing.T) {
 }
 
 // TestArenaPathRepeatsMatchFreshRuns is the same pin for the path
-// scenario, whose ClusterByTop hints an arena reset forgets too.
+// scenario, whose clusterByTop hints an arena reset forgets too.
 func TestArenaPathRepeatsMatchFreshRuns(t *testing.T) {
 	checkRepeatsMatchFresh(t, Sweep{
 		Name: "arena-paths",

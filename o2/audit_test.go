@@ -16,10 +16,6 @@ const (
 	model auditKind = iota
 	// observer: the option records what happened and changes no result.
 	observer
-	// pinnedNoOp: the option changes no result today; note names the
-	// ROADMAP item that is to make it change one, which flips the row to
-	// model.
-	pinnedNoOp
 )
 
 // optionAudit accounts for one option.
@@ -27,7 +23,6 @@ type optionAudit struct {
 	kind auditKind
 	run  func(extra ...Option) (any, error) // measures the row's cell
 	opt  Option
-	note string
 }
 
 // auditCell returns a run that measures c with extra appended to its
@@ -84,9 +79,9 @@ func ablationSweep(t *testing.T, name string) Sweep {
 
 // TestEveryOptionIsAccounted is the knob audit: every top-level func of
 // the package's source that returns an Option, exported or not, has a
-// row saying why it exists — it changes a model result, it only
-// observes, or it is a pinned no-op waiting on a named ROADMAP item. An
-// option with no row, or a row whose claim no longer holds, fails.
+// row saying why it exists — it changes a model result, or it only
+// observes. An option with no row, or a row whose claim no longer holds,
+// fails.
 func TestEveryOptionIsAccounted(t *testing.T) {
 	_, fig4bSw := fig4bSweep(tinyFig4bConfig())
 	fig4b := mustCellAt(t, fig4bSw, "24", "coretime")
@@ -94,10 +89,6 @@ func TestEveryOptionIsAccounted(t *testing.T) {
 	kv := mustCellAt(t, kvSw, "g95s4p1", "0", "coretime")
 	a1, a2, a3, a4 := ablationSweep(t, "clustering"), ablationSweep(t, "replication"),
 		ablationSweep(t, "replacement"), ablationSweep(t, "migcost")
-	numa := Cell{Machine: numa64, Scenario: KVScenario{
-		Spec: KVSpec{Shards: 64, SlotsPerShard: 32, SlotBytes: 64, Keys: 1 << 12},
-		Load: KVLoad{Clients: 64, OpsPerClient: 30},
-	}}
 
 	rows := map[string]optionAudit{
 		"WithTopology":             {kind: model, run: auditRuntime, opt: WithTopology(small4)},
@@ -114,8 +105,6 @@ func TestEveryOptionIsAccounted(t *testing.T) {
 		"withMigrationCost":        {kind: model, run: auditCell(mustCellAt(t, a4, "550")), opt: withMigrationCost(8000)},
 		"WithTrace":                {kind: observer, run: auditCell(fig4b), opt: WithTrace(1024)},
 		"WithTelemetry":            {kind: observer, run: auditCell(fig4b), opt: WithTelemetry(50_000)},
-		"withBandwidthAware": {kind: pinnedNoOp, run: auditCell(numa), opt: withBandwidthAware(),
-			note: "ROADMAP, CoreTimeBW: make the signal fire, or delete it"},
 	}
 
 	declared := optionFuncs(t)

@@ -109,10 +109,10 @@ func (rt *Runtime) NewPathTree(spec PathSpec) (*PathTree, error) {
 	return &PathTree{rt: rt, env: env}, nil
 }
 
-// ClusterByTop hints the scheduler to pack each top directory together
-// with all its subdirectories. Like PlaceTogether, it takes effect only
+// clusterByTop hints the scheduler to pack each top directory together
+// with all its subdirectories. Like placeTogether, it takes effect only
 // where the clustering extension is on.
-func (pt *PathTree) ClusterByTop() {
+func (pt *PathTree) clusterByTop() {
 	if pt.rt.ct == nil {
 		return
 	}

@@ -377,7 +377,6 @@ func TestKVPolicyOptionsSelectSchedulers(t *testing.T) {
 		KVHashAffinity:       Affinity,
 		KVCoreTime:           CoreTime,
 		KVCoreTimeReplicated: CoreTime,
-		CoreTimeBW:           CoreTime,
 	}
 	for p, sched := range want {
 		rt, err := New(append([]Option{WithTopology(small4)}, p.Options()...)...)

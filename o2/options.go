@@ -96,10 +96,10 @@ func WithDecayWindow(c Cycles) Option {
 }
 
 // The options below tune the §6 extensions. Only the package's own
-// ablations, KV policies and RunTrace set them, so they are unexported.
+// ablations and KV policies set them, so they are unexported.
 
 // withClustering enables the §6.2 object-clustering extension: objects
-// marked with Runtime.PlaceTogether are packed into the same cache.
+// marked with Runtime.placeTogether are packed into the same cache.
 func withClustering(on bool) Option {
 	return func(s *settings) { s.ct.EnableClustering = on }
 }
@@ -122,19 +122,6 @@ func withReplicationThreshold(minOps uint64, readRatio float64) Option {
 		}
 		s.ct.ReplicateMinOps = minOps
 		s.ct.ReplicateReadRatio = readRatio
-	}
-}
-
-// withBandwidthAware enables CoreTime's bandwidth-aware placement: the
-// monitor rolls the DRAM/interconnect queueing counters up per socket,
-// spreads placed objects off saturated sockets toward sockets with
-// headroom, and refuses new placements behind saturated controllers. On
-// machines that never saturate (every preset before the NUMA family) the
-// signals stay zero and the policy behaves exactly like plain CoreTime.
-func withBandwidthAware() Option {
-	return func(s *settings) {
-		s.ct.BWSpread = true
-		s.ct.BWAdmission = true
 	}
 }
 

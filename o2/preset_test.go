@@ -240,7 +240,7 @@ func TestPresetsHaveGoldens(t *testing.T) {
 // so a CoreTime decision that follows map order diverges here rather
 // than in a golden. The cells are a replicating CoreTime KV cell, a Fig.
 // 4(b) cell whose monitor rebalances, moves, and unplaces, and a web cell
-// with compaction under bandwidth-aware CoreTime.
+// with compaction under CoreTime.
 func TestCellsRepeatUnderTrace(t *testing.T) {
 	for _, tc := range []struct {
 		sweep  func() (string, Sweep)
@@ -248,7 +248,7 @@ func TestCellsRepeatUnderTrace(t *testing.T) {
 	}{
 		{func() (string, Sweep) { return kvSweep(tinyKVConfig()) }, []string{"g55s40p5", "0.99", "coretime+repl"}},
 		{func() (string, Sweep) { return fig4bSweep(tinyFig4bConfig()) }, []string{"24", "coretime"}},
-		{func() (string, Sweep) { return webSweep(tinyWebConfig()) }, []string{"4000k", "0.5", "coretime-bw"}},
+		{func() (string, Sweep) { return webSweep(tinyWebConfig()) }, []string{"4000k", "0.5", "coretime"}},
 	} {
 		_, sw := tc.sweep()
 		name := sw.Name + "/" + strings.Join(tc.labels, "/")

@@ -218,11 +218,11 @@ func (rt *Runtime) NewLock(name string) *Lock {
 	return &Lock{l: rt.sys.NewSpinLock(name)}
 }
 
-// PlaceTogether marks the objects as a cluster the packer should keep in
+// placeTogether marks the objects as a cluster the packer should keep in
 // one cache (§6.2). It is a hint; it only takes effect under CoreTime with
 // the clustering extension on, which only the package's clustering
 // ablations enable.
-func (rt *Runtime) PlaceTogether(objs ...*Object) {
+func (rt *Runtime) placeTogether(objs ...*Object) {
 	if rt.ct == nil {
 		return
 	}

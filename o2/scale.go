@@ -77,14 +77,13 @@ type scaleConfig struct {
 }
 
 // defaultScaleConfig returns the full-scale configuration: 16 to 256
-// cores, both services, thread scheduler vs CoreTime vs bandwidth-aware
-// CoreTime — the paper's with/without comparison plus the
-// saturation-signal variant.
+// cores, both services, thread scheduler vs CoreTime — the paper's
+// with/without comparison.
 func defaultScaleConfig() scaleConfig {
 	return scaleConfig{
 		Machines:      []Topology{AMD16, numa64, numa128, NUMA256},
 		Services:      []scaleService{scaleDirLookup, scaleKV},
-		Policies:      []KVPolicy{KVThreadScheduler, KVCoreTime, CoreTimeBW},
+		Policies:      []KVPolicy{KVThreadScheduler, KVCoreTime},
 		DirsPerCore:   14,
 		EntriesPerDir: 1000,
 		Params:        DefaultRunParams(),

@@ -2,11 +2,10 @@ package o2
 
 // This file is the `o2bench trace` entry point: one telemetry-enabled
 // open-loop WebService cell whose timeline Runtime.WriteTimeline renders.
-// The default configuration is the ROADMAP memory-level-parallelism
-// investigation made visible: a NUMA256 machine under bandwidth-aware
-// CoreTime, sampled every TraceConfig.Interval cycles, so the timeline
-// shows exactly how far below BWSaturationFrac the smoothed per-socket
-// queueing signal sits in today's one-miss-in-flight substrate.
+// The default configuration runs a NUMA256 machine under CoreTime,
+// sampled every TraceConfig.Interval cycles, so the timeline shows each
+// core's run spans and each socket's DRAM and interconnect queueing
+// cycles under a load past the machine's saturation point.
 
 import "fmt"
 
@@ -15,7 +14,7 @@ import "fmt"
 const traceSeedStratum = 0x7472
 
 // TraceConfig describes one telemetry-traced service run.
-// RunTrace always schedules it with bandwidth-aware CoreTime.
+// RunTrace always schedules it with CoreTime.
 type TraceConfig struct {
 	Machine  Topology
 	Spec     WebSpec
@@ -25,7 +24,7 @@ type TraceConfig struct {
 }
 
 // DefaultTraceConfig is the full-size trace cell: an open-loop NUMA256
-// web service under bandwidth-aware CoreTime, sized so the working set
+// web service under CoreTime, sized so the working set
 // scales with the core count (8 docroots per core, like the scale sweep)
 // and sampled finely enough for a few hundred timeline windows.
 func DefaultTraceConfig() TraceConfig {
@@ -35,10 +34,7 @@ func DefaultTraceConfig() TraceConfig {
 		Spec:    WebSpec{DocRoots: 8 * cores, FilesPerRoot: 128},
 		Load: ServiceLoad{
 			// Offered just above the machine's measured saturation point
-			// (~6.9M achieved rps), so the memory system runs flat out —
-			// the load shape under which the bandwidth signal would fire
-			// if the substrate could generate enough memory-level
-			// parallelism (ROADMAP).
+			// (~6.9M achieved rps), so the memory system runs flat out.
 			Requests:      120_000,
 			RPS:           8_000_000,
 			Skew:          0.99,
@@ -77,15 +73,11 @@ type TraceRun struct {
 	Runtime *Runtime
 	Result  ServiceResult
 
-	Samples        int     // telemetry probes taken
-	PeakBWSignal   float64 // highest smoothed per-socket bandwidth signal seen
-	PeakBWSocket   int     // socket where it peaked
-	PeakBWAt       Time    // simulated time of the peak
-	SaturationFrac float64 // the monitor's saturation threshold, for comparison
+	Samples int // telemetry probes taken
 }
 
 // RunTrace builds and drives one telemetry-traced service cell under
-// bandwidth-aware CoreTime.
+// CoreTime.
 func RunTrace(cfg TraceConfig) (*TraceRun, error) {
 	if cfg.Interval <= 0 {
 		return nil, fmt.Errorf("o2: trace interval %d must be positive", cfg.Interval)
@@ -95,7 +87,6 @@ func RunTrace(cfg TraceConfig) (*TraceRun, error) {
 		WithScheduler(CoreTime),
 		WithSeed(cfg.Seed),
 		WithTelemetry(cfg.Interval),
-		withBandwidthAware(),
 	)
 	if err != nil {
 		return nil, err
@@ -112,17 +103,9 @@ func RunTrace(cfg TraceConfig) (*TraceRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	sig, sock, at, err := rt.PeakBWSignal()
-	if err != nil {
-		return nil, err
-	}
 	return &TraceRun{
-		Runtime:        rt,
-		Result:         res,
-		Samples:        rt.TelemetrySamples(),
-		PeakBWSignal:   sig,
-		PeakBWSocket:   sock,
-		PeakBWAt:       at,
-		SaturationFrac: rt.saturationFrac(),
+		Runtime: rt,
+		Result:  res,
+		Samples: rt.TelemetrySamples(),
 	}, nil
 }
