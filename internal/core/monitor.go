@@ -138,7 +138,6 @@ func (rt *Runtime) endWindow() {
 type coreUtil struct {
 	core     int
 	idleFrac float64
-	dramRate float64 // DRAM loads per busy cycle
 }
 
 // balanceLoad moves hot objects from overloaded cores to spare cores and
@@ -163,9 +162,6 @@ func (rt *Runtime) balanceLoad(deltas []perfctr.Counters, elapsed sim.Time) int 
 			// busy; without this it would be classified overloaded and
 			// its placed objects bounced off a core nobody is using.
 			u.idleFrac = 1
-		}
-		if d.BusyCycles > 0 {
-			u.dramRate = float64(d.DRAMLoads) / float64(d.BusyCycles)
 		}
 		utils[i] = u
 	}

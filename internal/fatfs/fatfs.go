@@ -102,6 +102,7 @@ type FS struct {
 	nclusters int // data clusters, numbered from minCluster
 
 	clusterBytes int
+	fill         []byte // Populate's scratch cluster image
 
 	// allocHint speeds host-side bulk setup; correctness never depends
 	// on it (allocation falls back to a full FAT scan).
@@ -114,9 +115,10 @@ type FS struct {
 // Format lays a fresh FAT16 volume into img's address space. The volume
 // occupies a single allocation of cfg.TotalBytes.
 func Format(img *mem.Image, cfg Config) (*FS, error) {
-	if cfg.SectorsPerCluster <= 0 || cfg.SectorsPerCluster&(cfg.SectorsPerCluster-1) != 0 {
-		return nil, fmt.Errorf("fatfs: sectors per cluster %d must be a positive power of two",
-			cfg.SectorsPerCluster)
+	if cfg.SectorsPerCluster <= 0 || cfg.SectorsPerCluster&(cfg.SectorsPerCluster-1) != 0 ||
+		cfg.SectorsPerCluster*SectorSize > maxPageBytes {
+		return nil, fmt.Errorf("fatfs: sectors per cluster %d must be a power of two from 1 to %d",
+			cfg.SectorsPerCluster, maxPageBytes/SectorSize)
 	}
 	if cfg.RootEntries <= 0 || cfg.RootEntries*DirEntrySize%SectorSize != 0 {
 		return nil, fmt.Errorf("fatfs: root entries %d must fill whole sectors", cfg.RootEntries)
@@ -146,17 +148,19 @@ func Format(img *mem.Image, cfg Config) (*FS, error) {
 	}
 
 	fs := &FS{
-		vol:          newStore(base, cfg.TotalBytes),
 		cfg:          cfg,
 		base:         base,
 		fatBase:      base + mem.Addr(SectorSize),
 		clusterBytes: clusterBytes,
+		fill:         make([]byte, clusterBytes),
 		nclusters:    nclusters,
 		allocHint:    minCluster,
 		freeLow:      minCluster,
 	}
 	fs.rootBase = fs.fatBase + mem.Addr(fatSectors*SectorSize)
 	fs.dataBase = fs.rootBase + mem.Addr(rootSectors*SectorSize)
+	// One page per cluster, aligned so each cluster is a whole page.
+	fs.vol = newStore(base, cfg.TotalBytes, clusterBytes, fs.dataBase)
 
 	fs.writeBootSector(totalSectors, fatSectors)
 
@@ -191,8 +195,10 @@ func (fs *FS) writeBootSector(totalSectors, fatSectors int) {
 	b[510], b[511] = 0x55, 0xAA
 }
 
-// PagesWritten returns how many 64 KB pages of the volume's store hold
-// bytes; the rest of the volume reads as zeros without host memory.
+// PagesWritten returns how many distinct cluster-sized page buffers the
+// volume's store holds: pages written since their last clear, plus one
+// per distinct image Populate shares between directory clusters. The
+// rest of the volume reads as zeros without host memory.
 func (fs *FS) PagesWritten() int { return fs.vol.written }
 
 // ClusterBytes returns the cluster size in bytes.

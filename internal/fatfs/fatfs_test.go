@@ -2,6 +2,7 @@ package fatfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -41,9 +42,10 @@ func TestFormatLayout(t *testing.T) {
 func TestFormatRejectsBadConfig(t *testing.T) {
 	img := mem.NewImage(1 << 20)
 	bad := []Config{
-		{TotalBytes: 1 << 20, SectorsPerCluster: 3, RootEntries: 512}, // non-power-of-two
-		{TotalBytes: 1 << 20, SectorsPerCluster: 8, RootEntries: 7},   // partial sector
-		{TotalBytes: 10_000, SectorsPerCluster: 8, RootEntries: 512},  // too small
+		{TotalBytes: 1 << 20, SectorsPerCluster: 3, RootEntries: 512},   // non-power-of-two
+		{TotalBytes: 1 << 20, SectorsPerCluster: 256, RootEntries: 512}, // cluster past 64 KB
+		{TotalBytes: 1 << 20, SectorsPerCluster: 8, RootEntries: 7},     // partial sector
+		{TotalBytes: 10_000, SectorsPerCluster: 8, RootEntries: 512},    // too small
 	}
 	for i, cfg := range bad {
 		if _, err := Format(img, cfg); err == nil {
@@ -109,7 +111,7 @@ func TestCreateLookup(t *testing.T) {
 func TestLookupNotFound(t *testing.T) {
 	fs := newFS(t)
 	_, err := fs.Lookup(null, fs.Root(), "NOPE.TXT")
-	if _, ok := err.(ErrNotFound); !ok {
+	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 }
@@ -304,6 +306,9 @@ func TestPopulateOverflowRejected(t *testing.T) {
 	// Capacity rounds up to one cluster = 128 entries; 129 must fail.
 	if err := fs.Populate(d, benchNames(t, 129)); err == nil {
 		t.Fatal("overfull Populate accepted")
+	}
+	if err := fs.Populate(fs.Root(), benchNames(t, 1)); err == nil {
+		t.Fatal("Populate of the root accepted")
 	}
 }
 

@@ -17,6 +17,7 @@ type fuzzDir struct {
 	slots int // entry capacity; 0 for the fixed root
 	files map[string][]byte
 	subs  map[string]*fuzzDir
+	raws  [][11]byte // the names Populate filled it with, if it did
 }
 
 func newFuzzDir(d Dir, slots int) *fuzzDir {
@@ -79,8 +80,10 @@ const (
 )
 
 // FuzzFS decodes a byte stream into Mkdir, Populate, Create, Update
-// (WriteFile) and Unlink calls on a small volume of 1 KB clusters, mirrors
-// each in a model of the tree, and after every operation runs
+// (WriteFile) and Unlink calls on a small volume of 1 KB clusters, and
+// Populates that give a directory the names another was populated with,
+// so that the two share their cluster pages until one is written. It
+// mirrors each in a model of the tree, and after every operation runs
 // CheckConsistency (which also finds leaked clusters) and checks that
 // every cluster below freeLow is in use. Each Mkdir's first cluster must
 // equal a naive first-fit scan from minCluster taken just before it, which
@@ -91,6 +94,7 @@ func FuzzFS(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 40, 1, 1, 30, 0, 2, 1, 3, 90, 3, 1, 0, 200, 4, 1, 0, 0, 0, 0, 2, 10})
 	f.Add([]byte{2, 0, 1, 255, 2, 0, 2, 255, 0, 0, 3, 60, 4, 0, 1, 0, 0, 0, 4, 60, 3, 0, 0, 9})
 	f.Add([]byte{0, 0, 0, 250, 0, 1, 1, 250, 1, 2, 200, 0, 4, 0, 0, 0, 0, 0, 2, 3, 4, 1, 0, 0})
+	f.Add([]byte{0, 0, 1, 10, 0, 0, 2, 10, 1, 1, 40, 0, 5, 2, 1, 0, 4, 1, 0, 0, 3, 2, 1, 90, 2, 2, 3, 60})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		img := mem.NewImage(2 << 20)
 		fs, err := Format(img, Config{TotalBytes: 1 << 20, SectorsPerCluster: 2, RootEntries: 64})
@@ -102,7 +106,7 @@ func FuzzFS(f *testing.F) {
 		perCluster := fs.ClusterBytes() / DirEntrySize
 		ops = ops[:min(len(ops), fuzzMaxOps*fuzzOpBytes)]
 		for step := 0; len(ops) >= fuzzOpBytes; ops, step = ops[fuzzOpBytes:], step+1 {
-			op, a, b, c := ops[0]%5, int(ops[1]), int(ops[2]), int(ops[3])
+			op, a, b, c := ops[0]%6, int(ops[1]), int(ops[2]), int(ops[3])
 			dir := dirs[a%len(dirs)]
 			fail := func(format string, args ...any) {
 				t.Helper()
@@ -146,6 +150,7 @@ func FuzzFS(f *testing.F) {
 				if err := fs.Populate(dir.d, raws); err != nil {
 					fail("Populate %d of %d slots: %v", n, dir.slots, err)
 				}
+				dir.raws = raws
 			case 2: // Create
 				name := fmt.Sprintf("F%02d", b%24)
 				data := fuzzPayload(c*37%(3*fs.ClusterBytes()+1), byte(step))
@@ -207,6 +212,19 @@ func FuzzFS(f *testing.F) {
 				} else {
 					delete(dir.files, name)
 				}
+			case 5: // Populate an empty subdirectory with the names another holds
+				src := dirs[b%len(dirs)]
+				if dir == root || !dir.empty() || src.raws == nil {
+					break
+				}
+				raws := src.raws[:min(len(src.raws), dir.slots)]
+				for _, raw := range raws {
+					dir.files[DecodeName(raw)] = []byte{}
+				}
+				if err := fs.Populate(dir.d, raws); err != nil {
+					fail("Populate %d shared names into %d slots: %v", len(raws), dir.slots, err)
+				}
+				dir.raws = raws
 			}
 			if err := fs.CheckConsistency(); err != nil {
 				fail("%v", err)

@@ -2,6 +2,7 @@ package fatfs
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/mem"
@@ -47,10 +48,10 @@ func (e Entry) Dir(fs *FS) (Dir, error) {
 	return Dir{fs: fs, firstCluster: e.FirstCluster}, nil
 }
 
-// ErrNotFound is returned by Lookup when no entry matches.
-type ErrNotFound struct{ Name string }
-
-func (e ErrNotFound) Error() string { return fmt.Sprintf("fatfs: %q not found", e.Name) }
+// ErrNotFound is returned by Lookup when no entry matches. It is one
+// value, not one per name, so a miss allocates nothing; callers that
+// report it name what they looked up.
+var ErrNotFound = errors.New("fatfs: name not found")
 
 // forEachSlot visits directory slots in order until fn returns false.
 // Slot loads are NOT charged here — visitors charge what they touch —
@@ -101,7 +102,11 @@ func (fs *FS) decodeEntry(addr mem.Addr, idx int) Entry {
 // writeEntry emits a dirent at addr, charging acc.
 func (fs *FS) writeEntry(acc Access, addr mem.Addr, raw [11]byte, attr byte, firstCluster int, size uint32) {
 	acc.Store(addr, DirEntrySize)
-	b := fs.vol.write(addr, DirEntrySize)
+	encodeEntry(fs.vol.write(addr, DirEntrySize), raw, attr, firstCluster, size)
+}
+
+// encodeEntry writes a dirent's 32 bytes into b.
+func encodeEntry(b []byte, raw [11]byte, attr byte, firstCluster int, size uint32) {
 	copy(b[:11], raw[:])
 	b[11] = attr
 	clear(b[12:26])
@@ -158,7 +163,7 @@ func (fs *FS) Lookup(acc Access, d Dir, name string) (Entry, error) {
 	}
 	acc.Compute(float64(compared) * CompareCost)
 	if !ok {
-		return Entry{}, ErrNotFound{Name: name}
+		return Entry{}, ErrNotFound
 	}
 	return found, nil
 }
@@ -403,22 +408,37 @@ func (fs *FS) Mkdir(acc Access, parent Dir, name string, capEntries int) (Dir, e
 	return Dir{fs: fs, firstCluster: first}, nil
 }
 
-// Populate bulk-creates one zero-length file in d per pre-encoded name
-// (see EncodeName), writing entries sequentially. It is the fast path for
-// building benchmark directories (1,000 entries each) without O(n²)
-// free-slot scans or per-directory name encoding: a tree whose
-// directories hold the same names encodes them once. It assumes d is
-// empty.
+// Populate bulk-creates one zero-length file in subdirectory d per
+// pre-encoded name (see EncodeName), writing entries sequentially. It is
+// the fast path for building benchmark directories (1,000 entries each)
+// without O(n²) free-slot scans or per-directory name encoding: a tree
+// whose directories hold the same names encodes them once. It assumes d
+// is empty.
+//
+// d is filled a cluster at a time: each cluster's image is built in a
+// scratch page and interned, so directories that hold the same names
+// share their cluster bytes until one of them is written.
 func (fs *FS) Populate(d Dir, raws [][11]byte) error {
+	if d.IsRoot() {
+		return fmt.Errorf("fatfs: Populate fills a subdirectory, not the root")
+	}
+	perCluster := fs.clusterBytes / DirEntrySize
 	written := 0
-	fs.forEachSlot(NullAccess{}, d, func(addr mem.Addr, idx int) bool {
-		if written == len(raws) {
-			return false
+	for cl := d.firstCluster; written < len(raws); {
+		a := fs.clusterAddr(cl)
+		copy(fs.fill, fs.vol.read(a, fs.clusterBytes))
+		n := min(perCluster, len(raws)-written)
+		for i, raw := range raws[written : written+n] {
+			encodeEntry(fs.fill[i*DirEntrySize:], raw, attrArchive, 0, 0)
 		}
-		fs.writeEntry(NullAccess{}, addr, raws[written], attrArchive, 0, 0)
-		written++
-		return true
-	})
+		fs.vol.intern(a, fs.fill)
+		written += n
+		next := fs.fat(cl)
+		if next >= fatEndOfFile {
+			break
+		}
+		cl = int(next)
+	}
 	if written < len(raws) {
 		return fmt.Errorf("fatfs: directory holds %d of %d entries", written, len(raws))
 	}

@@ -12,12 +12,13 @@ import (
 )
 
 // buildAllocs returns the heap allocations BuildEnvOn makes for spec on a
-// fresh machine, less the volume store's one allocation per page written
-// (a page holds 64 KB, so those follow the bytes of directory data, not
-// the entry count). The collector is held off during each build, which
-// starts from a fresh collection: a cycle in mid-build would empty fmt's
-// buffer pool and add allocations. It takes the least of three builds, so
-// a stray allocation by the test runner cannot inflate it.
+// fresh machine, less the volume store's one allocation per page buffer
+// it holds (a page holds one 4 KB cluster, so those follow the bytes of
+// distinct directory data, not the entry count). The collector is held
+// off during each build, which starts from a fresh collection: a cycle in
+// mid-build would empty fmt's buffer pool and add allocations. It takes
+// the least of three builds, so a stray allocation by the test runner
+// cannot inflate it.
 func buildAllocs(t *testing.T, spec DirSpec) int64 {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -64,4 +65,26 @@ func TestBuildAllocsPerDirIndependentOfEntries(t *testing.T) {
 		t.Fatalf("48 more directories cost %d allocations at 100 entries but %d at 1,000", small, large)
 	}
 	t.Logf("48 more directories cost %d allocations at either size", small)
+}
+
+// TestBuildStoreBytesIndependentOfDirs pins the build's memory contract:
+// every directory of a tree holds the same names, so the volume's store
+// holds each distinct directory cluster once, however many directories
+// share it. A 1,000-entry tree holds as many page buffers at 64
+// directories as at 16, give or take the FAT table's growth into one more
+// page.
+func TestBuildStoreBytesIndependentOfDirs(t *testing.T) {
+	pages := func(dirs int) int {
+		spec := DirSpec{Dirs: dirs, EntriesPerDir: 1000}
+		env, err := BuildEnv(topology.Small(), exec.DefaultOptions(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env.FS.PagesWritten()
+	}
+	few, many := pages(16), pages(64)
+	if many < few || many > few+1 {
+		t.Fatalf("the store holds %d page buffers at 16 directories but %d at 64", few, many)
+	}
+	t.Logf("the store holds %d page buffers at 16 directories, %d at 64", few, many)
 }

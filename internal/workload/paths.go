@@ -209,7 +209,7 @@ func RunPathLookup(env *PathEnv, ann sched.Annotator, p RunParams) PathResult {
 				t.Lock(top.Lock)
 				subEntry, err := env.FS.Lookup(b, top.Dir, env.SubNames[si])
 				if err != nil {
-					panic(fmt.Sprintf("workload: top lookup: %v", err))
+					panic(fmt.Sprintf("workload: top lookup %s: %v", env.SubNames[si], err))
 				}
 				b.Commit()
 				t.Unlock(top.Lock)
@@ -223,7 +223,7 @@ func RunPathLookup(env *PathEnv, ann sched.Annotator, p RunParams) PathResult {
 				sched.OpStartRO(ann, t, sub.Obj.Base)
 				t.Lock(sub.Lock)
 				if _, err := env.FS.Lookup(b, subDir, file); err != nil {
-					panic(fmt.Sprintf("workload: sub lookup: %v", err))
+					panic(fmt.Sprintf("workload: sub lookup %s: %v", file, err))
 				}
 				b.Commit()
 				t.Unlock(sub.Lock)
