@@ -124,7 +124,7 @@ func scaleServiceAxis(cfg scaleConfig) Axis {
 			cores := c.Machine.NumCores()
 			switch s {
 			case scaleKV:
-				c.Scenario = KVScenario{
+				c.Scenario = kvScenario{
 					Spec: KVSpec{Shards: cfg.ShardsPerCore * cores, SlotsPerShard: cfg.SlotsPerShard, SlotBytes: 64},
 					Load: cfg.Load,
 				}
