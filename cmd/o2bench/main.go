@@ -206,13 +206,9 @@ func (f sweepFlags) configure(sw *o2.Sweep) {
 	sw.Seed, sw.Workers, sw.Repeats, sw.Progress = f.seed, f.workers, f.repeats, os.Stderr
 }
 
-// emit runs sw, which p built, and writes its result to w: JSON for every
+// emit writes res, the result of sw, which p built, to w: JSON for every
 // preset, else the preset's own table or CSV rendering.
-func emit(w io.Writer, p o2.Preset, title string, sw o2.Sweep, format outFormat) error {
-	res, err := sw.Run()
-	if err != nil {
-		return err
-	}
+func emit(w io.Writer, p o2.Preset, title string, sw o2.Sweep, res *o2.SweepResult, format outFormat) error {
 	if format == formatJSON {
 		return res.WriteJSON(w)
 	}
@@ -228,12 +224,16 @@ func runPreset(p o2.Preset, args []string) error {
 	return f.run(os.Stdout, p)
 }
 
-// run builds p, reduced under -quick, configures it from the flags, and
-// emits it to w.
+// run builds p, reduced under -quick, configures it from the flags, runs
+// it, and emits its result to w.
 func (f sweepFlags) run(w io.Writer, p o2.Preset) error {
 	title, sw := p.Build(f.quick)
 	f.configure(&sw)
-	return emit(w, p, title, sw, f.format)
+	res, err := sw.Run()
+	if err != nil {
+		return err
+	}
+	return emit(w, p, title, sw, res, f.format)
 }
 
 func runFig2(w io.Writer, args []string) error {

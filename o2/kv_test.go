@@ -277,6 +277,41 @@ func TestKVRunReusesZipfTable(t *testing.T) {
 	}
 }
 
+// TestKVSweepWorkerInvariance runs a small policy×skew grid at one and
+// many workers: the SweepResults must be deeply identical, the KV
+// instance of the engine's determinism guarantee.
+func TestKVSweepWorkerInvariance(t *testing.T) {
+	cfg := quickKVConfig()
+	cfg.Spec = KVSpec{Shards: 8, SlotsPerShard: 64, SlotBytes: 64, Keys: 1 << 12}
+	cfg.Load = KVLoad{Clients: 8, OpsPerClient: 120}
+	cfg.Mixes = []KVMix{defaultKVMix()}
+	cfg.Skews = []float64{0, 0.99}
+	cfg.Policies = []KVPolicy{KVThreadScheduler, KVCoreTime}
+
+	run := func(workers int) *SweepResult {
+		_, sweep := kvSweep(cfg)
+		sweep.Seed, sweep.Workers = 5, workers
+		res, err := sweep.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	one, many := run(1), run(8)
+	if len(one.Cells) != len(many.Cells) {
+		t.Fatalf("cell count differs: %d vs %d", len(one.Cells), len(many.Cells))
+	}
+	for i := range one.Cells {
+		a, b := one.Cells[i], many.Cells[i]
+		for _, m := range []string{"kops_per_sec", "cycles_per_op", "cache_hit_rate", "migrations"} {
+			if a.Stats[m] != b.Stats[m] {
+				t.Errorf("cell %d %v metric %s differs across worker counts: %+v vs %+v",
+					i, a.Labels, m, a.Stats[m], b.Stats[m])
+			}
+		}
+	}
+}
+
 // TestKVSpecDefaultsAndValidation covers the spec's defaulting and
 // rejection paths.
 func TestKVSpecDefaultsAndValidation(t *testing.T) {

@@ -1,7 +1,7 @@
 package o2
 
 // Sweep integration for the KVService scenario: shard-placement policies
-// as option bundles, the Mix/Skew/Policy axes, the kvScenario cell
+// as option bundles, the Mix/Skew/Policy axes, the KVScenario cell
 // workload, and the kv preset's configuration and sweep.
 
 import (
@@ -120,7 +120,7 @@ func policyAxis(policies ...KVPolicy) Axis {
 func mixAxis(mixes ...KVMix) Axis {
 	vals := make([]AxisValue, len(mixes))
 	for i, m := range mixes {
-		vals[i] = AxisValue{Label: m.Label(), Apply: editScenario("mix", func(s *kvScenario) { s.Load.Mix = m })}
+		vals[i] = AxisValue{Label: m.Label(), Apply: editScenario("mix", func(s *KVScenario) { s.Load.Mix = m })}
 	}
 	return Axis{Name: "mix", Values: vals}
 }
@@ -131,23 +131,23 @@ func skewAxis(skews ...float64) Axis {
 	for i, s := range skews {
 		vals[i] = AxisValue{
 			Label: strconv.FormatFloat(s, 'g', -1, 64),
-			Apply: editScenario("skew", func(sc *kvScenario) { sc.Load.Skew = s }),
+			Apply: editScenario("skew", func(sc *KVScenario) { sc.Load.Skew = s }),
 		}
 	}
 	return Axis{Name: "skew", Values: vals}
 }
 
-// kvScenario is the KV scenario as a sweep cell's workload: the store
+// KVScenario is the KV scenario as a sweep cell's workload: the store
 // Spec is built once per cell and driven by Load. The cell seed reaches
 // both the runtime (every internal stream) and the load generator, so
 // results are a pure function of the grid position — the worker-count
 // invariance the kv preset golden test pins.
-type kvScenario struct {
+type KVScenario struct {
 	Spec KVSpec
 	Load KVLoad
 }
 
-func (s kvScenario) measure(c Cell) (Metrics, error) {
+func (s KVScenario) measure(c Cell) (Metrics, error) {
 	svc, err := scenarioForCell(c, func(rt *Runtime) (*KVService, error) {
 		return rt.NewKVService(s.Spec)
 	})
@@ -216,7 +216,7 @@ func kvSweep(cfg kvConfig) (string, Sweep) {
 		cfg.Machine.Name(), cfg.Spec.Shards, cfg.Spec.ShardBytes()/1024, cfg.Spec.Keys)
 	return title, Sweep{
 		Name: "kv",
-		Base: Cell{Machine: cfg.Machine, Scenario: kvScenario{Spec: cfg.Spec, Load: cfg.Load}},
+		Base: Cell{Machine: cfg.Machine, Scenario: KVScenario{Spec: cfg.Spec, Load: cfg.Load}},
 		Axes: []Axis{mixAxis(cfg.Mixes...), skewAxis(cfg.Skews...), policyAxis(cfg.Policies...)},
 	}
 }

@@ -124,7 +124,7 @@ func scaleServiceAxis(cfg scaleConfig) Axis {
 			cores := c.Machine.NumCores()
 			switch s {
 			case scaleKV:
-				c.Scenario = kvScenario{
+				c.Scenario = KVScenario{
 					Spec: KVSpec{Shards: cfg.ShardsPerCore * cores, SlotsPerShard: cfg.SlotsPerShard, SlotBytes: 64},
 					Load: cfg.Load,
 				}

@@ -85,7 +85,7 @@ func TestScaleCellNormalizes(t *testing.T) {
 
 	kv := Cell{
 		Machine: Tiny8,
-		Scenario: kvScenario{
+		Scenario: KVScenario{
 			Spec: KVSpec{Shards: 8, SlotsPerShard: 32, SlotBytes: 64},
 			Load: KVLoad{Clients: 8, OpsPerClient: 50},
 		},

@@ -361,6 +361,43 @@ func TestWebServiceDefaultsAndValidation(t *testing.T) {
 	}
 }
 
+// TestWebSweepWorkerInvariance runs a small rate×policy grid at one and
+// many workers: the SweepResults must be deeply identical — the service
+// instance of the engine's determinism guarantee, now covering latency
+// quantiles.
+func TestWebSweepWorkerInvariance(t *testing.T) {
+	cfg := quickWebConfig()
+	cfg.Spec = WebSpec{DocRoots: 8, FilesPerRoot: 64}
+	cfg.Load.Requests = 150
+	cfg.Rates = []float64{400_000, 1_600_000}
+	cfg.CompactionShares = []float64{0.5}
+	cfg.Policies = []KVPolicy{KVThreadScheduler, KVCoreTime}
+
+	run := func(workers int) *SweepResult {
+		_, sweep := webSweep(cfg)
+		sweep.Seed, sweep.Workers = 5, workers
+		res, err := sweep.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	one, many := run(1), run(8)
+	if len(one.Cells) != len(many.Cells) {
+		t.Fatalf("cell count differs: %d vs %d", len(one.Cells), len(many.Cells))
+	}
+	for i := range one.Cells {
+		a, b := one.Cells[i], many.Cells[i]
+		for _, m := range []string{"offered_krps", "achieved_krps", "drop_rate",
+			"p50_cycles", "p95_cycles", "p99_cycles", "p999_cycles", "mean_cycles", "migrations"} {
+			if a.Stats[m] != b.Stats[m] {
+				t.Errorf("cell %d %v metric %s differs across worker counts: %+v vs %+v",
+					i, a.Labels, m, a.Stats[m], b.Stats[m])
+			}
+		}
+	}
+}
+
 // TestWebSweepAxisLabels pins the axis labels service cells are addressed
 // by in results and JSON.
 func TestWebSweepAxisLabels(t *testing.T) {

@@ -309,7 +309,7 @@ func TestDirLookupHonorsCellScheduler(t *testing.T) {
 }
 
 func TestKVCellHonorsCellScheduler(t *testing.T) {
-	honorsCellScheduler(t, kvScenario{
+	honorsCellScheduler(t, KVScenario{
 		Spec: KVSpec{Shards: 4, SlotsPerShard: 16, SlotBytes: 64, Keys: 64},
 		Load: KVLoad{Clients: 2, OpsPerClient: 20},
 	})
