@@ -20,10 +20,16 @@
 // walk over consecutive lines hashes each page once (PageIndex) for the
 // whole hierarchy and passes the Index down (LookupAt, InsertNewAt).
 //
+// Depth. A way's depth is its place in its set's recency order, 0 for
+// the most recently used. LookupDepthAt, DepthAt and RemoveAt report it
+// and LineAt reads a set by it. The machine model keeps an L1 with as
+// many sets as its L2 as a count of each L2 set's most recent ways, with
+// no tags of its own, and these are the calls that count needs.
+//
 // Skipped scans. A full-set scan is the expensive case: a miss reads
 // every way. The machine model therefore scans a chip's 32-way victim L3
 // only when the coherence directory says that L3 holds the line, and
-// spills an L2 victim with InsertNew unless the directory says the L3
+// spills an L2 victim with InsertNewAt unless the directory says the L3
 // already has it. It does not gate the L2 lookup: most L1 misses hit L2,
 // which never touched the directory before, and the extra directory read
 // measured slower than the scan it saved.
@@ -185,16 +191,42 @@ func (c *Cache) Lookup(l Line) bool { return c.LookupAt(l, IndexOf(l)) }
 // pass IndexOf(l).
 //
 //o2:hotpath
-func (c *Cache) LookupAt(l Line, idx Index) bool {
+func (c *Cache) LookupAt(l Line, idx Index) bool { return c.LookupDepthAt(l, idx) >= 0 }
+
+// LookupDepthAt is LookupAt reporting where the line was: its depth in
+// the set's recency order before the lookup (0 for the most recently
+// used way), or -1 if it is not resident. idx must be IndexOf(l).
+//
+//o2:hotpath
+func (c *Cache) LookupDepthAt(l Line, idx Index) int {
 	set := c.set(idx)
 	i := find(set, l)
 	if i < 0 {
-		return false
+		return -1
 	}
 	if i < len(set)-1 {
 		toMRU(set, i)
 	}
-	return true
+	return len(set) - 1 - i
+}
+
+// DepthAt returns l's depth in its set's recency order (0 for the most
+// recently used way), or -1 if it is not resident, changing nothing.
+// idx must be IndexOf(l).
+func (c *Cache) DepthAt(l Line, idx Index) int {
+	set := c.set(idx)
+	if i := find(set, l); i >= 0 {
+		return len(set) - 1 - i
+	}
+	return -1
+}
+
+// LineAt returns the line at the given depth of set s (0 for the most
+// recently used way), and false if that way is empty. Empty ways sit at
+// the LRU end, so a set holds at least d+1 lines iff depth d is occupied.
+func (c *Cache) LineAt(s, depth int) (Line, bool) {
+	e := c.ways[s*c.assoc+c.assoc-1-depth]
+	return e.line(), e != 0
 }
 
 // HoldsMRU reports whether l is the most recently used line of the set
@@ -232,7 +264,13 @@ func (c *Cache) IsDirty(l Line) bool {
 // eviction happened. Inserting an already-resident line refreshes its LRU
 // position and dirty bit without eviction.
 func (c *Cache) Insert(l Line, dirty bool) (evicted Line, evictedDirty, didEvict bool) {
-	set := c.set(IndexOf(l))
+	return c.InsertAt(l, IndexOf(l), dirty)
+}
+
+// InsertAt is Insert with l's Index supplied by the caller, which must
+// pass IndexOf(l).
+func (c *Cache) InsertAt(l Line, idx Index, dirty bool) (evicted Line, evictedDirty, didEvict bool) {
+	set := c.set(idx)
 	i := find(set, l)
 	if i < 0 {
 		return c.insertAbsent(set, l, dirty)
@@ -244,18 +282,12 @@ func (c *Cache) Insert(l Line, dirty bool) (evicted Line, evictedDirty, didEvict
 	return 0, false, false
 }
 
-// InsertNew is Insert for a line the caller has just proven absent (its
-// Lookup or Contains on this cache returned false, with no intervening
-// mutation). It skips the residency re-scan; the insertion and eviction
-// behavior is identical to Insert's absent case. The machine model's miss
-// path uses it: every install there follows a failed lookup on the same
-// cache.
-func (c *Cache) InsertNew(l Line, dirty bool) (evicted Line, evictedDirty, didEvict bool) {
-	return c.InsertNewAt(l, IndexOf(l), dirty)
-}
-
-// InsertNewAt is InsertNew with l's Index supplied by the caller, which
-// must pass IndexOf(l).
+// InsertNewAt is InsertAt for a line the caller has just proven absent
+// (its lookup on this cache failed, with no intervening mutation). It
+// skips the residency re-scan; the insertion and eviction behavior is
+// identical to Insert's absent case. The machine model's miss path uses
+// it: every install there follows a failed lookup on the same cache.
+// idx must be IndexOf(l).
 //
 //o2:hotpath
 func (c *Cache) InsertNewAt(l Line, idx Index, dirty bool) (evicted Line, evictedDirty, didEvict bool) {
@@ -306,20 +338,24 @@ func (c *Cache) MarkDirtyAt(l Line, idx Index) bool {
 	return true
 }
 
-// Remove invalidates line, reporting whether it was resident and dirty.
-// The less recent ways shift up one, keeping the empty ways at the LRU
-// end.
-func (c *Cache) Remove(l Line) (wasDirty, removed bool) {
-	set := c.set(IndexOf(l))
+// RemoveAt invalidates line l, whose Index idx must be IndexOf(l). It
+// returns the depth the line had in its set's recency order (0 for the
+// most recently used way), or -1 if it was not resident, and whether it
+// was dirty. The less recent ways shift up one, keeping the empty ways at
+// the LRU end.
+//
+//o2:hotpath
+func (c *Cache) RemoveAt(l Line, idx Index) (depth int, wasDirty bool) {
+	set := c.set(idx)
 	i := find(set, l)
 	if i < 0 {
-		return false, false
+		return -1, false
 	}
 	dirty := set[i].dirty()
 	copy(set[1:i+1], set[:i])
 	set[0] = 0
 	c.count--
-	return dirty, true
+	return len(set) - 1 - i, dirty
 }
 
 // Clear invalidates every line.

@@ -74,9 +74,8 @@ func TestDirtyBit(t *testing.T) {
 	if !c.IsDirty(1) {
 		t.Fatal("dirty bit cleared by clean re-insert")
 	}
-	wasDirty, removed := c.Remove(1)
-	if !removed || !wasDirty {
-		t.Fatalf("Remove = (%v,%v), want dirty removal", wasDirty, removed)
+	if depth, wasDirty := c.RemoveAt(1, IndexOf(1)); depth != 0 || !wasDirty {
+		t.Fatalf("RemoveAt = (%d,%v), want a dirty removal from depth 0", depth, wasDirty)
 	}
 }
 
@@ -90,10 +89,10 @@ func TestMarkDirtyMissing(t *testing.T) {
 func TestRemove(t *testing.T) {
 	c := tiny()
 	c.Insert(3, false)
-	if _, removed := c.Remove(3); !removed {
+	if depth, _ := c.RemoveAt(3, IndexOf(3)); depth < 0 {
 		t.Fatal("failed to remove resident line")
 	}
-	if _, removed := c.Remove(3); removed {
+	if depth, _ := c.RemoveAt(3, IndexOf(3)); depth >= 0 {
 		t.Fatal("removed a line twice")
 	}
 	if c.Len() != 0 {
@@ -132,7 +131,7 @@ func TestCapacityNeverExceeded(t *testing.T) {
 			case 1:
 				c.Lookup(line)
 			case 2:
-				c.Remove(line)
+				c.RemoveAt(line, IndexOf(line))
 			}
 			if c.Len() > c.CapacityLines() {
 				return false

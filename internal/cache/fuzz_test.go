@@ -59,6 +59,16 @@ func (r *refCache) find(l Line) (set []refWay, si, i int) {
 	return set, si, -1
 }
 
+// depth returns l's depth in its set, 0 for the most recently used way,
+// or -1 if it is not resident.
+func (r *refCache) depth(l Line) int {
+	set, _, i := r.find(l)
+	if i < 0 {
+		return -1
+	}
+	return len(set) - 1 - i
+}
+
 func (r *refCache) lookup(l Line) bool {
 	set, si, i := r.find(l)
 	if i < 0 {
@@ -85,14 +95,15 @@ func (r *refCache) insert(l Line, dirty bool) (evicted Line, evictedDirty, didEv
 	return evicted, evictedDirty, didEvict
 }
 
-func (r *refCache) remove(l Line) (wasDirty, removed bool) {
+// remove drops l, reporting whether it was resident and dirty.
+func (r *refCache) remove(l Line) (wasDirty bool) {
 	set, si, i := r.find(l)
 	if i < 0 {
-		return false, false
+		return false
 	}
 	wasDirty = set[i].dirty
 	r.sets[si] = slices.Delete(set, i, i+1)
-	return wasDirty, true
+	return wasDirty
 }
 
 func (r *refCache) lines() []Line {
@@ -108,15 +119,20 @@ func (r *refCache) lines() []Line {
 
 // FuzzCache decodes a byte stream into Cache operations on one of
 // fuzzGeoms, applies each to the cache and to refCache, and after every
-// operation compares the returned values (hit, evicted line, its dirty
-// bit), Len and Lines. Opcodes 0-7 and 8-14 select the same operations,
-// except that opcode 14 marks dirty through MarkDirtyAt where 6 uses
-// MarkDirty. InsertNew is only issued after a failed Contains,
-// as its contract requires. The seed corpus lives in
-// testdata/fuzz/FuzzCache.
+// operation compares the returned values (hit, depth, evicted line, its
+// dirty bit), Len, Lines and every set's recency order through LineAt.
+// Opcodes 0-7 and 8-14 select the same operations, some through another
+// form: 8 is LookupDepthAt where 0 is Lookup, 10 DepthAt where 2 is
+// Contains, 12 InsertAt where 4 is Insert and 14 MarkDirtyAt where 6 is
+// MarkDirty. InsertNewAt is only issued after a failed Contains, as its
+// contract requires. The seed corpus lives in testdata/fuzz/FuzzCache.
 func FuzzCache(f *testing.F) {
 	f.Add(uint8(0), []byte{4, 0, 0, 4, 1, 0, 4, 2, 0, 0, 0, 0, 4, 3, 0, 7, 1, 0})
 	f.Add(uint8(3), []byte{0x14, 0, 0, 4, 0, 4, 4, 0, 8, 4, 0, 12, 3, 0, 0, 6, 0, 4, 15, 0, 0})
+	// Three lines of one 16-way set, then the depth forms: LookupDepthAt
+	// of the least recent, DepthAt, and RemoveAt of a present and an
+	// absent line.
+	f.Add(uint8(1), []byte{4, 0, 0, 0x14, 0, 4, 12, 0, 8, 8, 0, 0, 10, 0, 4, 0x17, 0, 4, 0x17, 0, 4})
 	f.Fuzz(func(t *testing.T, g uint8, ops []byte) {
 		geom := fuzzGeoms[int(g)%len(fuzzGeoms)]
 		c := New(geom)
@@ -136,7 +152,13 @@ func FuzzCache(f *testing.F) {
 			default:
 				switch op % 8 {
 				case 0:
-					if got, want := c.Lookup(l), ref.lookup(l); got != want {
+					if op == 8 {
+						want := ref.depth(l)
+						ref.lookup(l)
+						if got := c.LookupDepthAt(l, IndexOf(l)); got != want {
+							fail("LookupDepthAt", got, want)
+						}
+					} else if got, want := c.Lookup(l), ref.lookup(l); got != want {
 						fail("Lookup", got, want)
 					}
 				case 1:
@@ -144,9 +166,13 @@ func FuzzCache(f *testing.F) {
 						fail("LookupAt", got, want)
 					}
 				case 2:
-					_, _, i := ref.find(l)
-					if got, want := c.Contains(l), i >= 0; got != want {
-						fail("Contains", got, want)
+					want := ref.depth(l)
+					if op == 10 {
+						if got := c.DepthAt(l, IndexOf(l)); got != want {
+							fail("DepthAt", got, want)
+						}
+					} else if got := c.Contains(l); got != (want >= 0) {
+						fail("Contains", got, want >= 0)
 					}
 				case 3:
 					set, _, i := ref.find(l)
@@ -154,7 +180,13 @@ func FuzzCache(f *testing.F) {
 						fail("IsDirty", got, want)
 					}
 				case 4:
-					ev, evd, did := c.Insert(l, dirty)
+					var ev Line
+					var evd, did bool
+					if op == 12 {
+						ev, evd, did = c.InsertAt(l, IndexOf(l), dirty)
+					} else {
+						ev, evd, did = c.Insert(l, dirty)
+					}
 					rev, revd, rdid := ref.insert(l, dirty)
 					if ev != rev || evd != revd || did != rdid {
 						fail("Insert", []any{ev, evd, did}, []any{rev, revd, rdid})
@@ -163,10 +195,10 @@ func FuzzCache(f *testing.F) {
 					if c.Contains(l) {
 						break
 					}
-					ev, evd, did := c.InsertNew(l, dirty)
+					ev, evd, did := c.InsertNewAt(l, IndexOf(l), dirty)
 					rev, revd, rdid := ref.insert(l, dirty)
 					if ev != rev || evd != revd || did != rdid {
-						fail("InsertNew", []any{ev, evd, did}, []any{rev, revd, rdid})
+						fail("InsertNewAt", []any{ev, evd, did}, []any{rev, revd, rdid})
 					}
 				case 6:
 					set, _, i := ref.find(l)
@@ -181,10 +213,10 @@ func FuzzCache(f *testing.F) {
 						fail("MarkDirtyAt", got, want)
 					}
 				case 7:
-					wd, rm := c.Remove(l)
-					rwd, rrm := ref.remove(l)
-					if wd != rwd || rm != rrm {
-						fail("Remove", []any{wd, rm}, []any{rwd, rrm})
+					rd := ref.depth(l)
+					rwd := ref.remove(l)
+					if d, wd := c.RemoveAt(l, IndexOf(l)); d != rd || wd != rwd {
+						fail("RemoveAt", []any{d, wd}, []any{rd, rwd})
 					}
 				}
 			}
@@ -194,6 +226,15 @@ func FuzzCache(f *testing.F) {
 			}
 			if got := c.Lines(); !slices.Equal(got, want) {
 				t.Fatalf("step %d: Lines %v, reference %v", step, got, want)
+			}
+			for si := 0; si < ref.nsets; si++ {
+				set := ref.sets[si]
+				for d := 0; d < ref.assoc; d++ {
+					got, ok := c.LineAt(si, d)
+					if want := d < len(set); ok != want || ok && got != set[len(set)-1-d].line {
+						t.Fatalf("step %d: set %d depth %d holds (%d, %v), reference %v", step, si, d, got, ok, set)
+					}
+				}
 			}
 		}
 	})

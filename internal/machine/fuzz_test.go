@@ -318,7 +318,8 @@ func wideFuzzConfig() topology.Config {
 // equalSetsFuzzConfig is Tiny8 with an L2 of as many sets as its L1 (8
 // each), the shape AMD16 and the NUMA presets have at full size: every
 // L1 set then shares its L2 set with no other L1 set, so the L2 recency
-// order is the L1's plus the lines L1 has dropped.
+// order is the L1's plus the lines L1 has dropped, and the machine keeps
+// its L1s as prefix counts of the L2 sets.
 func equalSetsFuzzConfig() topology.Config {
 	cfg := topology.Tiny8()
 	cfg.L2 = topology.CacheGeom{Size: 4 << 10, LineSize: 64, Assoc: 8}
@@ -337,8 +338,9 @@ const (
 )
 
 // FuzzMachine steps a Machine and refMachine through the same accesses,
-// on Tiny8 or on wideFuzzConfig (see stepMachine). The seed corpus lives
-// in testdata/fuzz/FuzzMachine.
+// on Tiny8 or on wideFuzzConfig (see stepMachine). Both have more L2 than
+// L1 sets, so the machine keeps L1 caches: this is the fuzzer of that
+// representation. The seed corpus lives in testdata/fuzz/FuzzMachine.
 func FuzzMachine(f *testing.F) {
 	// Nine lines through core 0's one L2 set push the first into the L3,
 	// which the tenth access hits; core 2 then reads it from another chip
@@ -361,10 +363,13 @@ func FuzzMachine(f *testing.F) {
 }
 
 // FuzzMachineEqualSets is FuzzMachine on equalSetsFuzzConfig, the
-// geometry under which the machine's L1 hit on an MRU way skips the L2
-// refresh; the reference refreshes the L2 on every L1 hit, so it is the
-// oracle for that skip. The seed corpus lives in
-// testdata/fuzz/FuzzMachineEqualSets.
+// geometry under which the machine keeps its L1s as prefix counts of the
+// L2 sets; the reference keeps a true-LRU L1 of its own and refreshes the
+// L2 on every L1 hit, so it is the oracle for both. The committed corpus
+// in testdata/fuzz/FuzzMachineEqualSets pins the count's shrinking: core
+// 2, on another chip, stores to core 0's L1 lines of one set, the most
+// recent first, and core 0 re-reads them, once also reading between the
+// two stores a line just below the L1's remaining way.
 func FuzzMachineEqualSets(f *testing.F) {
 	// Core 0 loads lines A and B of one L1 set, then hits A on the L1's
 	// less recent way, which must move A to the top of its L2 set. Seven
@@ -434,7 +439,7 @@ func stepMachine(t *testing.T, cfg topology.Config, ops []byte) {
 func compareContents(t *testing.T, m *Machine, ref *refMachine, touched map[cache.Line]bool) {
 	t.Helper()
 	for i := range ref.l1 {
-		if got, want := m.L1(i).Lines(), ref.l1[i].lines(); !slices.Equal(got, want) {
+		if got, want := m.L1Lines(i), ref.l1[i].lines(); !slices.Equal(got, want) {
 			t.Fatalf("core %d L1 %v, reference %v", i, got, want)
 		}
 		if got, want := m.L2(i).Lines(), ref.l2[i].lines(); !slices.Equal(got, want) {

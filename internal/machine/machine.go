@@ -24,6 +24,13 @@
 //     mode O2 scheduling exists to avoid, so it must be first-class.
 //   - Coherence is MOESI-like: a dirty line can remain "owned" by one core
 //     while read-shared by others; a write invalidates all other copies.
+//
+// The hierarchy is inclusive and true-LRU at every level. When the L1 has
+// as many sets as the L2 and fewer ways, as on AMD16 and every NUMA
+// preset, each L1 set is always the most recent ways of the L2 set with
+// its number, so the machine keeps one count per L2 set in place of the
+// L1's tags (usePrefixL1). Other geometries (Tiny8, Small) keep an L1
+// cache beside the L2. New chooses once, from the topology alone.
 package machine
 
 import (
@@ -43,11 +50,20 @@ import (
 type Machine struct {
 	cfg topology.Config
 	img *mem.Image
-	l1  []*cache.Cache // per core
+	l1  []*cache.Cache // per core; nil when l1Prefix stands in for the L1s
 	l2  []*cache.Cache // per core
 	l3  []*cache.Cache // per chip
 	dir *coherence.Directory
 	ctr *perfctr.Set
+
+	// l1Prefix replaces the L1 caches when the L1 has as many sets as the
+	// L2 and fewer ways (usePrefixL1): core c's L1 set s is then exactly
+	// the l1Prefix[c*l2Sets+s] most recently used ways of its L2 set s.
+	// nil on the other geometries, which keep l1.
+	l1Prefix []uint8
+	l2Sets   int
+	l2Mask   uint64 // l2Sets-1
+	l1Assoc  uint8
 
 	// dram[chip] meters the chip's memory-controller bandwidth.
 	dram []bwMeter
@@ -114,7 +130,6 @@ func New(cfg topology.Config, memLimit int) (*Machine, error) {
 	m := &Machine{
 		cfg:      cfg,
 		img:      mem.NewImage(memLimit),
-		l1:       make([]*cache.Cache, n),
 		l2:       make([]*cache.Cache, n),
 		l3:       make([]*cache.Cache, cfg.Chips),
 		dir:      coherence.NewDirectory(n + cfg.Chips),
@@ -134,8 +149,18 @@ func New(cfg topology.Config, memLimit int) (*Machine, error) {
 	if w := m.dir.NumWords(); w > 1 {
 		m.invWords = make([]uint64, w)
 	}
+	if usePrefixL1(cfg) {
+		m.l2Sets = cfg.L2.Sets()
+		m.l2Mask = uint64(m.l2Sets - 1)
+		m.l1Assoc = uint8(cfg.L1.Assoc)
+		m.l1Prefix = make([]uint8, n*m.l2Sets)
+	} else {
+		m.l1 = make([]*cache.Cache, n)
+	}
 	for i := 0; i < n; i++ {
-		m.l1[i] = cache.New(cfg.L1)
+		if m.l1 != nil {
+			m.l1[i] = cache.New(cfg.L1)
+		}
 		m.l2[i] = cache.New(cfg.L2)
 	}
 	for i := 0; i < cfg.Chips; i++ {
@@ -164,6 +189,20 @@ func New(cfg topology.Config, memLimit int) (*Machine, error) {
 		m.near[a] = m.distanceClasses(a)
 	}
 	return m, nil
+}
+
+// usePrefixL1 reports whether cfg's L1s can be kept as per-set prefix
+// counts of the L2s. With as many L1 as L2 sets, one Index selects the
+// same set number in both, and in an inclusive true-LRU hierarchy every
+// access moves its line to the MRU end of both sets, so an L1 set is
+// always the k most recent ways of its L2 set: k grows by one (up to the
+// L1's ways) on each L1 miss and shrinks by one when an invalidation
+// removes one of those ways. An L2 victim, the set's least recent way, is
+// below any k when the L2 has more ways. With more L2 than L1 sets, an L1
+// set's lines are spread over several L2 sets, and its recency across
+// them is not recorded there.
+func usePrefixL1(cfg topology.Config) bool {
+	return cfg.L1.Sets() == cfg.L2.Sets() && cfg.L1.Assoc < cfg.L2.Assoc && cfg.L1.Assoc <= 255
 }
 
 // distanceClasses builds near[chip]: every directory node grouped by its
@@ -226,8 +265,38 @@ func (m *Machine) ChipOf(core int) int { return m.chipOf[core] }
 // precomputed table.
 func (m *Machine) HopDist(a, b int) int { return m.hop[a][b] }
 
-// L1 returns core's L1 cache (for inspection and tests).
-func (m *Machine) L1(core int) *cache.Cache { return m.l1[core] }
+// prefix returns core's L1 prefix counts, one per L2 set.
+func (m *Machine) prefix(core int) []uint8 {
+	return m.l1Prefix[core*m.l2Sets : (core+1)*m.l2Sets]
+}
+
+// L1Holds reports whether line l is resident in core's L1, changing no
+// recency.
+func (m *Machine) L1Holds(core int, l cache.Line) bool {
+	idx := cache.IndexOf(l)
+	if m.l1 != nil {
+		return m.l1[core].DepthAt(l, idx) >= 0
+	}
+	d := m.l2[core].DepthAt(l, idx)
+	return d >= 0 && d < int(m.prefix(core)[uint64(idx)&m.l2Mask])
+}
+
+// L1Lines returns the lines resident in core's L1 in ascending order (for
+// inspection and tests).
+func (m *Machine) L1Lines(core int) []cache.Line {
+	if m.l1 != nil {
+		return m.l1[core].Lines()
+	}
+	var out []cache.Line
+	for s, k := range m.prefix(core) {
+		for d := 0; d < int(k); d++ {
+			l, _ := m.l2[core].LineAt(s, d)
+			out = append(out, l)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
 
 // L2 returns core's L2 cache.
 func (m *Machine) L2(core int) *cache.Cache { return m.l2[core] }
@@ -269,16 +338,25 @@ func (m *Machine) Store(core int, addr mem.Addr, size int, at sim.Time) sim.Cycl
 // AccessRange charges an access to every line overlapping
 // [addr, addr+size), serialized, and returns the total latency. It is the
 // heart of the model and its only per-line loop: per-core state (counters,
-// L1) is resolved once per range, the set-index page hash once per page,
-// and the issue and stall counters are added once per range.
+// L1, L2) is resolved once per range, the set-index page hash once per
+// page, and the issue and stall counters are added once per range.
 //
-// An L1 hit on the set's most recently used way finishes with no L2
-// call: an L2 has at least as many sets as its L1 (topology.Config.Validate),
-// so an L1 set's MRU line is also the MRU line of its L2 set
-// (CheckInvariants) and the L2 refresh would change nothing. Any other L1
-// hit refreshes L2 recency (inclusive hierarchy), and a miss drops into
-// missLine, the out-of-line slow path. A store then acquires exclusive
-// ownership. The common case allocates nothing.
+// On the prefix geometry (usePrefixL1) the L1 is the top k ways of the L2
+// set: a line on the set's MRU way with k > 0 is an L1 hit with nothing
+// to update, and any other line costs one L2 scan that also refreshes
+// it. A depth below k is an L1 hit; anything else is an L1 miss (an L2
+// hit, or missL2) after which the L1 holds one more way, up to its
+// associativity.
+//
+// On the other geometries an L1 hit on the set's most recently used way
+// finishes with no L2 call: an L2 has at least as many sets as its L1
+// (topology.Config.Validate), so an L1 set's MRU line is also the MRU
+// line of its L2 set (CheckInvariants) and the L2 refresh would change
+// nothing. Any other L1 hit refreshes L2 recency (inclusive hierarchy),
+// and a miss drops into missLine, the out-of-line slow path.
+//
+// A store then acquires exclusive ownership. The common case allocates
+// nothing.
 //
 //o2:hotpath
 func (m *Machine) AccessRange(core int, addr mem.Addr, size int, write bool, at sim.Time) sim.Cycles {
@@ -288,7 +366,14 @@ func (m *Machine) AccessRange(core int, addr mem.Addr, size int, write bool, at 
 	first := cache.LineOf(addr, m.lineSize)
 	last := cache.LineOf(addr+mem.Addr(size-1), m.lineSize)
 	c := m.ctr.Core(core)
-	l1 := m.l1[core]
+	l2 := m.l2[core]
+	var l1 *cache.Cache
+	var prefix []uint8
+	if m.l1Prefix != nil {
+		prefix = m.prefix(core)
+	} else {
+		l1 = m.l1[core]
+	}
 	page := cache.PageIndex(first)
 	var total sim.Cycles
 	for l := first; l <= last; l++ {
@@ -297,15 +382,36 @@ func (m *Machine) AccessRange(core int, addr mem.Addr, size int, write bool, at 
 		}
 		idx := page | cache.Index(l%cache.PageLines)
 		var lat sim.Cycles
-		switch {
-		case l1.HoldsMRU(l, idx):
-			lat = m.cfg.Lat.L1Hit
-		case l1.LookupAt(l, idx):
-			m.l2[core].LookupAt(l, idx)
-			lat = m.cfg.Lat.L1Hit
-		default:
-			c.L1Miss++
-			lat = m.missLine(core, l, idx, at+total, c)
+		if prefix != nil {
+			s := uint64(idx) & m.l2Mask
+			k := prefix[s]
+			if k > 0 && l2.HoldsMRU(l, idx) {
+				lat = m.cfg.Lat.L1Hit
+			} else if d := l2.LookupDepthAt(l, idx); d >= 0 && d < int(k) {
+				lat = m.cfg.Lat.L1Hit
+			} else {
+				c.L1Miss++
+				if d >= 0 {
+					c.L2Loads++
+					lat = m.cfg.Lat.L2Hit
+				} else {
+					lat = m.missL2(core, l, idx, at+total, c)
+				}
+				if k < m.l1Assoc {
+					prefix[s] = k + 1
+				}
+			}
+		} else {
+			switch {
+			case l1.HoldsMRU(l, idx):
+				lat = m.cfg.Lat.L1Hit
+			case l1.LookupAt(l, idx):
+				l2.LookupAt(l, idx)
+				lat = m.cfg.Lat.L1Hit
+			default:
+				c.L1Miss++
+				lat = m.missLine(core, l, idx, at+total, c)
+			}
 		}
 		if write {
 			lat += m.acquireOwnership(core, l, idx, c)
@@ -321,20 +427,29 @@ func (m *Machine) AccessRange(core int, addr mem.Addr, size int, write bool, at 
 	return total
 }
 
-// missLine services an access that missed L1: the core's L2, the chip's
-// shared L3, then remote caches or DRAM. The L2 lookup is ungated: most L1
-// misses hit L2, and an L2 hit never touched the directory before, so
-// gating it measured slower. An L2 miss resolves the line's directory
-// slot once; the L3 gate, the L3 hit's removal, the holder search and the
-// final holder record all use it. Every such miss ends by recording the
-// core as a holder, so mapping the slot's page up front maps nothing the
-// miss would not.
+// missLine services an access that missed an L1 cache (the geometries
+// without prefix counts): the core's L2, then missL2. The L2 lookup is
+// ungated: most L1 misses hit L2, and an L2 hit never touched the
+// directory before, so gating it measured slower.
 func (m *Machine) missLine(core int, l cache.Line, idx cache.Index, at sim.Time, c *perfctr.Counters) sim.Cycles {
 	if m.l2[core].LookupAt(l, idx) {
 		c.L2Loads++
-		m.installL1(core, l, idx)
+		// The caller's L1 lookup just failed, so InsertNewAt applies;
+		// an L1 victim needs no bookkeeping, since inclusion keeps it
+		// in L2.
+		m.l1[core].InsertNewAt(l, idx, false)
 		return m.cfg.Lat.L2Hit
 	}
+	return m.missL2(core, l, idx, at, c)
+}
+
+// missL2 services an access that missed the core's L2: the chip's shared
+// L3, then remote caches or DRAM. It resolves the line's directory slot
+// once; the L3 gate, the L3 hit's removal, the holder search and the
+// final holder record all use it. Every such miss ends by recording the
+// core as a holder, so mapping the slot's page up front maps nothing the
+// miss would not.
+func (m *Machine) missL2(core int, l cache.Line, idx cache.Index, at sim.Time, c *perfctr.Counters) sim.Cycles {
 	c.L2Miss++
 	s := m.dir.SlotOf(l)
 	chip := m.chipOf[core]
@@ -342,9 +457,9 @@ func (m *Machine) missLine(core int, l cache.Line, idx cache.Index, at sim.Time,
 	// L3 holds the line.
 	if l3node := m.l3Node(chip); m.dir.HoldsAt(s, l3node) {
 		// Exclusive victim L3: a hit promotes the line back into the
-		// core's private hierarchy and removes it from L3. Remove probes
-		// and invalidates in one scan.
-		wasDirty, _ := m.l3[chip].Remove(l)
+		// core's private hierarchy and removes it from L3. RemoveAt
+		// probes and invalidates in one scan.
+		_, wasDirty := m.l3[chip].RemoveAt(l, idx)
 		m.dir.RemoveSharerAt(s, l3node)
 		c.L3Loads++
 		m.installCore(core, l, idx, s, wasDirty)
@@ -433,7 +548,7 @@ func (m *Machine) acquireOwnership(core int, l cache.Line, idx cache.Index, c *p
 		if inv := m.dir.AcquireExclusive(l, node); inv != 0 {
 			extra = m.cfg.Lat.InvalidateCost
 			c.Invalidations += uint64(bits.OnesCount64(inv))
-			m.invalidateWord(inv, 0, l)
+			m.invalidateWord(inv, 0, l, idx)
 		}
 	} else if m.dir.AcquireExclusiveWords(l, node, m.invWords) {
 		extra = m.cfg.Lat.InvalidateCost
@@ -442,71 +557,89 @@ func (m *Machine) acquireOwnership(core int, l cache.Line, idx cache.Index, c *p
 				continue
 			}
 			c.Invalidations += uint64(bits.OnesCount64(inv))
-			m.invalidateWord(inv, w*64, l)
+			m.invalidateWord(inv, w*64, l, idx)
 		}
 	}
-	m.l1[core].MarkDirtyAt(l, idx)
+	if m.l1 != nil {
+		m.l1[core].MarkDirtyAt(l, idx)
+	}
 	m.l2[core].MarkDirtyAt(l, idx)
 	return extra
 }
 
-// invalidateWord removes line l from every cache whose node bit is set in
-// one holder word covering nodes [base, base+64).
+// invalidateWord removes line l, whose set Index is idx, from every cache
+// whose node bit is set in one holder word covering nodes [base, base+64).
+// With prefix counts, a core's L1 loses the line iff its depth in the L2
+// set was below the set's count, which then shrinks by one.
 //
 //o2:hotpath
-func (m *Machine) invalidateWord(inv uint64, base int, l cache.Line) {
+func (m *Machine) invalidateWord(inv uint64, base int, l cache.Line, idx cache.Index) {
 	ncores := m.ncores
 	for inv != 0 {
 		n := base + bits.TrailingZeros64(inv)
 		inv &= inv - 1
-		if n < ncores {
-			m.l1[n].Remove(l)
-			m.l2[n].Remove(l)
-		} else {
-			m.l3[n-ncores].Remove(l)
+		if n >= ncores {
+			m.l3[n-ncores].RemoveAt(l, idx)
+			continue
+		}
+		d, _ := m.l2[n].RemoveAt(l, idx)
+		if m.l1 != nil {
+			m.l1[n].RemoveAt(l, idx)
+		} else if k := &m.l1Prefix[n*m.l2Sets+int(uint64(idx)&m.l2Mask)]; d >= 0 && d < int(*k) {
+			*k--
 		}
 	}
 }
 
-// installCore inserts a fetched line into core's L1 and L2, cascading
-// evictions: L2 victims fall into the chip's L3 (victim cache), L3 victims
-// are written back to DRAM (holder bit dropped). Inclusion (L1 ⊆ L2) is
-// maintained so the directory can treat each core's private hierarchy as a
-// single node.
+// installCore inserts a fetched line into core's L2 and, when the core
+// has an L1 cache, its L1 (the caller grows a prefix count itself),
+// cascading evictions: L2 victims fall into the chip's L3 (victim cache),
+// L3 victims are written back to DRAM (holder bit dropped). Inclusion
+// (L1 ⊆ L2) is maintained so the directory can treat each core's private
+// hierarchy as a single node.
 func (m *Machine) installCore(core int, l cache.Line, idx cache.Index, s coherence.Slot, dirty bool) {
 	chip := m.chipOf[core]
 	node := m.coreNode(core)
 	c := m.ctr.Core(core)
 
-	// InsertNew: every install follows a failed L2 lookup on this line
-	// (missLine's L2 miss), so the residency re-scan is skipped.
+	// InsertNewAt: every install follows a failed L2 lookup on this line
+	// (the L2 miss), so the residency re-scan is skipped.
 	if victim, vDirty, evicted := m.l2[core].InsertNewAt(l, idx, dirty); evicted {
 		c.Evictions++
-		// Maintain inclusion: the victim may still sit in L1.
-		m.l1[core].Remove(victim)
+		vidx := cache.IndexOf(victim)
+		if m.l1 != nil {
+			// Maintain inclusion: the victim may still sit in L1. A
+			// prefix L1 never holds it: it was the L2 set's least recent
+			// way, below any prefix count.
+			m.l1[core].RemoveAt(victim, vidx)
+		}
 		// The victim is another line, and a page never moves, so s
 		// stays valid across the spill.
-		m.spillToL3(chip, node, victim, vDirty, c)
+		m.spillToL3(chip, node, victim, vidx, vDirty, c)
 	}
 	m.dir.AddSharerAt(s, node)
-	m.installL1(core, l, idx)
+	if m.l1 != nil {
+		// Every caller is on the miss path after this core's L1 lookup
+		// failed, so InsertNewAt applies.
+		m.l1[core].InsertNewAt(l, idx, false)
+	}
 }
 
-// spillToL3 places an L2 victim into the chip's victim L3. The victim may
-// already sit there (another core of the chip spilled it first); only
-// then does the L3 need Insert's residency scan, and the directory's move
-// of the holder bit says which case this is. Moving the bit before the
-// insert is safe: the line the L3 evicts is never the victim, so the two
-// directory updates commute.
-func (m *Machine) spillToL3(chip int, from coherence.Node, victim cache.Line, dirty bool, c *perfctr.Counters) {
+// spillToL3 places an L2 victim, whose set Index is vidx, into the chip's
+// victim L3. The victim may already sit there (another core of the chip
+// spilled it first); only then does the L3 need Insert's residency scan,
+// and the directory's move of the holder bit says which case this is.
+// Moving the bit before the insert is safe: the line the L3 evicts is
+// never the victim, so the two directory updates commute.
+func (m *Machine) spillToL3(chip int, from coherence.Node, victim cache.Line, vidx cache.Index, dirty bool, c *perfctr.Counters) {
 	l3 := m.l3[chip]
 	l3node := m.l3Node(chip)
 	var w cache.Line
 	var evicted bool
 	if m.dir.MoveSharer(victim, from, l3node) {
-		w, _, evicted = l3.Insert(victim, dirty)
+		w, _, evicted = l3.InsertAt(victim, vidx, dirty)
 	} else {
-		w, _, evicted = l3.InsertNew(victim, dirty)
+		w, _, evicted = l3.InsertNewAt(victim, vidx, dirty)
 	}
 	if evicted {
 		c.Evictions++
@@ -514,18 +647,14 @@ func (m *Machine) spillToL3(chip int, from coherence.Node, victim cache.Line, di
 	}
 }
 
-// installL1 inserts into L1 only; L1 victims need no bookkeeping because
-// inclusion guarantees they remain in L2. Every caller is on the miss
-// path after this core's L1 lookup failed, so InsertNewAt applies.
-func (m *Machine) installL1(core int, l cache.Line, idx cache.Index) {
-	m.l1[core].InsertNewAt(l, idx, false)
-}
-
 // FlushAll empties every cache and the directory (cold-start between
 // benchmark phases). DRAM controller queues are also reset.
 func (m *Machine) FlushAll() {
 	for i := range m.l1 {
 		m.l1[i].Clear()
+	}
+	clear(m.l1Prefix)
+	for i := range m.l2 {
 		m.l2[i].Clear()
 	}
 	for i := range m.l3 {
@@ -562,7 +691,11 @@ func (m *Machine) Reset() {
 //  5. MRU agreement: every L1 set's most recently used line is the most
 //     recently used line of its L2 set, which lets AccessRange skip the
 //     L2 refresh on such a hit;
-//  6. counter conservation, per core: every L1 miss is an L2 load or an
+//  6. prefix bounds: on the prefix geometry, which satisfies 2 and 5 by
+//     construction and so checks them no further, every L1 prefix count
+//     is at most the L1's associativity and the occupied ways of its L2
+//     set;
+//  7. counter conservation, per core: every L1 miss is an L2 load or an
 //     L2 miss, every L2 miss an L3 load or an L3 miss, every L3 miss a
 //     remote fetch or a DRAM load, and no more lines missed L1 than were
 //     accessed.
@@ -575,17 +708,8 @@ func (m *Machine) CheckInvariants() error {
 			c.L3Miss != c.RemoteFetches+c.DRAMLoads || c.L1Miss > c.Loads+c.Stores {
 			return fmt.Errorf("machine: core %d counters break miss conservation: %+v", core, *c)
 		}
-		m.scratchLines = m.l1[core].AppendLines(m.scratchLines[:0])
-		for _, l := range m.scratchLines {
-			if !m.l2[core].Contains(l) {
-				return fmt.Errorf("machine: core %d L1 line %d violates inclusion", core, l)
-			}
-		}
-		m.scratchLines = m.l1[core].AppendMRU(m.scratchLines[:0])
-		for _, l := range m.scratchLines {
-			if !m.l2[core].HoldsMRU(l, cache.IndexOf(l)) {
-				return fmt.Errorf("machine: core %d L1 MRU line %d is not the MRU line of its L2 set", core, l)
-			}
+		if err := m.checkL1(core); err != nil {
+			return err
 		}
 		node := m.coreNode(core)
 		m.scratchLines = m.l2[core].AppendLines(m.scratchLines[:0])
@@ -605,6 +729,39 @@ func (m *Machine) CheckInvariants() error {
 		}
 	}
 	return m.checkDirectoryBacked()
+}
+
+// checkL1 checks core's L1 against its L2: inclusion and MRU agreement
+// for an L1 cache, the bounds of every count for prefix counts.
+func (m *Machine) checkL1(core int) error {
+	l2 := m.l2[core]
+	if m.l1 == nil {
+		for s, k := range m.prefix(core) {
+			if k == 0 {
+				continue
+			}
+			if k > m.l1Assoc {
+				return fmt.Errorf("machine: core %d L1 prefix count %d of set %d exceeds the L1's %d ways", core, k, s, m.l1Assoc)
+			}
+			if _, ok := l2.LineAt(s, int(k)-1); !ok {
+				return fmt.Errorf("machine: core %d L1 prefix count %d of set %d exceeds its L2 set's lines", core, k, s)
+			}
+		}
+		return nil
+	}
+	m.scratchLines = m.l1[core].AppendLines(m.scratchLines[:0])
+	for _, l := range m.scratchLines {
+		if !l2.Contains(l) {
+			return fmt.Errorf("machine: core %d L1 line %d violates inclusion", core, l)
+		}
+	}
+	m.scratchLines = m.l1[core].AppendMRU(m.scratchLines[:0])
+	for _, l := range m.scratchLines {
+		if !l2.HoldsMRU(l, cache.IndexOf(l)) {
+			return fmt.Errorf("machine: core %d L1 MRU line %d is not the MRU line of its L2 set", core, l)
+		}
+	}
+	return nil
 }
 
 // checkDirectoryBacked walks all resident lines and confirms each directory

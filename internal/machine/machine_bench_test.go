@@ -75,7 +75,7 @@ func BenchmarkAccessRangeScan(b *testing.B) {
 // share core 0's L1 sets (and so, at AMD16's equal set counts, its L2
 // sets) line for line.
 func conflictingSectors(m *Machine, n int) []mem.Addr {
-	mask := cache.Index(m.L1(0).Geom().Sets() - 1)
+	mask := cache.Index(m.cfg.L1.Sets() - 1)
 	sets := func(page cache.Line) cache.Index { return cache.PageIndex(page*cache.PageLines) & mask }
 	var out []mem.Addr
 	for p := cache.Line(1); len(out) < n; p++ {
@@ -87,27 +87,47 @@ func conflictingSectors(m *Machine, n int) []mem.Addr {
 }
 
 // BenchmarkAccessRangeAMD16 measures one 512-byte sector load at AMD16's
-// geometry on each side of the L1-hit split, reporting host ns per line:
+// geometry on each path of the L1 and L2, reporting host ns per line:
 //   - mru-hit re-reads one sector, so every line hits its L1 set's most
 //     recently used way and finishes without an L2 call;
 //   - lru-hit alternates two sectors of the same L1 sets, so every line
 //     hits the 2-way L1's less recent way and refreshes the L2;
 //   - l2-hit cycles three such sectors, so each thrashes the others out
-//     of the L1 and every line misses L1 and hits L2.
+//     of the L1 and every line misses L1 and hits L2;
+//   - l3-hit cycles twice the L2's ways of them, so every line misses
+//     the L2 too and comes back from the chip's victim L3.
 //
-// Each case must report 0 allocs/op.
+// Setup runs the cycle twice and checks on core 0's counters that the
+// second cycle took the case's path on every line. Each case must report
+// 0 allocs/op.
 func BenchmarkAccessRangeAMD16(b *testing.B) {
 	const sector = 512
+	cfg := topology.AMD16()
 	for _, tc := range []struct {
 		name    string
 		sectors int
-	}{{"mru-hit", 1}, {"lru-hit", 2}, {"l2-hit", 3}} {
+		path    func(c *perfctr.Counters) uint64
+	}{
+		{"mru-hit", 1, func(c *perfctr.Counters) uint64 { return c.Loads - c.L1Miss }},
+		{"lru-hit", 2, func(c *perfctr.Counters) uint64 { return c.Loads - c.L1Miss }},
+		{"l2-hit", 3, func(c *perfctr.Counters) uint64 { return c.L2Loads }},
+		{"l3-hit", 2 * cfg.L2.Assoc, func(c *perfctr.Counters) uint64 { return c.L3Loads }},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
-			m := MustNew(topology.AMD16(), 1<<24)
+			m := MustNew(cfg, 1<<24)
 			addrs := conflictingSectors(m, tc.sectors)
 			var at sim.Time
 			for _, a := range addrs {
 				at += m.AccessRange(0, a, sector, false, at) // prime
+			}
+			c := m.Counters().Core(0)
+			before := tc.path(c)
+			for _, a := range addrs {
+				at += m.AccessRange(0, a, sector, false, at)
+			}
+			lines := uint64(len(addrs) * sector / m.LineSize())
+			if got := tc.path(c) - before; got != lines {
+				b.Fatalf("a cycle of %d lines took the %s path %d times", lines, tc.name, got)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

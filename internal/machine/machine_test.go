@@ -237,7 +237,7 @@ func TestFlushAll(t *testing.T) {
 	m := newAMD(t)
 	m.Load(0, 0, 1024, 0)
 	m.FlushAll()
-	if m.L1(0).Len() != 0 || m.L2(0).Len() != 0 || m.L3(0).Len() != 0 {
+	if len(m.L1Lines(0)) != 0 || m.L2(0).Len() != 0 || m.L3(0).Len() != 0 {
 		t.Fatal("caches survived FlushAll")
 	}
 	if m.Directory().TrackedLines() != 0 {
@@ -374,5 +374,77 @@ func TestCheckInvariantsCatchesCounterDrift(t *testing.T) {
 				t.Fatalf("CheckInvariants = %v, want a conservation failure", err)
 			}
 		})
+	}
+}
+
+// TestL1RepresentationFollowsTopology pins which machines keep their L1s
+// as prefix counts of the L2 sets: those whose L1 has as many sets as the
+// L2 and fewer ways.
+func TestL1RepresentationFollowsTopology(t *testing.T) {
+	for _, tc := range []struct {
+		cfg    topology.Config
+		prefix bool
+	}{
+		{topology.AMD16(), true},
+		{topology.NUMA64(), true},
+		{topology.NUMA256(), true},
+		{equalSetsFuzzConfig(), true},
+		{topology.Tiny8(), false},
+		{topology.Small(), false},
+		{wideFuzzConfig(), false},
+	} {
+		m, err := New(tc.cfg, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.l1Prefix != nil; got != tc.prefix || got == (m.l1 != nil) {
+			t.Errorf("%s: prefix counts %v, L1 caches %v; want prefix counts %v",
+				tc.cfg.Name, got, m.l1 != nil, tc.prefix)
+		}
+	}
+}
+
+// TestCheckInvariantsRejectsBadPrefixCount corrupts one L1 prefix count
+// of an AMD16 core and expects CheckInvariants to refuse it: first a
+// count above the lines its L2 set holds, then one above the L1's ways.
+func TestCheckInvariantsRejectsBadPrefixCount(t *testing.T) {
+	m := newAMD(t)
+	var at sim.Time
+	for _, a := range conflictingSectors(m, 3) {
+		at += m.Load(0, a, m.LineSize(), at)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	setOf := func(l cache.Line) uint64 { return uint64(cache.IndexOf(l)) & m.l2Mask }
+	full := setOf(cache.LineOf(conflictingSectors(m, 1)[0], m.LineSize()))
+	lone := cache.Line(0)
+	if setOf(lone) == full {
+		lone++
+	}
+	one := setOf(lone)
+	at += m.Load(0, mem.Addr(lone)*mem.Addr(m.LineSize()), m.LineSize(), at)
+	p := m.prefix(0)
+	if p[full] != 2 || p[one] != 1 {
+		t.Fatalf("prefix counts %d and %d, want 2 and 1", p[full], p[one])
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		set  uint64
+		k    uint8
+		want string
+	}{
+		{one, 2, "L2 set's lines"},
+		{full, 3, "L1's 2 ways"},
+	} {
+		old := p[tc.set]
+		p[tc.set] = tc.k
+		err := m.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("count %d in set %d: CheckInvariants = %v, want an error naming the %s", tc.k, tc.set, err, tc.want)
+		}
+		p[tc.set] = old
 	}
 }

@@ -478,3 +478,20 @@ func TestCloseReleasesCoroutines(t *testing.T) {
 		t.Errorf("goroutines %d → %d across closed truncated runs", before, after)
 	}
 }
+
+// TestReserveHoldsTheBatch checks that Reserve makes room for a whole
+// batch of events: scheduling that many afterwards never grows the
+// queue.
+func TestReserveHoldsTheBatch(t *testing.T) {
+	const n = 1000
+	e := NewEngine()
+	e.At(1, func() {})
+	e.Reserve(n)
+	c := cap(e.events)
+	for i := 0; i < n; i++ {
+		e.At(Time(i+2), func() {})
+	}
+	if c < 1+n || cap(e.events) != c {
+		t.Fatalf("Reserve(%d) left capacity %d, which grew to %d under the batch", n, c, cap(e.events))
+	}
+}

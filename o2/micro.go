@@ -52,7 +52,7 @@ func LatencyTable() ([]LatencyRow, error) {
 		at += m.Access(0, target, false, at)
 		tl := cache.LineOf(target, m.LineSize())
 		fill := target + 1<<20
-		for i := 0; m.L1(0).Contains(tl); i++ {
+		for i := 0; m.L1Holds(0, tl); i++ {
 			at += m.Access(0, fill+mem.Addr(i)*lineSize, false, at)
 			if i > 4*cfg.L1.Size/cfg.L1.LineSize {
 				break // cannot happen; guard against infinite loop

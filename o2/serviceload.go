@@ -453,6 +453,8 @@ func (s *WebService) Run(load ServiceLoad) (ServiceResult, error) {
 		// request index is the arrival cursor (arrivals fire in schedule
 		// order), so nothing needs capturing per request.
 		arrive := st.enqueueNext
+		rt.mustEnsure()
+		rt.eng.Reserve(len(arrivals))
 		for _, at := range arrivals {
 			rt.At(at, arrive)
 		}
