@@ -408,29 +408,6 @@ func TestMonitorRebalancesOverloadedCore(t *testing.T) {
 	}
 }
 
-func TestPackAllSortsAndSpreads(t *testing.T) {
-	h := newHarness(t, noRebalance())
-	objs := make([]*objInfo, 6)
-	for i := range objs {
-		o := h.alloc(t, "o", 256<<10)
-		oi := h.rt.info(o.Base)
-		oi.missEWMA = float64(100 * (i + 1))
-		oi.windowOps = uint64(i)
-		objs[i] = oi
-	}
-	h.rt.PackAll()
-	for i, oi := range objs {
-		if !oi.placed {
-			t.Fatalf("object %d not packed", i)
-		}
-	}
-	for c := 0; c < 16; c++ {
-		if h.rt.CoreLoad(c) > h.rt.Budget() {
-			t.Fatalf("core %d over budget after PackAll", c)
-		}
-	}
-}
-
 func TestFrequencyReplacementEvictsColdObject(t *testing.T) {
 	opts := noRebalance()
 	opts.Replacement = ReplaceFrequency

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // This file implements the paper's cache-packing algorithm (§4):
 //
@@ -14,14 +10,9 @@ import (
 //	 with free space. The algorithm executes in Θ(n log n) time, where n
 //	 is the number of objects."
 //
-// Two entry points share the fitting logic:
-//
-//   - place(oi) is the online path taken the first time an object crosses
-//     the miss threshold: the object goes to the cache with the most free
-//     space, spreading both bytes and the operations that follow them.
-//   - PackAll re-runs the full greedy algorithm (sort by descending
-//     benefit, then first fit) over every known expensive object; the
-//     monitor uses it after bulk unplacements.
+// place(oi) is the online path taken the first time an object crosses
+// the miss threshold: the object goes to the cache with the most free
+// space, spreading both bytes and the operations that follow them.
 
 // place assigns oi to a cache, honoring clustering and the replacement
 // policy. It reports success.
@@ -181,65 +172,4 @@ func (rt *Runtime) evictColderThan(oi *objInfo) bool {
 	}
 	rt.unplace(victim)
 	return true
-}
-
-// PackAll runs the offline greedy first-fit algorithm over every object
-// currently considered expensive: objects are sorted by descending benefit
-// (Θ(n log n), as the paper notes) and fitted first-fit onto cores in
-// index order. Existing placements are rebuilt from scratch. The monitor
-// calls this after decay frees budget; tests call it directly.
-func (rt *Runtime) PackAll() {
-	var candidates []*objInfo
-	for _, oi := range rt.objs {
-		if oi.missEWMA > rt.opts.MissThreshold || oi.placed {
-			candidates = append(candidates, oi)
-		}
-	}
-	// Sort before unplacing, so the unplace trace events follow benefit
-	// order rather than map iteration order.
-	sort.Slice(candidates, func(i, j int) bool {
-		ri, rj := candidates[i].opRate(), candidates[j].opRate()
-		if ri != rj {
-			return ri > rj
-		}
-		// Deterministic tie-break on address.
-		return candidates[i].obj.Base < candidates[j].obj.Base
-	})
-	for _, oi := range candidates {
-		rt.unplace(oi)
-	}
-	// Undo the churn accounting: a repack is one logical event, and
-	// tests assert on Placements/Unplacements for the online path.
-	rt.stats.Unplacements -= uint64(len(candidates))
-
-	ncores := len(rt.coreLoad)
-	next := 0 // rotate first-fit start so equal-rate objects spread
-	for _, oi := range candidates {
-		if oi.bytes() > rt.budget {
-			rt.stats.Rejections++
-			continue
-		}
-		if rt.opts.EnableClustering && oi.cluster != 0 {
-			if c, ok := rt.clusterCore(oi.cluster); ok && rt.fits(oi, c) {
-				rt.assign(oi, c)
-				rt.stats.Placements--
-				continue
-			}
-		}
-		placedAt := -1
-		for off := 0; off < ncores; off++ {
-			c := (next + off) % ncores
-			if rt.fits(oi, c) {
-				placedAt = c
-				break
-			}
-		}
-		if placedAt < 0 {
-			rt.stats.Rejections++
-			continue
-		}
-		rt.assign(oi, placedAt)
-		rt.stats.Placements-- // repack is not a new placement
-		next = (placedAt + 1) % ncores
-	}
 }

@@ -7,6 +7,11 @@
 // hold 1,000 entries each, so one directory occupies exactly 32,000 bytes
 // of directory clusters — the same working-set arithmetic as the paper.
 //
+// Every scenario builds its directories once (Format, Mkdir, Populate)
+// and then only reads them (Lookup, Extent), so the volume has no file
+// data and no write path after the build: directories hold zero-length
+// file entries and subdirectories, and no cluster is ever freed.
+//
 // Every metadata structure (boot sector, FAT, directory entries) is real
 // bytes, parsed on every operation. The volume takes its addresses from
 // the machine's address space (mem.Image) and keeps its bytes in its own
@@ -104,11 +109,9 @@ type FS struct {
 	clusterBytes int
 	fill         []byte // Populate's scratch cluster image
 
-	// allocHint speeds host-side bulk setup; correctness never depends
-	// on it (allocation falls back to a full FAT scan).
-	allocHint int
-	// freeLow is where allocChainContiguous's first-fit scan starts:
-	// every cluster below it is in use. Freeing a cell lowers it.
+	// freeLow is the first cluster no chain holds. Clusters are
+	// allocated upward from it and never freed, so every cluster below
+	// it is in use and every one from it up is free.
 	freeLow int
 }
 
@@ -154,7 +157,6 @@ func Format(img *mem.Image, cfg Config) (*FS, error) {
 		clusterBytes: clusterBytes,
 		fill:         make([]byte, clusterBytes),
 		nclusters:    nclusters,
-		allocHint:    minCluster,
 		freeLow:      minCluster,
 	}
 	fs.rootBase = fs.fatBase + mem.Addr(fatSectors*SectorSize)
@@ -196,9 +198,9 @@ func (fs *FS) writeBootSector(totalSectors, fatSectors int) {
 }
 
 // PagesWritten returns how many distinct cluster-sized page buffers the
-// volume's store holds: pages written since their last clear, plus one
-// per distinct image Populate shares between directory clusters. The
-// rest of the volume reads as zeros without host memory.
+// volume's store holds: pages written, plus one per distinct image
+// Populate shares between directory clusters. The rest of the volume
+// reads as zeros without host memory.
 func (fs *FS) PagesWritten() int { return fs.vol.written }
 
 // ClusterBytes returns the cluster size in bytes.
@@ -231,78 +233,26 @@ func (fs *FS) fat(n int) uint16 {
 func (fs *FS) setFAT(acc Access, n int, v uint16) {
 	acc.Store(fs.fatAddr(n), 2)
 	binary.LittleEndian.PutUint16(fs.vol.write(fs.fatAddr(n), 2), v)
-	if v == fatFree && n < fs.freeLow {
-		fs.freeLow = n
-	}
-}
-
-// allocCluster finds a free cluster, marks it end-of-chain, and returns
-// its number. The scan is charged to acc.
-func (fs *FS) allocCluster(acc Access) (int, error) {
-	limit := fs.nclusters + minCluster
-	for off := 0; off < fs.nclusters; off++ {
-		n := fs.allocHint + off
-		if n >= limit {
-			n = minCluster + (n - limit)
-		}
-		if fs.readFAT(acc, n) == fatFree {
-			fs.setFAT(acc, n, fatEndOfFile)
-			fs.allocHint = n + 1
-			return n, nil
-		}
-	}
-	return 0, fmt.Errorf("fatfs: no free clusters")
 }
 
 // allocChainContiguous allocates count clusters guaranteed contiguous, for
 // directories that must form a single span (CoreTime objects). It takes
-// the first free run, scanning from freeLow: the clusters below it are in
-// use, so a scan from minCluster would choose the same run.
+// the count clusters at freeLow: no cluster is ever freed, so that is the
+// first free run, the one a first-fit scan from minCluster would choose.
 func (fs *FS) allocChainContiguous(acc Access, count int) (int, error) {
 	if count <= 0 {
 		return 0, fmt.Errorf("fatfs: contiguous chain of %d clusters", count)
 	}
-	limit := fs.nclusters + minCluster
-	for start := fs.freeLow; start+count <= limit; start++ {
-		ok := true
-		for i := 0; i < count; i++ {
-			if fs.readFAT(acc, start+i) != fatFree {
-				if i == 0 && start == fs.freeLow {
-					fs.freeLow++
-				}
-				ok = false
-				start += i // skip past the obstacle
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		for i := 0; i < count-1; i++ {
-			fs.setFAT(acc, start+i, uint16(start+i+1))
-		}
-		fs.setFAT(acc, start+count-1, fatEndOfFile)
-		if start == fs.freeLow {
-			fs.freeLow = start + count
-		}
-		if fs.allocHint < start+count {
-			fs.allocHint = start + count
-		}
-		return start, nil
+	start := fs.freeLow
+	if start+count > fs.nclusters+minCluster {
+		return 0, fmt.Errorf("fatfs: no run of %d contiguous free clusters", count)
 	}
-	return 0, fmt.Errorf("fatfs: no run of %d contiguous free clusters", count)
-}
-
-// freeChain releases the chain starting at cluster n.
-func (fs *FS) freeChain(acc Access, n int) {
-	for n >= minCluster && n < fs.nclusters+minCluster {
-		next := fs.readFAT(acc, n)
-		fs.setFAT(acc, n, fatFree)
-		if next >= fatEndOfFile || next == fatFree {
-			return
-		}
-		n = int(next)
+	for i := 0; i < count-1; i++ {
+		fs.setFAT(acc, start+i, uint16(start+i+1))
 	}
+	fs.setFAT(acc, start+count-1, fatEndOfFile)
+	fs.freeLow = start + count
+	return start, nil
 }
 
 // chain returns the cluster chain starting at n, charging FAT reads.

@@ -1,7 +1,6 @@
 package fatfs
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -33,9 +32,13 @@ func TestFormatLayout(t *testing.T) {
 	if sig[0] != 0x55 || sig[1] != 0xAA {
 		t.Fatal("boot sector signature missing")
 	}
-	if fs.FreeClusters() != fs.NumClusters() {
-		t.Fatalf("fresh volume has %d free of %d clusters",
-			fs.FreeClusters(), fs.NumClusters())
+	for cl := minCluster; cl < fs.NumClusters()+minCluster; cl++ {
+		if fs.fat(cl) != fatFree {
+			t.Fatalf("fresh volume has cluster %d in use", cl)
+		}
+	}
+	if fs.freeLow != minCluster {
+		t.Fatalf("fresh volume allocates from cluster %d", fs.freeLow)
 	}
 }
 
@@ -86,128 +89,11 @@ func TestEncodeNameRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestCreateLookup(t *testing.T) {
-	fs := newFS(t)
-	data := []byte("hello fat world")
-	if _, err := fs.Create(null, fs.Root(), "HELLO.TXT", data); err != nil {
-		t.Fatal(err)
-	}
-	e, err := fs.Lookup(null, fs.Root(), "HELLO.TXT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Size != uint32(len(data)) {
-		t.Fatalf("Size = %d, want %d", e.Size, len(data))
-	}
-	got, err := fs.ReadAll(null, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("contents %q, want %q", got, data)
-	}
-}
-
 func TestLookupNotFound(t *testing.T) {
 	fs := newFS(t)
 	_, err := fs.Lookup(null, fs.Root(), "NOPE.TXT")
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
-	}
-}
-
-func TestCreateDuplicateRejected(t *testing.T) {
-	fs := newFS(t)
-	if _, err := fs.Create(null, fs.Root(), "X.TXT", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Create(null, fs.Root(), "X.TXT", nil); err == nil {
-		t.Fatal("duplicate create accepted")
-	}
-}
-
-func TestMultiClusterFile(t *testing.T) {
-	fs := newFS(t)
-	// 3.5 clusters of data.
-	data := make([]byte, fs.ClusterBytes()*7/2)
-	rng := stats.NewRNG(1)
-	for i := range data {
-		data[i] = byte(rng.Uint64())
-	}
-	e, err := fs.Create(null, fs.Root(), "BIG.BIN", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs.ReadAll(null, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("multi-cluster contents corrupted")
-	}
-	if err := fs.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWriteFileRewrites(t *testing.T) {
-	fs := newFS(t)
-	e, err := fs.Create(null, fs.Root(), "F.TXT", []byte("short"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	free := fs.FreeClusters()
-	long := make([]byte, fs.ClusterBytes()*2+17)
-	for i := range long {
-		long[i] = byte(i)
-	}
-	if err := fs.WriteFile(null, &e, long); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs.ReadAll(null, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, long) {
-		t.Fatal("rewrite corrupted contents")
-	}
-	if fs.FreeClusters() != free-2 { // was 1 cluster, now 3
-		t.Fatalf("free clusters %d, want %d", fs.FreeClusters(), free-2)
-	}
-	// Shrink back, chain must be released.
-	if err := fs.WriteFile(null, &e, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if fs.FreeClusters() != free {
-		t.Fatalf("shrink leaked clusters: %d free, want %d", fs.FreeClusters(), free)
-	}
-	if err := fs.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUnlinkFreesClusters(t *testing.T) {
-	fs := newFS(t)
-	free := fs.FreeClusters()
-	data := make([]byte, fs.ClusterBytes()*2)
-	if _, err := fs.Create(null, fs.Root(), "D.BIN", data); err != nil {
-		t.Fatal(err)
-	}
-	if fs.FreeClusters() != free-2 {
-		t.Fatalf("allocation accounting off: %d free", fs.FreeClusters())
-	}
-	if err := fs.Unlink(null, fs.Root(), "D.BIN"); err != nil {
-		t.Fatal(err)
-	}
-	if fs.FreeClusters() != free {
-		t.Fatal("unlink leaked clusters")
-	}
-	if _, err := fs.Lookup(null, fs.Root(), "D.BIN"); err == nil {
-		t.Fatal("unlinked file still found")
-	}
-	// The slot must be reusable.
-	if _, err := fs.Create(null, fs.Root(), "E.BIN", nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -217,16 +103,32 @@ func TestMkdirAndNestedLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Create(null, d, "LEAF.TXT", []byte("leaf")); err != nil {
-		t.Fatal(err)
-	}
-	e, err := fs.LookupPath(null, "/SUB/LEAF.TXT")
+	leaf, err := fs.Mkdir(null, d, "LEAF", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.ReadAll(null, e)
-	if err != nil || string(got) != "leaf" {
-		t.Fatalf("ReadAll = %q, %v", got, err)
+	if err := fs.Populate(leaf, benchNames(t, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Mkdir(null, fs.Root(), "SUB", 10); err == nil {
+		t.Fatal("duplicate Mkdir accepted")
+	}
+	// Resolve /SUB/LEAF/F0000007 one component at a time.
+	dir := fs.Root()
+	var e Entry
+	for _, name := range []string{"SUB", "LEAF", "F0000007"} {
+		if e, err = fs.Lookup(null, dir, name); err != nil {
+			t.Fatalf("Lookup(%s): %v", name, err)
+		}
+		if e.IsDir() {
+			dir, _ = e.Dir(fs)
+		}
+	}
+	if e.IsDir() || e.Index != 7 {
+		t.Fatalf("resolved %+v, want the file in slot 7", e)
+	}
+	if dir.FirstCluster() != leaf.FirstCluster() {
+		t.Fatalf("resolved into cluster %d, LEAF starts at %d", dir.FirstCluster(), leaf.FirstCluster())
 	}
 	if err := fs.CheckConsistency(); err != nil {
 		t.Fatal(err)
@@ -252,23 +154,28 @@ func TestMkdirCapacityMatchesPaper(t *testing.T) {
 
 func TestExtentContiguous(t *testing.T) {
 	fs := newFS(t)
-	// Fragment the FAT: create a file, a dir, delete the file, make
-	// another dir — the second dir must still be contiguous.
-	if _, err := fs.Create(null, fs.Root(), "GAP.BIN", make([]byte, fs.ClusterBytes())); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Mkdir(null, fs.Root(), "D1", 500); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Unlink(null, fs.Root(), "GAP.BIN"); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := fs.Mkdir(null, fs.Root(), "D2", 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Extent(d2); err != nil {
-		t.Fatalf("directory not contiguous: %v", err)
+	// Directories of several sizes, nested and not, each take the next
+	// clusters: every one is a single span, right after the one before.
+	next := fs.clusterAddr(minCluster)
+	parent := fs.Root()
+	for i, capEntries := range []int{500, 1, 1000, 129, 128} {
+		d, err := fs.Mkdir(null, parent, fmt.Sprintf("D%d", i), capEntries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		span, err := fs.Extent(d)
+		if err != nil {
+			t.Fatalf("directory %d not contiguous: %v", i, err)
+		}
+		clusters := (capEntries*DirEntrySize + fs.ClusterBytes() - 1) / fs.ClusterBytes()
+		if span.Base != next || span.Size != uint64(clusters*fs.ClusterBytes()) {
+			t.Fatalf("directory %d spans [%#x,+%d), want [%#x,+%d)",
+				i, span.Base, span.Size, next, clusters*fs.ClusterBytes())
+		}
+		next = span.Base + mem.Addr(span.Size)
+		if i%2 == 0 {
+			parent = d
+		}
 	}
 }
 
@@ -310,25 +217,20 @@ func TestPopulateOverflowRejected(t *testing.T) {
 	if err := fs.Populate(fs.Root(), benchNames(t, 1)); err == nil {
 		t.Fatal("Populate of the root accepted")
 	}
-}
-
-func TestUnlinkNonEmptyDirRejected(t *testing.T) {
-	fs := newFS(t)
-	d, err := fs.Mkdir(null, fs.Root(), "SUB", 100)
+	// A directory that already holds an entry is refused, which keeps
+	// the entry and its clusters.
+	full, err := fs.Mkdir(null, fs.Root(), "D", 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Create(null, d, "F.TXT", nil); err != nil {
+	if _, err := fs.Mkdir(null, full, "SUB", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Unlink(null, fs.Root(), "SUB"); err == nil {
-		t.Fatal("unlink of non-empty directory accepted")
+	if err := fs.Populate(full, benchNames(t, 4)); err == nil {
+		t.Fatal("Populate of a directory that holds an entry accepted")
 	}
-	if err := fs.Unlink(null, d, "F.TXT"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Unlink(null, fs.Root(), "SUB"); err != nil {
-		t.Fatalf("unlink of emptied directory failed: %v", err)
+	if _, err := fs.Lookup(null, full, "SUB"); err != nil {
+		t.Fatalf("Lookup(SUB) after the refused Populate: %v", err)
 	}
 	if err := fs.CheckConsistency(); err != nil {
 		t.Fatal(err)
@@ -337,24 +239,30 @@ func TestUnlinkNonEmptyDirRejected(t *testing.T) {
 
 func TestDeletedEntriesSkippedInLookup(t *testing.T) {
 	fs := newFS(t)
-	if _, err := fs.Create(null, fs.Root(), "A.TXT", nil); err != nil {
+	if _, err := fs.Mkdir(null, fs.Root(), "A", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Create(null, fs.Root(), "B.TXT", nil); err != nil {
+	if _, err := fs.Mkdir(null, fs.Root(), "B", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Unlink(null, fs.Root(), "A.TXT"); err != nil {
+	// Mark A's slot deleted, as a FAT unlink does.
+	a, err := fs.Lookup(null, fs.Root(), "A")
+	if err != nil {
 		t.Fatal(err)
+	}
+	fs.vol.write(a.Addr, 1)[0] = 0xE5
+	if _, err := fs.Lookup(null, fs.Root(), "A"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("deleted entry found: %v", err)
 	}
 	// B sits after the deleted slot; lookup must skip, not stop.
-	if _, err := fs.Lookup(null, fs.Root(), "B.TXT"); err != nil {
+	if _, err := fs.Lookup(null, fs.Root(), "B"); err != nil {
 		t.Fatalf("lookup after deleted entry: %v", err)
 	}
 }
 
 func TestConsistencyRandomOps(t *testing.T) {
-	// Property: arbitrary create/write/delete sequences keep the volume
-	// consistent and never lose allocated clusters.
+	// Property: arbitrary Mkdir/Populate sequences keep the volume
+	// consistent, and every name made is found where it was made.
 	f := func(seed uint64) bool {
 		img := mem.NewImage(16 << 20)
 		fs, err := Format(img, Config{TotalBytes: 8 << 20, SectorsPerCluster: 8, RootEntries: 512})
@@ -362,57 +270,50 @@ func TestConsistencyRandomOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := stats.NewRNG(seed)
-		live := map[string][]byte{}
+		dirs := []Dir{fs.Root()}
+		names := map[Dir][]string{}
+		populated := map[Dir]bool{}
+		files := benchNames(t, 300)
 		for op := 0; op < 120; op++ {
-			name := fmt.Sprintf("F%04d.DAT", rng.Intn(40))
-			switch rng.Intn(3) {
-			case 0: // create
-				if _, exists := live[name]; exists {
+			d := dirs[rng.Intn(len(dirs))]
+			switch rng.Intn(2) {
+			case 0: // Mkdir
+				name := fmt.Sprintf("D%04d", op)
+				sub, err := fs.Mkdir(null, d, name, 1+rng.Intn(300))
+				if populated[d] {
+					if err == nil {
+						return false
+					}
 					continue
 				}
-				data := make([]byte, rng.Intn(3*fs.ClusterBytes()))
-				for i := range data {
-					data[i] = byte(rng.Uint64())
-				}
-				if _, err := fs.Create(null, fs.Root(), name, data); err != nil {
-					return false
-				}
-				live[name] = data
-			case 1: // rewrite
-				if _, exists := live[name]; !exists {
-					continue
-				}
-				e, err := fs.Lookup(null, fs.Root(), name)
 				if err != nil {
 					return false
 				}
-				data := make([]byte, rng.Intn(2*fs.ClusterBytes()))
-				for i := range data {
-					data[i] = byte(rng.Uint64())
-				}
-				if err := fs.WriteFile(null, &e, data); err != nil {
-					return false
-				}
-				live[name] = data
-			case 2: // delete
-				if _, exists := live[name]; !exists {
+				dirs = append(dirs, sub)
+				names[d] = append(names[d], name)
+			case 1: // Populate
+				if d.IsRoot() || len(names[d]) != 0 {
 					continue
 				}
-				if err := fs.Unlink(null, fs.Root(), name); err != nil {
+				span, err := fs.Extent(d)
+				if err != nil {
 					return false
 				}
-				delete(live, name)
+				n := rng.Intn(min(int(span.Size)/DirEntrySize, len(files)) + 1)
+				if err := fs.Populate(d, files[:n]); err != nil {
+					return false
+				}
+				for _, raw := range files[:n] {
+					names[d] = append(names[d], DecodeName(raw))
+				}
+				populated[d] = n > 0
 			}
 		}
-		// All live files readable with correct contents.
-		for name, want := range live {
-			e, err := fs.Lookup(null, fs.Root(), name)
-			if err != nil {
-				return false
-			}
-			got, err := fs.ReadAll(null, e)
-			if err != nil || !bytes.Equal(got, want) {
-				return false
+		for d, ns := range names {
+			for _, name := range ns {
+				if _, err := fs.Lookup(null, d, name); err != nil {
+					return false
+				}
 			}
 		}
 		return fs.CheckConsistency() == nil

@@ -256,50 +256,6 @@ func (fs *FS) scanRegion(acc Access, base mem.Addr, nslots, idx0 int, raw *[11]b
 	return Entry{}, false, false
 }
 
-// LookupPath resolves a "/"-separated path from the root, charging every
-// directory scan along the way.
-func (fs *FS) LookupPath(acc Access, path string) (Entry, error) {
-	d := fs.Root()
-	var e Entry
-	start := 0
-	if len(path) > 0 && path[0] == '/' {
-		start = 1
-	}
-	rest := path[start:]
-	if rest == "" {
-		return Entry{}, fmt.Errorf("fatfs: empty path %q", path)
-	}
-	for rest != "" {
-		comp := rest
-		if i := indexByte(rest, '/'); i >= 0 {
-			comp, rest = rest[:i], rest[i+1:]
-		} else {
-			rest = ""
-		}
-		var err error
-		e, err = fs.Lookup(acc, d, comp)
-		if err != nil {
-			return Entry{}, err
-		}
-		if rest != "" {
-			d, err = e.Dir(fs)
-			if err != nil {
-				return Entry{}, err
-			}
-		}
-	}
-	return e, nil
-}
-
-func indexByte(s string, c byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
-}
-
 // findFreeSlot returns the first free slot address in d, charging the scan.
 func (fs *FS) findFreeSlot(acc Access, d Dir) (mem.Addr, int, error) {
 	var addr mem.Addr
@@ -319,59 +275,6 @@ func (fs *FS) findFreeSlot(acc Access, d Dir) (mem.Addr, int, error) {
 	return addr, idx, nil
 }
 
-// Create adds a file named name to d with the given contents (which may be
-// empty). It fails if the name already exists.
-func (fs *FS) Create(acc Access, d Dir, name string, data []byte) (Entry, error) {
-	raw, err := EncodeName(name)
-	if err != nil {
-		return Entry{}, err
-	}
-	if _, err := fs.Lookup(acc, d, name); err == nil {
-		return Entry{}, fmt.Errorf("fatfs: %q already exists", name)
-	}
-	addr, idx, err := fs.findFreeSlot(acc, d)
-	if err != nil {
-		return Entry{}, err
-	}
-	first := 0
-	if len(data) > 0 {
-		first, err = fs.writeNewChain(acc, data)
-		if err != nil {
-			return Entry{}, err
-		}
-	}
-	fs.writeEntry(acc, addr, raw, attrArchive, first, uint32(len(data)))
-	return fs.decodeEntry(addr, idx), nil
-}
-
-// writeNewChain allocates clusters for data and writes it, returning the
-// first cluster.
-func (fs *FS) writeNewChain(acc Access, data []byte) (int, error) {
-	first, prev := 0, 0
-	for off := 0; off < len(data); off += fs.clusterBytes {
-		cl, err := fs.allocCluster(acc)
-		if err != nil {
-			if first != 0 {
-				fs.freeChain(acc, first)
-			}
-			return 0, err
-		}
-		if first == 0 {
-			first = cl
-		} else {
-			fs.setFAT(acc, prev, uint16(cl))
-		}
-		prev = cl
-		end := off + fs.clusterBytes
-		if end > len(data) {
-			end = len(data)
-		}
-		acc.Store(fs.clusterAddr(cl), end-off)
-		fs.vol.writeAt(data[off:end], fs.clusterAddr(cl))
-	}
-	return first, nil
-}
-
 // Mkdir creates a subdirectory under parent with capacity for at least
 // capEntries entries, allocated contiguously so the directory forms a
 // single span (a CoreTime object). The paper's benchmark directories are
@@ -381,8 +284,15 @@ func (fs *FS) Mkdir(acc Access, parent Dir, name string, capEntries int) (Dir, e
 	if err != nil {
 		return Dir{}, err
 	}
+	if !parent.IsRoot() && fs.vol.interned(fs.clusterAddr(parent.firstCluster)) {
+		return Dir{}, fmt.Errorf("fatfs: %q: Populate filled its parent, which takes no more entries", name)
+	}
 	if _, err := fs.Lookup(acc, parent, name); err == nil {
 		return Dir{}, fmt.Errorf("fatfs: %q already exists", name)
+	}
+	addr, _, err := fs.findFreeSlot(acc, parent)
+	if err != nil {
+		return Dir{}, err
 	}
 	if capEntries < 1 {
 		capEntries = 1
@@ -393,45 +303,42 @@ func (fs *FS) Mkdir(acc Access, parent Dir, name string, capEntries int) (Dir, e
 	if err != nil {
 		return Dir{}, err
 	}
-	// Zero the directory clusters (end-of-directory markers). A freed
-	// file may have left bytes there; never-written pages are zero already.
+	// Charge clearing the directory clusters to end-of-directory markers.
+	// They were never written, so their bytes read as zeros already.
 	for i := 0; i < clusters; i++ {
 		acc.Store(fs.clusterAddr(first+i), fs.clusterBytes)
-	}
-	fs.vol.zero(fs.clusterAddr(first), clusters*fs.clusterBytes)
-	addr, _, err := fs.findFreeSlot(acc, parent)
-	if err != nil {
-		fs.freeChain(acc, first)
-		return Dir{}, err
 	}
 	fs.writeEntry(acc, addr, raw, attrDirectory, first, 0)
 	return Dir{fs: fs, firstCluster: first}, nil
 }
 
-// Populate bulk-creates one zero-length file in subdirectory d per
-// pre-encoded name (see EncodeName), writing entries sequentially. It is
-// the fast path for building benchmark directories (1,000 entries each)
-// without O(n²) free-slot scans or per-directory name encoding: a tree
-// whose directories hold the same names encodes them once. It assumes d
-// is empty.
+// Populate bulk-creates one zero-length file in the empty subdirectory d
+// per pre-encoded name (see EncodeName), writing entries sequentially. It
+// is the fast path for building benchmark directories (1,000 entries
+// each) without O(n²) free-slot scans or per-directory name encoding: a
+// tree whose directories hold the same names encodes them once. It
+// returns an error if d already holds an entry.
 //
 // d is filled a cluster at a time: each cluster's image is built in a
 // scratch page and interned, so directories that hold the same names
-// share their cluster bytes until one of them is written.
+// share their cluster bytes. Interned bytes are never written, so a
+// populated directory takes no further entries: Mkdir refuses it.
 func (fs *FS) Populate(d Dir, raws [][11]byte) error {
 	if d.IsRoot() {
 		return fmt.Errorf("fatfs: Populate fills a subdirectory, not the root")
 	}
+	if fs.vol.read(fs.clusterAddr(d.firstCluster), 1)[0] != 0x00 {
+		return fmt.Errorf("fatfs: Populate into a directory that already holds entries")
+	}
 	perCluster := fs.clusterBytes / DirEntrySize
 	written := 0
 	for cl := d.firstCluster; written < len(raws); {
-		a := fs.clusterAddr(cl)
-		copy(fs.fill, fs.vol.read(a, fs.clusterBytes))
 		n := min(perCluster, len(raws)-written)
+		clear(fs.fill)
 		for i, raw := range raws[written : written+n] {
 			encodeEntry(fs.fill[i*DirEntrySize:], raw, attrArchive, 0, 0)
 		}
-		fs.vol.intern(a, fs.fill)
+		fs.vol.intern(fs.clusterAddr(cl), fs.fill)
 		written += n
 		next := fs.fat(cl)
 		if next >= fatEndOfFile {
@@ -463,88 +370,6 @@ func (fs *FS) ReadDir(acc Access, d Dir) []Entry {
 	return out
 }
 
-// ReadAll returns a file's contents, charging the chain walk and data
-// loads.
-func (fs *FS) ReadAll(acc Access, e Entry) ([]byte, error) {
-	if e.IsDir() {
-		return nil, fmt.Errorf("fatfs: %q is a directory", e.Name)
-	}
-	out := make([]byte, 0, e.Size)
-	remaining := int(e.Size)
-	if remaining == 0 {
-		return out, nil
-	}
-	clusters, err := fs.chain(acc, e.FirstCluster)
-	if err != nil {
-		return nil, err
-	}
-	for _, cl := range clusters {
-		n := remaining
-		if n > fs.clusterBytes {
-			n = fs.clusterBytes
-		}
-		a := fs.clusterAddr(cl)
-		acc.Load(a, n)
-		out = out[:len(out)+n]
-		fs.vol.readAt(out[len(out)-n:], a)
-		remaining -= n
-		if remaining == 0 {
-			break
-		}
-	}
-	if remaining != 0 {
-		return nil, fmt.Errorf("fatfs: %q chain shorter than size %d", e.Name, e.Size)
-	}
-	return out, nil
-}
-
-// WriteFile replaces the contents of the file entry e with data,
-// reallocating its chain. If the volume has no room for data, the file is
-// left empty and the error returned.
-func (fs *FS) WriteFile(acc Access, e *Entry, data []byte) error {
-	if e.IsDir() {
-		return fmt.Errorf("fatfs: %q is a directory", e.Name)
-	}
-	if e.FirstCluster != 0 {
-		fs.freeChain(acc, e.FirstCluster)
-	}
-	first := 0
-	var err error
-	if len(data) > 0 {
-		first, err = fs.writeNewChain(acc, data)
-	}
-	e.FirstCluster, e.Size = first, uint32(len(data))
-	if err != nil {
-		// The old chain is gone; leave an empty file, not an entry
-		// pointing at freed clusters.
-		e.Size = 0
-	}
-	var raw [11]byte
-	copy(raw[:], fs.vol.read(e.Addr, 11))
-	fs.writeEntry(acc, e.Addr, raw, e.Attr, e.FirstCluster, e.Size)
-	return err
-}
-
-// Unlink removes the named file or (empty) directory from d.
-func (fs *FS) Unlink(acc Access, d Dir, name string) error {
-	e, err := fs.Lookup(acc, d, name)
-	if err != nil {
-		return err
-	}
-	if e.IsDir() {
-		sub, _ := e.Dir(fs)
-		if len(fs.ReadDir(NullAccess{}, sub)) != 0 {
-			return fmt.Errorf("fatfs: directory %q not empty", name)
-		}
-	}
-	if e.FirstCluster != 0 {
-		fs.freeChain(acc, e.FirstCluster)
-	}
-	acc.Store(e.Addr, 1)
-	fs.vol.write(e.Addr, 1)[0] = 0xE5
-	return nil
-}
-
 // Extent returns the contiguous byte span of a directory's entry storage,
 // for registration as a CoreTime object. It fails if the chain is not
 // contiguous (directories made with Mkdir always are).
@@ -566,17 +391,6 @@ func (fs *FS) Extent(d Dir) (mem.Span, error) {
 		n++
 	}
 	return mem.Span{Base: fs.clusterAddr(first), Size: uint64(n * fs.clusterBytes)}, nil
-}
-
-// FreeClusters counts free FAT cells (host-side, uncharged).
-func (fs *FS) FreeClusters() int {
-	n := 0
-	for i := minCluster; i < fs.nclusters+minCluster; i++ {
-		if fs.fat(i) == fatFree {
-			n++
-		}
-	}
-	return n
 }
 
 // CheckConsistency validates the volume like a small fsck: every reachable

@@ -20,30 +20,30 @@ var zeroPage [maxPageBytes]byte
 // are aligned to the data region, so every cluster is exactly one page;
 // the metadata in front of it (boot sector, FAT, root directory) fills
 // the pages below, the first of which may start before the volume. A page
-// is materialized by its first write; until then it reads as zeros, so a
-// fresh volume costs one slice header and one flag per page.
+// is set once, by its first write or by intern; until then it reads as
+// zeros, so a fresh volume costs one slice header and one flag per page.
 //
 // Pages with identical bytes may share one buffer. intern points a page
 // at an immutable image, looked up by its bytes in images, so a tree
 // whose directories hold the same names holds each distinct directory
-// cluster once. A shared page is copied before its first byte changes
-// (write, writeAt, zero); zeroing a whole page drops it back to the zero
-// page. The map's key is a second copy of each image, so interning pays
-// only where images repeat, as they do in every generated tree.
+// cluster once. The volume is built once and then only read, so a shared
+// page is never written: a write into an interned page panics, as does an
+// intern over a page already set. The map's key is a second copy of each
+// image, so interning pays only where images repeat, as they do in every
+// generated tree.
 //
 // read and write return a slice into one page, so they must not span a
-// page boundary. Every metadata access qualifies: the volume base and the
-// data region are sector aligned, a page holds whole sectors, and
-// sectors, dirents and FAT cells never straddle a sector. File data,
-// which may, goes through readAt and writeAt.
+// page boundary. Every access qualifies: the volume base and the data
+// region are sector aligned, a page holds whole sectors, and sectors,
+// dirents and FAT cells never straddle a sector.
 type store struct {
 	origin mem.Addr // start of page 0, at or below the volume
 	lo, hi int      // the volume's bytes, as offsets from origin
 	shift  uint     // log2 of the page size
-	pages  [][]byte // nil until written
-	shared []bool   // pages[p] is an interned image, never written in place
+	pages  [][]byte // nil until set
+	shared []bool   // pages[p] is an interned image, never written
 	images map[string][]byte
-	// written counts the distinct buffers held: private pages plus
+	// written counts the distinct buffers held: written pages plus
 	// interned images.
 	written int
 }
@@ -89,31 +89,37 @@ func (s *store) read(a mem.Addr, n int) []byte {
 	return zeroPage[o : o+n : o+n]
 }
 
-// write returns the n bytes at a for writing, materializing their page or
-// copying it if it is shared.
+// write returns the n bytes at a for writing, materializing their page on
+// its first write. It panics if the page is interned.
 func (s *store) write(a mem.Addr, n int) []byte {
 	p, o := s.locate(a, n)
-	pg := s.pages[p]
-	switch {
-	case pg == nil:
-		pg = make([]byte, s.pageBytes())
-	case s.shared[p]:
-		pg = bytes.Clone(pg)
-	default:
-		return pg[o : o+n : o+n]
+	if s.shared[p] {
+		panic(fmt.Sprintf("fatfs: write at %#x into an interned page", a))
 	}
-	s.pages[p], s.shared[p] = pg, false
-	s.written++
-	return pg[o : o+n : o+n]
+	if s.pages[p] == nil {
+		s.pages[p] = make([]byte, s.pageBytes())
+		s.written++
+	}
+	return s.pages[p][o : o+n : o+n]
 }
 
-// intern makes the page that starts at a hold a copy of img, one page of
-// bytes, sharing the buffer of an identical image this volume already
-// holds. img stays the caller's: the store keeps only its own copy.
+// interned reports whether the page holding a is an interned image.
+func (s *store) interned(a mem.Addr) bool {
+	p, _ := s.locate(a, 0)
+	return s.shared[p]
+}
+
+// intern makes the unset page that starts at a hold a copy of img, one
+// page of bytes, sharing the buffer of an identical image this volume
+// already holds. img stays the caller's: the store keeps only its own
+// copy.
 func (s *store) intern(a mem.Addr, img []byte) {
 	p, o := s.locate(a, len(img))
 	if o != 0 || len(img) != s.pageBytes() {
 		panic(fmt.Sprintf("fatfs: interning %d bytes at %#x, not one page", len(img), a))
+	}
+	if s.pages[p] != nil {
+		panic(fmt.Sprintf("fatfs: interning over the page at %#x, already set", a))
 	}
 	pg, ok := s.images[string(img)]
 	if !ok {
@@ -121,56 +127,5 @@ func (s *store) intern(a mem.Addr, img []byte) {
 		s.images[string(pg)] = pg
 		s.written++
 	}
-	s.drop(p)
 	s.pages[p], s.shared[p] = pg, true
-}
-
-// drop returns page p to the zero page, releasing a private buffer.
-func (s *store) drop(p int) {
-	if s.pages[p] != nil && !s.shared[p] {
-		s.written--
-	}
-	s.pages[p], s.shared[p] = nil, false
-}
-
-// chunk returns the length of the piece of [a, a+n) that starts at a and
-// ends at or before the next page boundary.
-func (s *store) chunk(a mem.Addr, n int) int {
-	return min(n, s.pageBytes()-int(a-s.origin)&(s.pageBytes()-1))
-}
-
-// readAt copies len(b) bytes starting at a into b; the range may span
-// pages.
-func (s *store) readAt(b []byte, a mem.Addr) {
-	for len(b) > 0 {
-		k := s.chunk(a, len(b))
-		copy(b, s.read(a, k))
-		b, a = b[k:], a+mem.Addr(k)
-	}
-}
-
-// writeAt copies b into the volume starting at a; the range may span
-// pages.
-func (s *store) writeAt(b []byte, a mem.Addr) {
-	for len(b) > 0 {
-		k := s.chunk(a, len(b))
-		copy(s.write(a, k), b)
-		b, a = b[k:], a+mem.Addr(k)
-	}
-}
-
-// zero clears n bytes starting at a. Unwritten pages already read as
-// zeros and are left alone; a page cleared whole is dropped.
-func (s *store) zero(a mem.Addr, n int) {
-	for n > 0 {
-		k := s.chunk(a, n)
-		switch p, _ := s.locate(a, k); {
-		case s.pages[p] == nil:
-		case k == s.pageBytes():
-			s.drop(p)
-		default:
-			clear(s.write(a, k))
-		}
-		n, a = n-k, a+mem.Addr(k)
-	}
 }

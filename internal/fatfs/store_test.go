@@ -12,34 +12,22 @@ import (
 // testPage is the page size of the stores built directly by these tests.
 const testPage = 4096
 
-// TestStoreMatchesFlatReference drives random writeAt/readAt/zero calls
-// that straddle page boundaries, and interns of whole pages drawn from a
-// small pool of images, against a flat []byte holding the same volume.
-// The pages start below the volume base, as a FAT volume's do. After
-// every step each page must equal the reference, so a write or zero
-// through one sharer of an image that leaks into another fails at once.
-// Reads must materialize no page, interning a known image must add no
-// buffer, and the shared zero page must still be all zeros at the end.
+// TestStoreMatchesFlatReference drives random in-page write and read
+// calls, and interns of whole pages drawn from a small pool of images,
+// against a flat []byte holding the same volume. The pages start below
+// the volume base, as a FAT volume's do. A write into an interned page
+// and an intern over a page already set must panic and change nothing.
+// After every step each page must equal the reference, so a write that
+// leaks into a sharer of an image fails at once. Reads must materialize
+// no page, a first write must add one buffer, interning a known image
+// must add none, and the shared zero page must still be all zeros at the
+// end.
 func TestStoreMatchesFlatReference(t *testing.T) {
-	const base, size = mem.Addr(4096), 6*testPage + 777
+	const base, size = mem.Addr(4096), 30*testPage + 777
 	s := newStore(base, size, testPage, base+3*SectorSize)
 	lead := s.lo // bytes of page 0 below the volume
 	ref := make([]byte, size)
 	rng := stats.NewRNG(42)
-	randRange := func() (mem.Addr, int) {
-		// Bias starts toward page boundaries so most ranges span one,
-		// and a third of ranges are one or two whole pages.
-		off := rng.Intn(size)
-		switch rng.Intn(3) {
-		case 0:
-			off = max(0, (1+rng.Intn(size/testPage))*testPage-lead-1-rng.Intn(256))
-		case 1:
-			off = (1+rng.Intn(5))*testPage - lead
-			return base + mem.Addr(off), min((1+rng.Intn(2))*testPage, size-off)
-		}
-		n := 1 + rng.Intn(min(3*testPage/2, size-off))
-		return base + mem.Addr(off), n
-	}
 	pool := make([][]byte, 3)
 	for i := range pool {
 		pool[i] = make([]byte, testPage)
@@ -48,52 +36,65 @@ func TestStoreMatchesFlatReference(t *testing.T) {
 		}
 	}
 	scratch := make([]byte, testPage)
-	interned := 0
+	var interned, refused int
+	panics := func(f func()) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		f()
+		return false
+	}
 	for step := 0; step < 600; step++ {
-		a, n := randRange()
-		off := int(a - base)
-		switch rng.Intn(4) {
+		// A random range inside one page and the volume.
+		p := rng.Intn(len(s.pages))
+		lo, hi := max(p*testPage, lead), min((p+1)*testPage, lead+size)
+		off := lo + rng.Intn(hi-lo)
+		n := 1 + rng.Intn(hi-off)
+		a := s.origin + mem.Addr(off)
+		written := s.written
+		switch rng.Intn(3) {
 		case 0:
-			b := make([]byte, n)
+			if s.shared[p] {
+				if !panics(func() { s.write(a, n) }) {
+					t.Fatalf("step %d: a write into interned page %d did not panic", step, p)
+				}
+				refused++
+				break
+			}
+			if s.pages[p] == nil {
+				written++
+			}
+			b := s.write(a, n)
 			for i := range b {
 				b[i] = byte(rng.Uint64())
 			}
-			s.writeAt(b, a)
-			copy(ref[off:], b)
+			copy(ref[off-lead:], b)
 		case 1:
-			s.zero(a, n)
-			clear(ref[off : off+n])
+			got := s.read(a, n)
+			if !bytes.Equal(got, ref[off-lead:off-lead+n]) {
+				t.Fatalf("step %d: read [%#x,+%d) differs from the reference", step, a, n)
+			}
 		case 2:
-			written := s.written
-			got := make([]byte, n)
-			s.readAt(got, a)
-			if !bytes.Equal(got, ref[off:off+n]) {
-				t.Fatalf("step %d: readAt [%#x,+%d) differs from the reference", step, a, n)
-			}
-			if s.written != written {
-				t.Fatalf("step %d: a read materialized %d pages", step, s.written-written)
-			}
-		case 3:
-			// Pages 1 to 5 lie wholly inside the volume.
-			p := 1 + rng.Intn(5)
-			img := pool[rng.Intn(len(pool))]
+			// Pages 1 to 29 lie wholly inside the volume.
+			p = 1 + rng.Intn(29)
 			pa := s.origin + mem.Addr(p*testPage)
-			_, known := s.images[string(img)]
-			written := s.written
-			if s.pages[p] != nil && !s.shared[p] {
-				written--
-			}
+			img := pool[rng.Intn(len(pool))]
 			copy(scratch, img)
-			s.intern(pa, scratch)
-			clear(scratch) // the store must have kept its own copy
-			if !known {
+			if s.pages[p] != nil {
+				if !panics(func() { s.intern(pa, scratch) }) {
+					t.Fatalf("step %d: interning over set page %d did not panic", step, p)
+				}
+				refused++
+				break
+			}
+			if _, known := s.images[string(img)]; !known {
 				written++
 			}
-			if s.written != written {
-				t.Fatalf("step %d: interning holds %d buffers, want %d", step, s.written, written)
-			}
+			s.intern(pa, scratch)
+			clear(scratch) // the store must have kept its own copy
 			copy(ref[int(pa-base):], img)
 			interned++
+		}
+		if s.written != written {
+			t.Fatalf("step %d: the store holds %d buffers, want %d", step, s.written, written)
 		}
 		for p := range s.pages {
 			pg := s.pages[p]
@@ -107,8 +108,8 @@ func TestStoreMatchesFlatReference(t *testing.T) {
 			}
 		}
 	}
-	if interned == 0 {
-		t.Fatal("no page was interned")
+	if interned == 0 || refused == 0 {
+		t.Fatalf("%d pages interned and %d accesses refused, want some of each", interned, refused)
 	}
 	if !bytes.Equal(zeroPage[:], make([]byte, len(zeroPage))) {
 		t.Fatal("the shared zero page was written")
@@ -116,8 +117,8 @@ func TestStoreMatchesFlatReference(t *testing.T) {
 }
 
 // TestStoreSharesInternedPages checks that pages interned with the same
-// image share one buffer until one of them is written, and that zeroing a
-// shared page whole drops it without touching the others.
+// image share one buffer, that writing one of them panics and leaves
+// every sharer as it was, and that interning over a written page panics.
 func TestStoreSharesInternedPages(t *testing.T) {
 	s := newStore(0, 4*testPage, testPage, 0)
 	img := bytes.Repeat([]byte{0xA5}, testPage)
@@ -127,18 +128,25 @@ func TestStoreSharesInternedPages(t *testing.T) {
 	if s.written != 1 {
 		t.Fatalf("three sharers of one image hold %d buffers, want 1", s.written)
 	}
-	s.write(testPage+7, 1)[0] = 0
-	if s.written != 2 || s.read(7, 1)[0] != 0xA5 || s.read(2*testPage+7, 1)[0] != 0xA5 {
-		t.Fatalf("a write through one sharer: %d buffers, other sharers read %#x and %#x",
-			s.written, s.read(7, 1)[0], s.read(2*testPage+7, 1)[0])
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
 	}
-	s.zero(0, testPage)
-	if s.written != 2 || s.pages[0] != nil || s.read(2*testPage, 1)[0] != 0xA5 {
-		t.Fatal("zeroing a shared page whole did not drop it alone")
+	mustPanic("a write into a shared page", func() { s.write(testPage+7, 1)[0] = 0 })
+	for p := range 3 {
+		if got := s.read(mem.Addr(p*testPage+7), 1)[0]; got != 0xA5 {
+			t.Fatalf("sharer %d reads %#x after the refused write", p, got)
+		}
 	}
-	s.zero(testPage, testPage)
-	if s.written != 1 || s.pages[1] != nil {
-		t.Fatalf("zeroing a private page whole left %d buffers", s.written)
+	s.write(3*testPage, 1)[0] = 1
+	mustPanic("interning over a written page", func() { s.intern(3*testPage, img) })
+	if s.written != 2 || s.shared[3] || s.read(3*testPage, 1)[0] != 1 {
+		t.Fatal("the refused intern changed the written page")
 	}
 }
 
@@ -157,10 +165,6 @@ func TestStoreReadsDoNotMaterialize(t *testing.T) {
 	if zeroPage[10+32] != 0 {
 		t.Fatal("append through a read slice wrote the zero page")
 	}
-	s.zero(0, 3*testPage)
-	if s.written != 0 {
-		t.Fatal("zero materialized a page")
-	}
 }
 
 // TestStoreReadWriteRoundTrip is the byte round trip that lived on the
@@ -168,18 +172,16 @@ func TestStoreReadsDoNotMaterialize(t *testing.T) {
 func TestStoreReadWriteRoundTrip(t *testing.T) {
 	s := newStore(64, 4096, testPage, 64)
 	payload := []byte("the quick brown fox")
-	s.writeAt(payload, 128)
-	got := make([]byte, len(payload))
-	s.readAt(got, 128)
-	if !bytes.Equal(got, payload) {
+	copy(s.write(128, len(payload)), payload)
+	if got := s.read(128, len(payload)); !bytes.Equal(got, payload) {
 		t.Errorf("round trip = %q, want %q", got, payload)
 	}
 }
 
 // TestStoreScalarLittleEndian checks the volume's multi-byte fields are
 // little-endian: a FAT cell through setFAT and readFAT, the boot sector's
-// 32-bit total-sector count, and a 64-bit value written across the
-// boundary between the first two data clusters' pages.
+// 32-bit total-sector count, and a 64-bit value in the last bytes of the
+// first data cluster's page.
 func TestStoreScalarLittleEndian(t *testing.T) {
 	fs := newFS(t)
 	fs.setFAT(null, 5, 0xBEEF)
@@ -193,14 +195,10 @@ func TestStoreScalarLittleEndian(t *testing.T) {
 	if got := binary.LittleEndian.Uint32(fs.vol.read(fs.base+32, 4)); got != sectors {
 		t.Errorf("boot sector total sectors = %d, want %d", got, sectors)
 	}
-	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], 0x0123456789ABCDEF)
-	a := fs.clusterAddr(minCluster+1) - 3
-	fs.vol.writeAt(w[:], a)
-	var r [8]byte
-	fs.vol.readAt(r[:], a)
-	if got := binary.LittleEndian.Uint64(r[:]); got != 0x0123456789ABCDEF {
-		t.Errorf("64-bit value across a page boundary = %#x", got)
+	a := fs.clusterAddr(minCluster+1) - 8
+	binary.LittleEndian.PutUint64(fs.vol.write(a, 8), 0x0123456789ABCDEF)
+	if got := binary.LittleEndian.Uint64(fs.vol.read(a, 8)); got != 0x0123456789ABCDEF {
+		t.Errorf("64-bit value at the end of a page = %#x", got)
 	}
 }
 

@@ -41,9 +41,17 @@ func TestBuildPathEnv(t *testing.T) {
 	if err := env.FS.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	// A full path must resolve through the real FS.
-	if _, err := env.FS.LookupPath(fatfs.NullAccess{}, "/TOP0001/SUB0003/F0000042"); err != nil {
-		t.Fatalf("path resolution: %v", err)
+	// A full path must resolve through the real FS, one directory at a
+	// time.
+	d := env.FS.Root()
+	for _, name := range []string{"TOP0001", "SUB0003", "F0000042"} {
+		e, err := env.FS.Lookup(fatfs.NullAccess{}, d, name)
+		if err != nil {
+			t.Fatalf("path resolution at %s: %v", name, err)
+		}
+		if e.IsDir() {
+			d, _ = e.Dir(env.FS)
+		}
 	}
 }
 
